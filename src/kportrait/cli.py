@@ -7,6 +7,7 @@ Subcommands: classify, hopf, cycle, portrait, scan.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .numerics import (
 from .portrait import build_portrait, render_svg, write_report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kportrait",

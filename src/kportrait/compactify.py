@@ -9,8 +9,9 @@ search for singular points on the equator, and the single horizontal blow-up
 (u = v * w1) needed to desingularise the degenerate equator point of the
 predator-prey family.
 
-Coefficient tables are dense and exponent-indexed; arithmetic follows the
-input number types, so rational inputs give exact rational charted systems.
+Polynomials are sparse maps from exponent pairs (i, j) to nonzero
+coefficients; arithmetic follows the input number types, so rational inputs
+give exact rational charted systems.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -60,20 +62,8 @@ def _add_term(terms: Terms, key: tuple[int, int], coeff: Number) -> None:
         terms[key] = c
 
 
-def _table_to_terms(table) -> Terms:
-    terms: Terms = {}
-    for i, row in enumerate(table):
-        for j, coeff in enumerate(row):
-            if coeff != 0:
-                terms[(i, j)] = coeff
-    return terms
-
-
 def _terms_to_table(terms: Terms, size: int) -> tuple[tuple[Number, ...], ...]:
-    rows = []
-    for i in range(size):
-        rows.append(tuple(terms.get((i, j), 0) for j in range(size)))
-    return tuple(rows)
+    return tuple(tuple(terms.get((i, j), 0) for j in range(size)) for i in range(size))
 
 
 def _eval_terms(terms: Terms, x: Number, y: Number) -> Number:
@@ -128,55 +118,58 @@ def _divide_by_second_var(terms: Terms) -> Terms:
 
 @dataclass(frozen=True)
 class PolySystem:
-    """A planar polynomial field (P, Q) as dense exponent-indexed tables.
+    """A planar polynomial field (P, Q) as sparse exponent-keyed terms.
 
-    ``coeffs_p[i][j]`` is the coefficient of x^i y^j in the first component.
+    The constructor copies both term maps into canonical form (zeros dropped,
+    keys ascending by (i, j)), so every sum over the terms runs in one order.
+    ``terms_p()`` maps (i, j) to the coefficient of x^i y^j in the first
+    component; ``coeffs_p[i][j]`` is the same data as a dense table.
     """
 
-    coeffs_p: tuple[tuple[Number, ...], ...]
-    coeffs_q: tuple[tuple[Number, ...], ...]
+    _p: Terms
+    _q: Terms
+
+    def __post_init__(self) -> None:
+        for name in ("_p", "_q"):
+            terms = getattr(self, name)
+            object.__setattr__(self, name, {k: terms[k] for k in sorted(terms) if terms[k] != 0})
+
+    def __hash__(self) -> int:
+        return hash((tuple(self._p.items()), tuple(self._q.items())))
 
     @classmethod
     def from_terms(cls, p_terms: Terms, q_terms: Terms) -> "PolySystem":
-        deg = 0
-        for terms in (p_terms, q_terms):
-            for (i, j), coeff in terms.items():
-                if coeff != 0:
-                    deg = max(deg, i + j)
-        size = deg + 1
-        return cls(_terms_to_table(p_terms, size), _terms_to_table(q_terms, size))
+        return cls(p_terms, q_terms)
 
-    @classmethod
-    def from_tables(cls, table_p, table_q) -> "PolySystem":
-        return cls.from_terms(_table_to_terms(table_p), _table_to_terms(table_q))
+    def terms_p(self) -> Mapping[tuple[int, int], Number]:
+        return MappingProxyType(self._p)
 
-    def terms_p(self) -> Terms:
-        return _table_to_terms(self.coeffs_p)
-
-    def terms_q(self) -> Terms:
-        return _table_to_terms(self.coeffs_q)
+    def terms_q(self) -> Mapping[tuple[int, int], Number]:
+        return MappingProxyType(self._q)
 
     @property
     def degree(self) -> int:
-        deg = 0
-        for terms in (self.terms_p(), self.terms_q()):
-            for (i, j) in terms:
-                deg = max(deg, i + j)
-        return deg
+        return max((i + j for terms in (self._p, self._q) for (i, j) in terms), default=0)
+
+    @property
+    def coeffs_p(self) -> tuple[tuple[Number, ...], ...]:
+        return _terms_to_table(self._p, self.degree + 1)
+
+    @property
+    def coeffs_q(self) -> tuple[tuple[Number, ...], ...]:
+        return _terms_to_table(self._q, self.degree + 1)
 
     def coeff_p(self, i: int, j: int) -> Number:
-        t = self.coeffs_p
-        return t[i][j] if i < len(t) and j < len(t[i]) else 0
+        return self._p.get((i, j), 0)
 
     def coeff_q(self, i: int, j: int) -> Number:
-        t = self.coeffs_q
-        return t[i][j] if i < len(t) and j < len(t[i]) else 0
+        return self._q.get((i, j), 0)
 
     def __call__(self, x: Number, y: Number) -> tuple[Number, Number]:
-        return _eval_terms(self.terms_p(), x, y), _eval_terms(self.terms_q(), x, y)
+        return _eval_terms(self._p, x, y), _eval_terms(self._q, x, y)
 
     def jacobian_at(self, x: Number, y: Number):
-        tp, tq = self.terms_p(), self.terms_q()
+        tp, tq = self._p, self._q
         return (
             (_eval_terms(_diff_terms(tp, 0), x, y), _eval_terms(_diff_terms(tp, 1), x, y)),
             (_eval_terms(_diff_terms(tq, 0), x, y), _eval_terms(_diff_terms(tq, 1), x, y)),
@@ -194,8 +187,8 @@ class PolySystem:
         px: Terms = {(1, 0): 1, (0, 0): x0}
         py: Terms = {(0, 1): 1, (0, 0): y0}
         return PolySystem.from_terms(
-            _compose_terms(self.terms_p(), px, py),
-            _compose_terms(self.terms_q(), px, py),
+            _compose_terms(self._p, px, py),
+            _compose_terms(self._q, px, py),
         )
 
     def linear_change(self, m) -> "PolySystem":
@@ -206,8 +199,8 @@ class PolySystem:
             raise ValueError("change-of-basis matrix is singular")
         px: Terms = {(1, 0): m00, (0, 1): m01}
         py: Terms = {(1, 0): m10, (0, 1): m11}
-        f1 = _compose_terms(self.terms_p(), px, py)
-        f2 = _compose_terms(self.terms_q(), px, py)
+        f1 = _compose_terms(self._p, px, py)
+        f2 = _compose_terms(self._q, px, py)
         # M^{-1} = (1/det) [[m11, -m01], [-m10, m00]]
         g1: Terms = {}
         g2: Terms = {}
@@ -359,8 +352,7 @@ def infinite_singular_points(sys: PolySystem) -> list[InfinitePoint]:
     out: list[InfinitePoint] = []
     ch1 = compactify(sys, "U1").system
     # restriction of u' to the equator v = 0
-    size = len(ch1.coeffs_p)
-    poly = [float(ch1.coeff_p(i, 0)) for i in range(size)]
+    poly = [float(ch1.coeff_p(i, 0)) for i in range(ch1.degree + 1)]
     if not any(poly):
         raise ValueError("the equator of U1 consists entirely of singular points")
     roots = np.roots(poly[::-1]) if len(poly) > 1 else np.array([])

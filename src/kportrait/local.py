@@ -345,8 +345,10 @@ class DulacReport:
 
 
 def dulac_check(p: Params) -> DulacReport:
+    """The verdict is decided in the parameters' own arithmetic, so an exact
+    point on 1 + c - d - b - b*d = 0 is never misread as applicable."""
+    margin = 1 + p.c - p.delta - p.b - p.b * p.delta
     b, c, d = float(p.b), float(p.c), float(p.delta)
-    margin = 1 + c - d - b - b * d
 
     def delta_at(x: float, y: float) -> float:
         if x <= 0:
@@ -356,7 +358,7 @@ def dulac_check(p: Params) -> DulacReport:
     applicable = margin < 0
     return DulacReport(
         applicable=applicable,
-        margin=margin,
+        margin=float(margin),
         bound_expression_value_at=delta_at,
         conclusion="no-periodic-orbits" if applicable else "inconclusive",
     )

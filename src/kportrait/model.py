@@ -184,30 +184,28 @@ def discriminants(p: Params) -> Discriminants:
     return Discriminants(A, B)
 
 
-def _sign(q: Number, scale: Number, exact: bool) -> int:
-    """Three-way sign with a relative zero band in float mode."""
-    if exact:
-        return (q > 0) - (q < 0)
-    qf = float(q)
-    if abs(qf) <= ZERO_BAND * float(scale):
-        return 0
-    return 1 if qf > 0 else -1
-
-
 def _signs(p: Params) -> tuple[int, int, int, int]:
-    """Signs of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta)."""
+    """Signs of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta).
+
+    Exact in exact mode; in float mode a value within ZERO_BAND of the
+    magnitude of its terms counts as zero.
+    """
     b, c, d = p.b, p.c, p.delta
-    exact = p.is_exact
-    q1 = b * d - (c - d)
     disc = discriminants(p)
+    vals = (b * d - (c - d), disc.A, disc.B, 1 + c - d - b - b * d)
+    if p.is_exact:
+        return tuple((v > 0) - (v < 0) for v in vals)
     S = d * (b + 1) + c * (b - 1)
-    s_q1 = _sign(q1, b * d + abs(c - d), exact)
-    s_A = _sign(disc.A, d * abs(c - d) + b * d * (c + d), exact)
-    s_B = _sign(
-        disc.B, d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1)), exact
+    scales = (
+        b * d + abs(c - d),
+        d * abs(c - d) + b * d * (c + d),
+        d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1)),
+        1 + c + d + b + b * d,
     )
-    s_s2 = _sign(1 + c - d - b - b * d, 1 + c + d + b + b * d, exact)
-    return s_q1, s_A, s_B, s_s2
+    return tuple(
+        0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
+        for v, s in zip(vals, scales)
+    )
 
 
 def _p2_location(b: Number, c: Number, d: Number, exact: bool) -> tuple[Number, Number]:

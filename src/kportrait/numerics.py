@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
@@ -358,8 +357,11 @@ def integrate(
         if chart == "affine":
             samples.append((t, "affine", (x, y)))
             hit = ""
-            for name, qx, qy in equilibria:
-                if (x - qx) ** 2 + (y - qy) ** 2 <= _CONVERGE_DIST2:
+            for name, qx, qy, mode in equilibria:
+                if (x - qx) ** 2 + (y - qy) ** 2 <= _CONVERGE_DIST2 and (
+                    mode == "always"
+                    or ((x == 0.0 or y == 0.0) and (qx - x) * k1x + (qy - y) * k1y > 0.0)
+                ):
                     hit = name
                     break
             if hit:
@@ -743,6 +745,8 @@ def conjecture_scan(
     jobs = _effective_jobs(jobs)
     if jobs <= 1 or len(work) <= 1:
         return [_scan_cell(args) for args in work]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_scan_cell, work, chunksize=1))
 

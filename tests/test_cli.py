@@ -30,6 +30,14 @@ def test_classify_exact_fractions(capsys):
     assert "case 7" in out and "boundary: A-zero" in out
 
 
+def test_repeated_calls_in_one_process_print_the_same(capsys):
+    args = ("classify", "--exact", "--b", "3/5", "--c", "1", "--delta", "1/4")
+    first = run(capsys, *args)
+    assert run(capsys, "classify", "--b", "zebra", "--c", "1", "--delta", "1")[0] == 2
+    assert run(capsys, "hopf", "--c", "1", "--delta", "0.25")[0] == 0
+    assert run(capsys, *args) == first
+
+
 def test_classify_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "classify", "--b", "-1", "--c", "1", "--delta", "1")
     assert code == 2

@@ -70,6 +70,35 @@ def test_family_system_shape():
     assert sys(2, 3) == vector_field(p, (2, 3))
 
 
+def test_sparse_terms_ascend_and_tables_are_derived():
+    p = Params(F(1, 2), F(1), F(1, 4))
+    b, c, d = p.b, p.c, p.delta
+    sys = family_system(p)
+
+    def dense(terms, size):
+        return tuple(tuple(terms.get((i, j), 0) for j in range(size)) for i in range(size))
+
+    assert sys.coeffs_p == ((0, 0, 0, 0), (b, -1, 0, 0), (1 - b, 0, 0, 0), (-1, 0, 0, 0))
+    assert sys.coeffs_q == ((0, -d * b, 0, 0), (0, c - d, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    for chart, golden in (("U1", golden_u1(p)), ("U2", golden_u2(p))):
+        ch = compactify(sys, chart).system
+        assert ch.coeffs_p == dense(dict(golden.terms_p()), 4)
+        assert ch.coeffs_q == dense(dict(golden.terms_q()), 4)
+    for s in (sys, compactify(sys, "U1").system, compactify(sys, "U2").system):
+        for terms in (s.terms_p(), s.terms_q()):
+            assert list(terms) == sorted(terms)
+            assert 0 not in terms.values()
+    with pytest.raises(TypeError):
+        sys.terms_p()[(0, 0)] = 1
+    # the constructor canonicalises, so equal systems hash alike
+    raw = PolySystem({(1, 0): 1, (0, 0): 0, (0, 1): 2}, {(2, 2): 0})
+    assert list(raw.terms_p().items()) == [((0, 1), 2), ((1, 0), 1)]
+    assert raw.terms_q() == {} and raw.degree == 1
+    twin = PolySystem.from_terms({(0, 1): 2, (1, 0): 1}, {})
+    assert raw == twin and hash(raw) == hash(twin)
+    assert hash(compactify(sys, "U1")) == hash(compactify(family_system(p), "U1"))
+
+
 def test_u3_chart_is_identity():
     sys = family_system(Params(F(1, 2), F(1), F(1, 4)))
     ch = compactify(sys, "U3")

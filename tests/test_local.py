@@ -198,6 +198,11 @@ def test_dulac_inconclusive_zone():
     assert not rep.applicable
     assert rep.margin == pytest.approx(1.125)
     assert rep.conclusion == "inconclusive"
+    # exact point on 1 + c - d - b - b*d = 0, whose margin is -1.1e-16 in floats
+    rep = dulac_check(Params(F(19, 11), F(1), F(1, 10)))
+    assert rep.applicable is False
+    assert rep.margin == 0.0
+    assert rep.conclusion == "inconclusive"
 
 
 def test_uniqueness_holds_in_cycle_zone():

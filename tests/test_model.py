@@ -253,6 +253,12 @@ def test_boundary_tags_fire_only_on_bands():
     assert labf.case == 2 and labf.boundary == ("case2-boundary",)
     # generic interior point carries no tag
     assert classify_case(Params(0.51, 1.5, 1.0)).boundary == ()
+    # A = 0 and the S2 surface, exact and as float twins
+    for p in (Params(F(3, 5), F(1), F(1, 4)), Params(0.6, 1.0, 0.25)):
+        lab = classify_case(p)
+        assert lab.case == 7 and lab.boundary == ("A-zero",)
+    for p in (Params(F(19, 11), F(1), F(1, 10)), Params(19 / 11, 1.0, 0.1)):
+        assert classify_case(p).region == "S2"
 
 
 def test_exact_and_float_modes_agree_off_boundaries():

@@ -50,6 +50,22 @@ def test_converges_to_global_attractor_case1():
     assert orbit2.terminal == "converged-to-point" and orbit2.detail == "P1"
 
 
+def test_saddle_stops_orbit_only_on_axis_approach():
+    # P1 is a saddle here; an interior orbit squeezed along its stable
+    # manifold comes within 1e-7 of it and must leave along the unstable one
+    orbit = integrate(P_CYCLE, (1.5, 1e-12), "forward", IntegratorConfig(max_time=40.0))
+    near = [
+        np.hypot(x - 1.0, y)
+        for _, chart, (x, y) in orbit.samples
+        if chart == "affine" and y > 0.0
+    ]
+    assert min(near) <= 1e-7
+    assert orbit.terminal == "max-time"
+    # on the invariant x-axis an orbit stops at a saddle only when moving toward it
+    orbit = integrate(P_CYCLE, (1e-9, 0.0), "forward")
+    assert (orbit.terminal, orbit.detail) == ("converged-to-point", "P1")
+
+
 def test_orbit_times_increase_and_steps_bounded():
     cfg = IntegratorConfig(max_time=40.0, max_step=0.3)
     orbit = integrate(P_CYCLE, (0.9, 0.6), "forward", cfg)
