@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import Params
+from .model import Number, Params, SingularPoint, _is_exact, _sorted_eig
 
 __all__ = [
     "PolySystem",
@@ -42,10 +41,7 @@ __all__ = [
     "family_infinite_points",
 ]
 
-Number = Union[int, float, Fraction]
 Terms = dict[tuple[int, int], Number]
-
-CHARTS = ("U1", "U2", "U3")
 
 
 class ChartDomainError(ValueError):
@@ -137,10 +133,6 @@ class PolySystem:
     def __hash__(self) -> int:
         return hash((tuple(self._p.items()), tuple(self._q.items())))
 
-    @classmethod
-    def from_terms(cls, p_terms: Terms, q_terms: Terms) -> "PolySystem":
-        return cls(p_terms, q_terms)
-
     def terms_p(self) -> Mapping[tuple[int, int], Number]:
         return MappingProxyType(self._p)
 
@@ -186,7 +178,7 @@ class PolySystem:
         """Field in coordinates centred at (x0, y0)."""
         px: Terms = {(1, 0): 1, (0, 0): x0}
         py: Terms = {(0, 1): 1, (0, 0): y0}
-        return PolySystem.from_terms(
+        return PolySystem(
             _compose_terms(self._p, px, py),
             _compose_terms(self._q, px, py),
         )
@@ -210,7 +202,7 @@ class PolySystem:
         for key, c in f2.items():
             _add_term(g1, key, -m01 * c / det)
             _add_term(g2, key, m00 * c / det)
-        return PolySystem.from_terms(g1, g2)
+        return PolySystem(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -288,15 +280,11 @@ def compactify(sys: PolySystem, chart: str) -> ChartSystem:
         for (i, j), a in sys.terms_q().items():
             _add_term(u_terms, (i + 1, d - i - j), -a)
             _add_term(v_terms, (i, d + 1 - i - j), -a)
-    return ChartSystem(chart, PolySystem.from_terms(u_terms, v_terms))
-
-
-def _exactish(*vals) -> bool:
-    return all(isinstance(v, Rational) for v in vals)
+    return ChartSystem(chart, PolySystem(u_terms, v_terms))
 
 
 def _div(a: Number, b: Number) -> Number:
-    if _exactish(a, b):
+    if _is_exact(a, b):
         return Fraction(a) / Fraction(b)
     return a / b
 
@@ -403,8 +391,8 @@ def blowup_horizontal(charted: ChartSystem) -> tuple[BlowupSystem, BlowupSystem]
     for (i, j), a in f2s.items():
         _add_term(num, (i + 1, j), -a)
     raw_w1 = _divide_by_second_var(num)
-    raw = PolySystem.from_terms(raw_w1, f2s)
-    rescaled = PolySystem.from_terms(
+    raw = PolySystem(raw_w1, f2s)
+    rescaled = PolySystem(
         _divide_by_second_var(raw_w1), _divide_by_second_var(f2s)
     )
     return (
@@ -420,22 +408,12 @@ def classify_blowup_origin(rescaled: BlowupSystem, p: Params):
     v' = b*delta*v^2 > 0 on w1 = 0, orienting the saddle-node sectors.
     """
     from .local import classify_semihyperbolic
-    from .model import SingularPoint
 
     if rescaled.stage != "rescaled":
         raise ValueError("expected the rescaled blow-up system")
     kind = classify_semihyperbolic(rescaled.system, (0.0, 0.0))
-    lin = rescaled.system.linear_part()
-    eig = _eig_pair(lin)
+    eig = _sorted_eig(rescaled.system.linear_part())
     return SingularPoint("O2", "U2", (0.0, 0.0), kind, eig)
-
-
-def _eig_pair(lin) -> tuple[complex, complex]:
-    w = sorted(
-        np.linalg.eigvals(np.asarray(lin, dtype=float)),
-        key=lambda z: (z.real, z.imag),
-    )
-    return complex(w[0]), complex(w[1])
 
 
 def family_system(p: Params) -> PolySystem:
@@ -443,7 +421,7 @@ def family_system(p: Params) -> PolySystem:
     b, c, d = p.b, p.c, p.delta
     p_terms: Terms = {(1, 0): b, (2, 0): 1 - b, (3, 0): -1, (1, 1): -1}
     q_terms: Terms = {(1, 1): c - d, (0, 1): -d * b}
-    return PolySystem.from_terms(p_terms, q_terms)
+    return PolySystem(p_terms, q_terms)
 
 
 def family_infinite_points(p: Params) -> list[InfinitePoint]:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .compactify import PolySystem, family_system
-from .model import Params
+from .model import Number, Params, _ab, _is_exact, _p2_location
 
 __all__ = [
     "NonHyperbolicError",
@@ -41,8 +40,6 @@ __all__ = [
     "dulac_check",
     "uniqueness_check",
 ]
-
-Number = Union[int, float, Fraction]
 
 # An eigenvalue (or its real part) within this relative band of zero makes
 # the equilibrium non-hyperbolic for classification purposes.
@@ -185,13 +182,6 @@ class HopfData:
     q_vec: tuple[complex, complex]
 
 
-def _ab_values(b: float, c: float, d: float) -> tuple[float, float]:
-    a = d * (c - d) - b * d * (c + d)
-    s = d * (b + 1) + c * (b - 1)
-    bb = d * s * s - 4 * c * (c - d) ** 2 * (c - d * (b + 1))
-    return a, bb
-
-
 def hopf_analysis(c: Number, delta: Number) -> HopfData:
     """Closed-form Hopf data at the critical parameter b0 = (c-d)/(c+d).
 
@@ -208,24 +198,23 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     """
     if not c > delta:
         raise ValueError("hopf analysis requires c > delta")
-    exact = isinstance(c, Rational) and isinstance(delta, Rational)
-    if exact:
+    if _is_exact(c, delta):
         b0: Number = (Fraction(c) - Fraction(delta)) / (Fraction(c) + Fraction(delta))
     else:
         b0 = (c - delta) / (c + delta)
     cf, df = float(c), float(delta)
     b0f = float(b0)
 
-    _, bb0 = _ab_values(b0f, cf, df)
+    _, bb0 = _ab(b0f, cf, df)
     if not bb0 < 0:
         raise ValueError("B(b0) must be negative for a complex pair at b0")
 
     def mu_at(b: float) -> float:
-        a, _ = _ab_values(float(b), cf, df)
+        a, _ = _ab(float(b), cf, df)
         return float(b) * a / (2 * (cf - df) ** 2)
 
     def omega_at(b: float) -> float:
-        _, bb = _ab_values(float(b), cf, df)
+        _, bb = _ab(float(b), cf, df)
         val = -df * bb
         if val <= 0:
             raise ValueError(f"eigenvalues at b={b} are not a complex pair")
@@ -397,11 +386,10 @@ def uniqueness_check(p: Params) -> UniquenessReport:
         raise ValueError("uniqueness analysis needs 0 < b*delta < c - delta")
     a = (1 - b) / 2 if not p.is_exact else (1 - Fraction(b)) / 2
     lam = b * d
+    x_star, _ = _p2_location(b, c, d, p.is_exact)
     if p.is_exact:
-        x_star = Fraction(b) * Fraction(d) / (Fraction(c) - Fraction(d))
         x_bar_star = 1 - Fraction(b) * Fraction(c) / (Fraction(c) - Fraction(d))
     else:
-        x_star = b * d / (c - d)
         x_bar_star = 1 - b * c / (c - d)
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,

@@ -177,11 +177,15 @@ def discriminants(p: Params) -> Discriminants:
     so eigenvalues at P2 are non-real exactly when B < 0.  At A = 0 this
     reduces to B = -4 c^2 (c-delta)^3 / (c+delta).
     """
-    b, c, d = p.b, p.c, p.delta
+    return Discriminants(*_ab(p.b, p.c, p.delta))
+
+
+def _ab(b: Number, c: Number, d: Number) -> tuple[Number, Number]:
+    """A and B of :func:`discriminants` on raw numbers, without validation."""
     A = d * (c - d) - b * d * (c + d)
     S = d * (b + 1) + c * (b - 1)
     B = d * S * S - 4 * c * (c - d) ** 2 * (c - d * (b + 1))
-    return Discriminants(A, B)
+    return A, B
 
 
 def _signs(p: Params) -> tuple[int, int, int, int]:

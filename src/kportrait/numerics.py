@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .compactify import compactify, chart_transition, family_system
-from .model import Params, Point2, finite_singular_points
+from .model import Params, Point2, _p2_location, classify_case, finite_singular_points
 
 __all__ = [
     "IntegratorConfig",
@@ -136,14 +136,6 @@ class Orbit:
     samples: list[tuple[float, str, tuple[float, float]]]
     terminal: str
     detail: str = ""
-
-    @property
-    def final_time(self) -> float:
-        return self.samples[-1][0]
-
-    @property
-    def final_state(self) -> tuple[float, str, tuple[float, float]]:
-        return self.samples[-1]
 
     def affine_points(self, clamp: float = 1e12) -> np.ndarray:
         """Samples pushed to affine coordinates; chart samples map through
@@ -422,9 +414,7 @@ def interior_point(p: Params) -> tuple[float, float]:
     b, c, d = float(p.b), float(p.c), float(p.delta)
     if not (c > d and 0 < b * d < c - d):
         raise ValueError("no interior equilibrium for these parameters")
-    x2 = b * d / (c - d)
-    y2 = b * c * (c - d - b * d) / (c - d) ** 2
-    return x2, y2
+    return _p2_location(b, c, d, exact=False)
 
 
 def _section_event(y2: float) -> StopEvent:
@@ -476,14 +466,9 @@ def separatrix_section_crossing(
     crossing is a sound outer bracket seed.
     """
     cfg = cfg or IntegratorConfig()
-    b, c, d = float(p.b), float(p.c), float(p.delta)
+    # an interior point exists only where P1 has an unstable direction
     _, y2 = interior_point(p)
-    lam_u = c - d - b * d
-    if lam_u <= 0:
-        raise ValueError("P1 has no unstable direction into the open quadrant")
-    vx, vy = -1.0, b + 1.0 + lam_u
-    nrm = math.hypot(vx, vy)
-    start = (1.0 + offset * vx / nrm, offset * vy / nrm)
+    start = _p1_separatrix_start(p, offset)
     orbit = integrate(p, start, "forward", cfg, stop=_section_event(y2))
     if orbit.terminal != "hit-section":
         raise NoReturnError(
@@ -491,6 +476,25 @@ def separatrix_section_crossing(
         )
     t, _, (xs, _) = orbit.samples[-1]
     return float(xs), float(t)
+
+
+def _p1_separatrix_start(p: Params, offset: float) -> tuple[float, float]:
+    """Point at distance ``offset`` from P1 = (1, 0) along the eigenvector that
+    leaves it into the open quadrant; the eigenvalue is clamped at 0 so the
+    case-2 saddle-node gets its centre direction."""
+    b, c, d = float(p.b), float(p.c), float(p.delta)
+    vx, vy = -1.0, b + 1.0 + max(c - d - b * d, 0.0)
+    nrm = math.hypot(vx, vy)
+    return 1.0 + offset * vx / nrm, offset * vy / nrm
+
+
+def _outer_seed(p: Params, x2: float, cfg: IntegratorConfig) -> float:
+    """Section abscissa of the P1 separatrix, the outer bound of any cycle;
+    a fixed offset right of x2 when the separatrix does not return."""
+    try:
+        return separatrix_section_crossing(p, cfg)[0]
+    except NoReturnError:
+        return x2 + 0.75 * max(1.0 - x2, x2)
 
 
 @dataclass(frozen=True)
@@ -515,11 +519,7 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     """
     cfg = cfg or IntegratorConfig()
     x2, _ = interior_point(p)
-
-    try:
-        x_outer, _ = separatrix_section_crossing(p, cfg)
-    except (NoReturnError, ValueError):
-        x_outer = x2 + 0.75 * max(1.0 - x2, x2)
+    x_outer = _outer_seed(p, x2, cfg)
     if x_outer <= x2:
         x_outer = x2 + 0.5
 
@@ -689,11 +689,7 @@ def _scan_cell(args) -> ScanEvidence:
     p = Params(b, c, d)
     try:
         x2, _ = interior_point(p)
-        try:
-            x_outer, _ = separatrix_section_crossing(p, cfg)
-        except NoReturnError:
-            x_outer = x2 + 0.75 * max(1.0 - x2, x2)
-        span = max(x_outer - x2, 1e-4)
+        span = max(_outer_seed(p, x2, cfg) - x2, 1e-4)
         seeds = tuple(x2 + f * span for f in (0.08, 0.35, 0.85))
         iterates = []
         monotone = True
@@ -711,7 +707,7 @@ def _scan_cell(args) -> ScanEvidence:
                 b, c, d, case, "cycle-found", res.section_x, res.multiplier, seeds, tuple(iterates)
             )
         return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds, tuple(iterates))
-    except (IntegrationFailure, NoReturnError, ValueError):
+    except (IntegrationFailure, NoReturnError):
         return ScanEvidence(b, c, d, case, "inconclusive", None, None, (), ())
 
 
@@ -730,17 +726,16 @@ def conjecture_scan(
 ) -> list[ScanEvidence]:
     """Run the no-cycle scan over every grid cell in the conjectured zone.
 
-    Cells are filtered to cases 4, 6, 7 with 1 + c - delta - b - b*delta > 0
-    and off the boundary surfaces.  Results come back in grid order whatever
-    the worker count, so output files are byte-identical across runs.
+    Cells are filtered to region II-b (cases 4 and 6 with
+    1 + c - delta - b - b*delta > 0), off every boundary surface.  Results
+    come back in grid order whatever the worker count, so output files are
+    byte-identical across runs.
     """
-    from .model import classify_case
-
     cfg = cfg or IntegratorConfig()
     work = []
     for b, c, d in grid.cells():
         label = classify_case(Params(b, c, d))
-        if label.case in (4, 6, 7) and not label.boundary and (1 + c - d - b - b * d) > 0:
+        if label.region == "II-b" and not label.boundary:
             work.append((b, c, d, label.case, cfg))
     jobs = _effective_jobs(jobs)
     if jobs <= 1 or len(work) <= 1:

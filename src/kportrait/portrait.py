@@ -9,6 +9,7 @@ warning, never silently resolved.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +32,7 @@ from .numerics import (
     IntegratorConfig,
     NoReturnError,
     Orbit,
+    _p1_separatrix_start,
     cycle_loop,
     detect_limit_cycle,
     integrate,
@@ -58,15 +60,6 @@ class DiscProjection:
     def project(self, x: float, y: float) -> tuple[float, float]:
         r = math.sqrt(1.0 + x * x + y * y)
         return x / r, y / r
-
-    def project_array(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        r = np.sqrt(1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        return pts / r[:, None]
-
-    @property
-    def viewport(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((0.0, 1.0), (0.0, 1.0))
 
 
 @dataclass
@@ -247,12 +240,8 @@ def build_portrait(
         trace("axis", "P0", "stable", (0.0, seed_offset)),
     ]
     if label.case >= 2:
-        # direction into the open quadrant along the non-contracting eigenvector
-        lam_u = max(c - d - b * d, 0.0)
-        vx, vy = -1.0, b + 1.0 + lam_u
-        nrm = math.hypot(vx, vy)
-        start = (1.0 + seed_offset * vx / nrm, seed_offset * vy / nrm)
         stability = "center" if label.case == 2 else "unstable"
+        start = _p1_separatrix_start(p, seed_offset)
         separatrices.append(trace("separatrix", "P1", stability, start))
 
     rep_traces: list[OrbitTrace] = []
@@ -586,9 +575,7 @@ def _emit_json(value, out: list[str], indent: int) -> None:
             raise ValueError(f"non-finite number {v!r} in report")
         out.append(format(v, ".17g"))
     elif isinstance(value, str):
-        import json as _json
-
-        out.append(_json.dumps(value))
+        out.append(json.dumps(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -606,9 +593,7 @@ def _emit_json(value, out: list[str], indent: int) -> None:
         out.append("{\n")
         items = list(value.items())
         for k, (key, item) in enumerate(items):
-            import json as _json
-
-            out.append(pad + "  " + _json.dumps(str(key)) + ": ")
+            out.append(pad + "  " + json.dumps(str(key)) + ": ")
             _emit_json(item, out, indent + 1)
             out.append(",\n" if k < len(items) - 1 else "\n")
         out.append(pad + "}")

@@ -32,7 +32,7 @@ def random_rational_params(rng, hi=4):
 
 def golden_u1(p):
     b, c, d = p.b, p.c, p.delta
-    return PolySystem.from_terms(
+    return PolySystem(
         {(1, 0): 1, (1, 1): b + c - d - 1, (2, 1): 1, (1, 2): -b * (d + 1)},
         {(0, 1): 1, (0, 2): b - 1, (1, 2): 1, (0, 3): -b},
     )
@@ -40,7 +40,7 @@ def golden_u1(p):
 
 def golden_u2(p):
     b, c, d = p.b, p.c, p.delta
-    return PolySystem.from_terms(
+    return PolySystem(
         {(3, 0): -1, (2, 1): d + 1 - b - c, (1, 2): b * (d + 1), (1, 1): -1},
         {(1, 2): d - c, (0, 3): b * d},
     )
@@ -48,7 +48,7 @@ def golden_u2(p):
 
 def golden_blowup_raw(p):
     b, c, d = p.b, p.c, p.delta
-    return PolySystem.from_terms(
+    return PolySystem(
         {(3, 2): -1, (2, 2): 1 - b, (1, 2): b, (1, 1): -1},
         {(1, 3): d - c, (0, 3): b * d},
     )
@@ -56,7 +56,7 @@ def golden_blowup_raw(p):
 
 def golden_blowup_rescaled(p):
     b, c, d = p.b, p.c, p.delta
-    return PolySystem.from_terms(
+    return PolySystem(
         {(3, 1): -1, (2, 1): 1 - b, (1, 1): b, (1, 0): -1},
         {(1, 2): d - c, (0, 2): b * d},
     )
@@ -94,7 +94,7 @@ def test_sparse_terms_ascend_and_tables_are_derived():
     raw = PolySystem({(1, 0): 1, (0, 0): 0, (0, 1): 2}, {(2, 2): 0})
     assert list(raw.terms_p().items()) == [((0, 1), 2), ((1, 0), 1)]
     assert raw.terms_q() == {} and raw.degree == 1
-    twin = PolySystem.from_terms({(0, 1): 2, (1, 0): 1}, {})
+    twin = PolySystem({(0, 1): 2, (1, 0): 1}, {})
     assert raw == twin and hash(raw) == hash(twin)
     assert hash(compactify(sys, "U1")) == hash(compactify(family_system(p), "U1"))
 
@@ -107,7 +107,7 @@ def test_u3_chart_is_identity():
 
 
 def test_compactify_rejects_degenerate_degree():
-    zero = PolySystem.from_terms({}, {})
+    zero = PolySystem({}, {})
     with pytest.raises(ValueError):
         compactify(zero, "U1")
 
@@ -189,7 +189,7 @@ def test_family_infinite_points():
 
 def test_infinite_points_degree_one_system():
     # x' = x, y' = -y: equator zeros at u = 0 in U1 plus the U2 origin
-    toy = PolySystem.from_terms({(1, 0): 1}, {(0, 1): -1})
+    toy = PolySystem({(1, 0): 1}, {(0, 1): -1})
     pts = infinite_singular_points(toy)
     charts = [(q.chart, q.location) for q in pts]
     assert ("U1", (0.0, 0.0)) in charts

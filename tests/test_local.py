@@ -80,9 +80,9 @@ def test_semihyperbolic_blowup_origin_many_params():
 
 
 def test_semihyperbolic_canonical_and_degenerate():
-    toy = PolySystem.from_terms({(2, 0): 1}, {(0, 1): -1})
+    toy = PolySystem({(2, 0): 1}, {(0, 1): -1})
     assert classify_semihyperbolic(toy, (0.0, 0.0)) == "saddle-node"
-    cubic = PolySystem.from_terms({(3, 0): 1}, {(0, 1): -1})
+    cubic = PolySystem({(3, 0): 1}, {(0, 1): -1})
     with pytest.raises(NeedsHigherOrderError):
         classify_semihyperbolic(cubic, (0.0, 0.0))
 

@@ -11,6 +11,8 @@ from kportrait import (
     classify_case,
     discriminants,
     finite_singular_points,
+    hopf_analysis,
+    interior_point,
     jacobian,
     vector_field,
 )
@@ -120,6 +122,10 @@ def test_discriminant_b_signs_eigenvalue_reality():
         # trace sign equals sign(A); determinant strictly positive
         assert np.sign(tr) == np.sign(float(disc.A))
         assert det > 0
+        # the P2 location and A each have one closed form, shared bit for bit
+        (p2,) = [q.location for q in finite_singular_points(p) if q.name == "P2"]
+        assert interior_point(p) == p2
+        assert hopf_analysis(c, d).mu_at(b) == b * disc.A / (2 * (c - d) ** 2)
 
 
 def test_finite_points_case1():

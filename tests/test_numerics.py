@@ -268,6 +268,26 @@ def test_conjecture_scan_filters_and_contracts():
             assert (b, c, d) not in labels
 
 
+def test_scan_skips_cells_on_the_s2_surface():
+    # classify_case puts this float cell on S2 (1 + c - delta - b - b*delta
+    # within the band), though the raw margin rounds a few ulp positive
+    cell = (1.45, 1.478, 0.41959183673469375)
+    grid = GridSpec(*((v, v, 1) for v in cell))
+    assert conjecture_scan(grid, jobs=1) == []
+
+
+def test_scan_cell_lets_programming_errors_raise(monkeypatch):
+    import kportrait.numerics as numerics
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(numerics, "return_iterates", broken)
+    grid = GridSpec(b=(0.9, 0.9, 1), c=(1.2, 1.2, 1), delta=(0.3, 0.3, 1))
+    with pytest.raises(ValueError, match="bug"):
+        conjecture_scan(grid, jobs=1)
+
+
 def test_scan_deterministic_across_workers():
     grid = GridSpec(b=(0.7, 1.2, 2), c=(0.9, 1.4, 2), delta=(0.2, 0.35, 2))
     rows1 = conjecture_scan(grid, jobs=1)
