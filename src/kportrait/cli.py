@@ -68,11 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     por.set_defaults(func=_cmd_portrait)
 
     scn = sub.add_parser("scan", help="no-cycle evidence scan over a parameter grid")
-    scn.add_argument(
-        "--grid",
-        required=True,
-        help="bmin:bmax:n,cmin:cmax:n,dmin:dmax:n (KPORTRAIT_THREADS overrides --jobs)",
-    )
+    scn.add_argument("--grid", required=True, help="bmin:bmax:n,cmin:cmax:n,dmin:dmax:n")
     scn.add_argument("--jobs", type=int, default=1)
     scn.add_argument("--out", required=True, help="CSV output path")
     scn.set_defaults(func=_cmd_scan)

@@ -401,7 +401,7 @@ def blowup_horizontal(charted: ChartSystem) -> tuple[BlowupSystem, BlowupSystem]
     )
 
 
-def classify_blowup_origin(rescaled: BlowupSystem, p: Params):
+def classify_blowup_origin(rescaled: BlowupSystem):
     """Classify the origin of the rescaled blow-up plane (semi-hyperbolic).
 
     For the family the axis flows are w1' = -w1 on v = 0 and

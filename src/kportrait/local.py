@@ -44,6 +44,11 @@ __all__ = [
 # An eigenvalue (or its real part) within this relative band of zero makes
 # the equilibrium non-hyperbolic for classification purposes.
 HYPERBOLIC_BAND = 1e-10
+# A centre-manifold quadratic coefficient within this fraction of the
+# largest coefficient counts as vanishing.
+_COEFF_TOL = 1e-9
+# Largest relative residual accepted for the Hopf eigenvector at b0.
+_RESID_TOL = 1e-10
 
 
 class NonHyperbolicError(ValueError):
@@ -77,7 +82,7 @@ def classify_hyperbolic(j) -> str:
     return "unstable-node" if re[0] > 0 else "stable-node"
 
 
-def classify_semihyperbolic(sys: PolySystem, pt, coeff_tol: float = 1e-9) -> str:
+def classify_semihyperbolic(sys: PolySystem, pt) -> str:
     """Classify an equilibrium with exactly one zero eigenvalue.
 
     Moves to eigen-coordinates (centre direction first), approximates the
@@ -113,7 +118,7 @@ def classify_semihyperbolic(sys: PolySystem, pt, coeff_tol: float = 1e-9) -> str
         + [abs(float(c)) for c in local.terms_p().values()]
         + [abs(float(c)) for c in local.terms_q().values()]
     )
-    if abs(a20) <= coeff_tol * scale:
+    if abs(a20) <= _COEFF_TOL * scale:
         raise NeedsHigherOrderError(
             "second-order centre-manifold term vanishes; higher order needed"
         )
@@ -254,7 +259,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     )
 
 
-def _kuznetsov_data(c: float, delta: float, resid_tol: float = 1e-10) -> dict:
+def _kuznetsov_data(c: float, delta: float) -> dict:
     """From-scratch normal-form data at b0: translated system, eigenvectors,
     multilinear forms and the g coefficients."""
     cf, df = float(c), float(delta)
@@ -280,7 +285,7 @@ def _kuznetsov_data(c: float, delta: float, resid_tol: float = 1e-10) -> dict:
         raise IllConditionedError("top-right Jacobian entry vanished")
     q = np.array([a[0][1], 1j * omega - a[0][0]], dtype=complex)
     resid = np.linalg.norm(a @ q - 1j * omega * q)
-    if resid > resid_tol * max(1.0, float(np.linalg.norm(a))) * float(np.linalg.norm(q)):
+    if resid > _RESID_TOL * max(1.0, float(np.linalg.norm(a))) * float(np.linalg.norm(q)):
         raise IllConditionedError(f"eigenproblem residual {resid} too large")
     p0 = np.array([a[1][0], -1j * omega - a[0][0]], dtype=complex)
     ip = np.vdot(p0, q)

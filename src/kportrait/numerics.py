@@ -16,8 +16,8 @@ interior equilibrium, where upward crossings are provably transversal.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import os
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
@@ -77,6 +77,12 @@ _V_ESCAPE = 1e-9  # |v| below this in a chart counts as reaching infinity
 _O2_RADIUS2 = 1e-4  # ball around the degenerate U2 origin that is never entered
 _MAX_SWITCHES = 32
 _MAX_SAMPLES = 2_000_000
+_AFFINE_CLAMP = 1e12  # chart samples with |v| < 1/_AFFINE_CLAMP map as if at that |v|
+_SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
+_LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
+# entries kept by each per-parameter setup cache; one parameter set needs
+# 2 stop tables (one per time direction) and up to 6 fields
+_SETUP_CACHE_SIZE = 32
 
 
 class IntegrationFailure(RuntimeError):
@@ -137,7 +143,7 @@ class Orbit:
     terminal: str
     detail: str = ""
 
-    def affine_points(self, clamp: float = 1e12) -> np.ndarray:
+    def affine_points(self) -> np.ndarray:
         """Samples pushed to affine coordinates; chart samples map through
         x = 1/v (U1) or y = 1/v (U2) with v clamped away from zero."""
         pts = []
@@ -146,8 +152,8 @@ class Orbit:
                 pts.append((a, b))
                 continue
             v = b
-            if abs(v) < 1.0 / clamp:
-                v = 1.0 / clamp if v >= 0 else -1.0 / clamp
+            if abs(v) < 1.0 / _AFFINE_CLAMP:
+                v = 1.0 / _AFFINE_CLAMP if v >= 0 else -1.0 / _AFFINE_CLAMP
             if chart == "U1":
                 pts.append((1.0 / v, a / v))
             else:
@@ -193,6 +199,42 @@ def _poly_rhs(sys, sgn: float):
         return sgn * du, sgn * dv
 
     return f
+
+
+@functools.lru_cache(maxsize=_SETUP_CACHE_SIZE)
+def _stops(b: float, c: float, d: float, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
+    """Equilibria of the float parameters with the mode that stops an orbit
+    near each in the time direction ``sgn``."""
+    # an orbit may pass arbitrarily close to a saddle, so proximity alone
+    # must not stop it: stop at points attracting in this time direction,
+    # or on an invariant axis while moving toward the point
+    equilibria = []
+    for q in finite_singular_points(Params(b, c, d)):
+        re_parts = [z.real for z in q.eigenvalues] if q.eigenvalues else []
+        if q.kind == "saddle-node":
+            mode = "always" if sgn > 0 else "axis-only"
+        elif re_parts and all(sgn * r < 0 for r in re_parts):
+            mode = "always"
+        else:
+            mode = "axis-only"
+        equilibria.append((q.name, float(q.location[0]), float(q.location[1]), mode))
+    return tuple(equilibria)
+
+
+@functools.lru_cache(maxsize=_SETUP_CACHE_SIZE)
+def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
+    """The family field in ``chart`` ("affine", "U1" or "U2"), time-reversed
+    when ``sgn`` is -1."""
+    if chart != "affine":
+        return _poly_rhs(compactify(family_system(Params(b, c, d)), chart).system, sgn)
+
+    def f_affine(u: float, v: float) -> tuple[float, float]:
+        return (
+            sgn * (u * (-u * u + (1.0 - b) * u - v + b)),
+            sgn * (v * ((c - d) * u - d * b)),
+        )
+
+    return f_affine
 
 
 def _as_event(stop) -> Optional[StopEvent]:
@@ -260,38 +302,10 @@ def integrate(
     event = _as_event(stop)
     sgn = 1.0 if direction == "forward" else -1.0
     b, c, d = float(p.b), float(p.c), float(p.delta)
-
-    def f_affine(u: float, v: float) -> tuple[float, float]:
-        return (
-            sgn * (u * (-u * u + (1.0 - b) * u - v + b)),
-            sgn * (v * ((c - d) * u - d * b)),
-        )
-
-    chart_fields: dict[str, Callable] = {}
-
-    def chart_field(chart: str):
-        fn = chart_fields.get(chart)
-        if fn is None:
-            fn = _poly_rhs(compactify(family_system(Params(b, c, d)), chart).system, sgn)
-            chart_fields[chart] = fn
-        return fn
-
-    # an orbit may pass arbitrarily close to a saddle, so proximity alone
-    # must not stop it: stop at points attracting in this time direction,
-    # or on an invariant axis while moving toward the point
-    equilibria = []
-    for q in finite_singular_points(Params(b, c, d)):
-        re_parts = [z.real for z in q.eigenvalues] if q.eigenvalues else []
-        if q.kind == "saddle-node":
-            mode = "always" if sgn > 0 else "axis-only"
-        elif re_parts and all(sgn * r < 0 for r in re_parts):
-            mode = "always"
-        else:
-            mode = "axis-only"
-        equilibria.append((q.name, float(q.location[0]), float(q.location[1]), mode))
+    equilibria = _stops(b, c, d, sgn)
 
     chart = "affine"
-    rhs = f_affine
+    rhs = _rhs(b, c, d, sgn, chart)
     t = 0.0
     samples: list[tuple[float, str, tuple[float, float]]] = [(0.0, "affine", (x, y))]
     k1x, k1y = rhs(x, y)
@@ -345,9 +359,10 @@ def integrate(
         x, y, t = xn, yn, tn
         k1x, k1y = k7x, k7y
         h = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
+        samples.append((t, chart, (x, y)))
 
+        target = None
         if chart == "affine":
-            samples.append((t, "affine", (x, y)))
             hit = ""
             for name, qx, qy, mode in equilibria:
                 if (x - qx) ** 2 + (y - qy) ** 2 <= _CONVERGE_DIST2 and (
@@ -360,17 +375,8 @@ def integrate(
                 terminal, detail = "converged-to-point", hit
                 break
             if x * x + y * y > r2_out:
-                chart = "U1" if abs(x) >= abs(y) else "U2"
-                u, v = chart_transition("U3", chart, (x, y))
-                x, y = float(u), float(v)
-                samples[-1] = (t, chart, (x, y))
-                rhs = chart_field(chart)
-                k1x, k1y = rhs(x, y)
-                h = min(h, 0.05)
-                switches += 1
-                g_prev = None
+                target = "U1" if abs(x) >= abs(y) else "U2"
         else:
-            samples.append((t, chart, (x, y)))
             if abs(y) <= _V_ESCAPE:
                 terminal = "escaped"
                 break
@@ -380,28 +386,20 @@ def integrate(
             if chart == "U2" and (x == 0.0 or x * x + y * y <= _O2_RADIUS2):
                 terminal = "chart-boundary-loop"
                 break
-            affine_r2 = (1.0 + x * x) / (y * y)
-            if affine_r2 < r2_in:
-                ax, ay = chart_transition(chart, "U3", (x, y))
-                x, y = float(ax), float(ay)
-                chart = "affine"
-                samples[-1] = (t, "affine", (x, y))
-                rhs = f_affine
-                k1x, k1y = rhs(x, y)
-                h = min(h, 0.05)
-                switches += 1
-                if event is not None:
-                    g_prev = event.fn(x, y)
+            if (1.0 + x * x) / (y * y) < r2_in:
+                target = "affine"
             elif abs(x) > 1.25:
-                other = "U2" if chart == "U1" else "U1"
-                u, v = chart_transition(chart, other, (x, y))
-                chart = other
-                x, y = float(u), float(v)
-                samples[-1] = (t, chart, (x, y))
-                rhs = chart_field(chart)
-                k1x, k1y = rhs(x, y)
-                h = min(h, 0.05)
-                switches += 1
+                target = "U2" if chart == "U1" else "U1"
+        if target is not None:
+            u, v = chart_transition(chart, target, (x, y))
+            chart = target
+            x, y = float(u), float(v)
+            samples[-1] = (t, chart, (x, y))
+            rhs = _rhs(b, c, d, sgn, chart)
+            k1x, k1y = rhs(x, y)
+            h = min(h, 0.05)
+            switches += 1
+            g_prev = event.fn(x, y) if event is not None and chart == "affine" else None
         if switches > _MAX_SWITCHES:
             terminal = "chart-boundary-loop"
             break
@@ -458,7 +456,7 @@ def return_iterates(
 
 
 def separatrix_section_crossing(
-    p: Params, cfg: Optional[IntegratorConfig] = None, offset: float = 1e-6
+    p: Params, cfg: Optional[IntegratorConfig] = None
 ) -> tuple[float, float]:
     """First upward section crossing of the unstable separatrix leaving (1, 0).
 
@@ -468,7 +466,7 @@ def separatrix_section_crossing(
     cfg = cfg or IntegratorConfig()
     # an interior point exists only where P1 has an unstable direction
     _, y2 = interior_point(p)
-    start = _p1_separatrix_start(p, offset)
+    start = _p1_separatrix_start(p)
     orbit = integrate(p, start, "forward", cfg, stop=_section_event(y2))
     if orbit.terminal != "hit-section":
         raise NoReturnError(
@@ -478,14 +476,14 @@ def separatrix_section_crossing(
     return float(xs), float(t)
 
 
-def _p1_separatrix_start(p: Params, offset: float) -> tuple[float, float]:
-    """Point at distance ``offset`` from P1 = (1, 0) along the eigenvector that
-    leaves it into the open quadrant; the eigenvalue is clamped at 0 so the
-    case-2 saddle-node gets its centre direction."""
+def _p1_separatrix_start(p: Params) -> tuple[float, float]:
+    """Point at distance ``_SEED_OFFSET`` from P1 = (1, 0) along the
+    eigenvector that leaves it into the open quadrant; the eigenvalue is
+    clamped at 0 so the case-2 saddle-node gets its centre direction."""
     b, c, d = float(p.b), float(p.c), float(p.delta)
     vx, vy = -1.0, b + 1.0 + max(c - d - b * d, 0.0)
     nrm = math.hypot(vx, vy)
-    return 1.0 + offset * vx / nrm, offset * vy / nrm
+    return 1.0 + _SEED_OFFSET * vx / nrm, _SEED_OFFSET * vy / nrm
 
 
 def _outer_seed(p: Params, x2: float, cfg: IntegratorConfig) -> float:
@@ -587,12 +585,11 @@ def cycle_loop(
     p: Params,
     cycle: CycleResult,
     cfg: Optional[IntegratorConfig] = None,
-    max_step: float = 0.2,
 ) -> np.ndarray:
     """One period of the detected cycle, sampled densely in affine coords."""
     if not cycle.found or cycle.section_x is None:
         raise ValueError("no cycle to sample")
-    cfg = replace(cfg or IntegratorConfig(), max_step=max_step)
+    cfg = replace(cfg or IntegratorConfig(), max_step=_LOOP_MAX_STEP)
     _, y2 = interior_point(p)
     orbit = integrate(p, (cycle.section_x, y2), "forward", cfg, stop=_section_event(y2))
     if orbit.terminal != "hit-section":
@@ -711,16 +708,6 @@ def _scan_cell(args) -> ScanEvidence:
         return ScanEvidence(b, c, d, case, "inconclusive", None, None, (), ())
 
 
-def _effective_jobs(jobs: int) -> int:
-    env = os.environ.get("KPORTRAIT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, int(jobs))
-
-
 def conjecture_scan(
     grid: GridSpec, cfg: Optional[IntegratorConfig] = None, jobs: int = 1
 ) -> list[ScanEvidence]:
@@ -737,7 +724,6 @@ def conjecture_scan(
         label = classify_case(Params(b, c, d))
         if label.region == "II-b" and not label.boundary:
             work.append((b, c, d, label.case, cfg))
-    jobs = _effective_jobs(jobs)
     if jobs <= 1 or len(work) <= 1:
         return [_scan_cell(args) for args in work]
     from concurrent.futures import ProcessPoolExecutor

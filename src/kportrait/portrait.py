@@ -32,6 +32,7 @@ from .numerics import (
     IntegratorConfig,
     NoReturnError,
     Orbit,
+    _SEED_OFFSET,
     _p1_separatrix_start,
     cycle_loop,
     detect_limit_cycle,
@@ -51,6 +52,8 @@ __all__ = [
     "write_report",
     "report_to_dict",
 ]
+
+_THIN_TO = 600  # most points stored per orbit trace and cycle loop
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,6 @@ def build_portrait(
     p: Params,
     cfg: Optional[IntegratorConfig] = None,
     representatives: int = 8,
-    seed_offset: float = 1e-6,
-    thin_to: int = 600,
 ) -> PortraitReport:
     """Classify, integrate the separatrix skeleton and representative orbits,
     and assemble the full report.
@@ -174,19 +175,14 @@ def build_portrait(
 
     names = {q.name: (float(q.location[0]), float(q.location[1])) for q in pts}
 
-    def run(start, direction: str) -> Optional[Orbit]:
+    def run(start, direction: str) -> Orbit:
         try:
             return integrate(p, start, direction, cfg)
         except IntegrationFailure as err:
             warnings.append(f"integration-failure: {direction} orbit from {start}")
             return err.orbit
-        except ValueError as err:
-            warnings.append(f"orbit-rejected: {err}")
-            return None
 
-    def limit_of(orbit: Optional[Orbit]) -> str:
-        if orbit is None or not orbit.samples:
-            return "unresolved"
+    def limit_of(orbit: Orbit) -> str:
         if orbit.terminal == "converged-to-point":
             return orbit.detail
         if orbit.terminal == "escaped":
@@ -220,28 +216,23 @@ def build_portrait(
     def trace(role: str, origin: str, stability: Optional[str], start) -> OrbitTrace:
         fwd = run(start, "forward")
         bwd = run(start, "backward")
-        parts = []
-        if bwd is not None and bwd.samples:
-            parts.append(bwd.affine_points()[::-1])
-        if fwd is not None and fwd.samples:
-            parts.append(fwd.affine_points())
-        points = np.vstack(parts) if parts else np.empty((0, 2))
+        points = np.vstack([bwd.affine_points()[::-1], fwd.affine_points()])
         return OrbitTrace(
             role=role,
             origin=origin,
             stability=stability,
             alpha_limit=limit_of(bwd),
             omega_limit=limit_of(fwd),
-            points=_thin(points, thin_to),
+            points=_thin(points, _THIN_TO),
         )
 
     separatrices: list[OrbitTrace] = [
-        trace("axis", "P0", "unstable", (seed_offset, 0.0)),
-        trace("axis", "P0", "stable", (0.0, seed_offset)),
+        trace("axis", "P0", "unstable", (_SEED_OFFSET, 0.0)),
+        trace("axis", "P0", "stable", (0.0, _SEED_OFFSET)),
     ]
     if label.case >= 2:
         stability = "center" if label.case == 2 else "unstable"
-        start = _p1_separatrix_start(p, seed_offset)
+        start = _p1_separatrix_start(p)
         separatrices.append(trace("separatrix", "P1", stability, start))
 
     rep_traces: list[OrbitTrace] = []
@@ -276,7 +267,7 @@ def build_portrait(
         dulac=dulac,
         separatrices=separatrices,
         representatives=rep_traces,
-        cycle_points=None if cycle_pts is None else _thin(cycle_pts, thin_to),
+        cycle_points=None if cycle_pts is None else _thin(cycle_pts, _THIN_TO),
         portrait_letter=label.portrait,
         status=label.status,
         warnings=warnings,

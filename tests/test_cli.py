@@ -122,15 +122,6 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert all(r[4] == "contraction-to-P2" for r in rows[1:])
 
 
-def test_scan_env_override(tmp_path, capsys, monkeypatch):
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    run(capsys, "scan", "--grid", "0.7:1.2:2,0.9:1.4:2,0.2:0.35:2", "--jobs", "1", "--out", str(out1))
-    monkeypatch.setenv("KPORTRAIT_THREADS", "2")
-    run(capsys, "scan", "--grid", "0.7:1.2:2,0.9:1.4:2,0.2:0.35:2", "--jobs", "1", "--out", str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_scan_bad_grid(capsys):
     code, _, err = run(capsys, "scan", "--grid", "1:2", "--out", "x.csv")
     assert code == 2

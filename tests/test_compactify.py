@@ -244,7 +244,7 @@ def test_blowup_origin_classification():
     for _ in range(10):
         p = random_rational_params(rng)
         _, rescaled = blowup_horizontal(compactify(family_system(p), "U2"))
-        pt = classify_blowup_origin(rescaled, p)
+        pt = classify_blowup_origin(rescaled)
         assert pt.kind == "saddle-node"
         assert pt.name == "O2"
         # axis flows orienting the sectors

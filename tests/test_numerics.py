@@ -288,6 +288,24 @@ def test_scan_cell_lets_programming_errors_raise(monkeypatch):
         conjecture_scan(grid, jobs=1)
 
 
+def test_cycle_search_builds_the_stop_table_once(monkeypatch):
+    # the equilibria and their stop modes depend only on the parameters, so
+    # the dozen or more orbits of one cycle search share one classification;
+    # no other test uses this triple, so no earlier test has built it
+    import kportrait.numerics as numerics
+
+    calls = []
+    real = numerics.finite_singular_points
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(numerics, "finite_singular_points", counted)
+    assert detect_limit_cycle(Params(0.43, 1.07, 0.23)).found
+    assert len(calls) == 1
+
+
 def test_scan_deterministic_across_workers():
     grid = GridSpec(b=(0.7, 1.2, 2), c=(0.9, 1.4, 2), delta=(0.2, 0.35, 2))
     rows1 = conjecture_scan(grid, jobs=1)

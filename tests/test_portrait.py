@@ -194,3 +194,14 @@ def test_exact_params_round_into_report():
     rep = build_portrait(Params(F(1, 2), F(1), F(1, 4)), representatives=2)
     d = report_to_dict(rep)
     assert d["params"]["exact"] == {"b": "1/2", "c": "1", "delta": "1/4"}
+
+
+def test_build_portrait_lets_programming_errors_raise(monkeypatch):
+    import kportrait.portrait as portrait
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(portrait, "integrate", broken)
+    with pytest.raises(ValueError, match="bug"):
+        build_portrait(Params(2.0, 1.0, 1.0))
