@@ -37,6 +37,7 @@ from .local import (
     uniqueness_check,
 )
 from .model import (
+    AnalysisError,
     CaseLabel,
     Discriminants,
     Params,

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .local import hopf_analysis, lyapunov_procedural
-from .model import Params, classify_case, discriminants, finite_singular_points
+from .model import AnalysisError, Params, classify_case, discriminants, finite_singular_points
 from .numerics import (
     GridSpec,
     IntegrationFailure,
@@ -176,7 +176,8 @@ def _parse_grid(parser: argparse.ArgumentParser, text: str) -> GridSpec:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             parser.error(f"bad grid axis {ax!r}")
-        if n < 1 or lo <= 0 or hi < lo:
+        # hi * n bounds every intermediate value of the axis, so it must be finite
+        if n < 1 or not 0 < lo <= hi <= sys.float_info.max / n:
             parser.error(f"bad grid axis {ax!r}")
         spec.append((lo, hi, n))
     return GridSpec(b=spec[0], c=spec[1], delta=spec[2])
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
         return ns.func(parser, ns)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (ValueError, NoReturnError, IntegrationFailure, OSError) as err:
+    except (AnalysisError, NoReturnError, IntegrationFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

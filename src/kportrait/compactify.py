@@ -424,27 +424,20 @@ def family_system(p: Params) -> PolySystem:
     return PolySystem(p_terms, q_terms)
 
 
+_O2_SECTOR = SectorData("hyperbolic", ("infinity-equator", "x=0-axis"))
+_FAMILY_INFINITE_POINTS = (
+    InfinitePoint("U1", (0.0, 0.0), "unstable-node", linear_part=((1.0, 0.0), (0.0, 1.0))),
+    InfinitePoint("U2", (0.0, 0.0), "degenerate", _O2_SECTOR, ((0.0, 0.0), (0.0, 0.0))),
+)
+
+
 def family_infinite_points(p: Params) -> list[InfinitePoint]:
-    """The family's equator points O1 and O2, with the analytic sector data
-    for O2 (one hyperbolic sector in the positive quadrant, separatrices on
-    the equator and on x = 0); those never depend on the parameter values."""
-    pts = infinite_singular_points(family_system(p.as_float()))
-    out = []
-    for pt in pts:
-        if pt.chart == "U2":
-            pt = InfinitePoint(
-                chart=pt.chart,
-                location=pt.location,
-                kind="degenerate",
-                sector_data=SectorData(
-                    sector="hyperbolic",
-                    separatrices=("infinity-equator", "x=0-axis"),
-                ),
-                linear_part=pt.linear_part,
-            )
-        out.append(pt)
-    names = {"U1": "O1", "U2": "O2"}
-    order = {"U1": 0, "U2": 1}
-    out.sort(key=lambda q: order[q.chart])
-    assert [names[q.chart] for q in out] == ["O1", "O2"]
-    return out
+    """The family's equator points O1 and O2, the same for every ``p``.
+
+    On the equator of U1 the field is u' = u, so O1 is an unstable node with
+    linear part I.  The U2 field has no linear part at its origin, so O2 is
+    degenerate; its blow-up (:func:`classify_blowup_origin`) gives one
+    hyperbolic sector in the quadrant, bounded by the equator and x = 0.
+    Tests check both points against :func:`infinite_singular_points`.
+    """
+    return list(_FAMILY_INFINITE_POINTS)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .compactify import PolySystem, family_system
-from .model import Number, Params, _ab, _is_exact, _p2_location
+from .model import AnalysisError, Number, Params, _ab, _is_exact, _p2_location
 
 __all__ = [
     "NonHyperbolicError",
@@ -202,7 +202,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     supercritical.
     """
     if not c > delta:
-        raise ValueError("hopf analysis requires c > delta")
+        raise AnalysisError("hopf analysis requires c > delta")
     if _is_exact(c, delta):
         b0: Number = (Fraction(c) - Fraction(delta)) / (Fraction(c) + Fraction(delta))
     else:
@@ -212,7 +212,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
 
     _, bb0 = _ab(b0f, cf, df)
     if not bb0 < 0:
-        raise ValueError("B(b0) must be negative for a complex pair at b0")
+        raise AnalysisError("B(b0) must be negative for a complex pair at b0")
 
     def mu_at(b: float) -> float:
         a, _ = _ab(float(b), cf, df)
@@ -222,7 +222,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         _, bb = _ab(float(b), cf, df)
         val = -df * bb
         if val <= 0:
-            raise ValueError(f"eigenvalues at b={b} are not a complex pair")
+            raise AnalysisError(f"eigenvalues at b={b} are not a complex pair")
         return float(b) * math.sqrt(val) / (2 * (cf - df) ** 2)
 
     dmu = -df / (2 * (cf - df))
@@ -366,12 +366,10 @@ class UniquenessReport:
     with f(x) = -x^2 + (1-b)x + b, g(x) = (c-d)x and lambda = b*d.
     """
 
-    f_coeffs: tuple[Number, Number, Number]  # ascending powers
     g_slope: Number
     a: Number
     lam: Number
     x_star: Number
-    x_bar_star: Number
     K: int
     conditions_hold: dict[str, bool]
 
@@ -392,10 +390,6 @@ def uniqueness_check(p: Params) -> UniquenessReport:
     a = (1 - b) / 2 if not p.is_exact else (1 - Fraction(b)) / 2
     lam = b * d
     x_star, _ = _p2_location(b, c, d, p.is_exact)
-    if p.is_exact:
-        x_bar_star = 1 - Fraction(b) * Fraction(c) / (Fraction(c) - Fraction(d))
-    else:
-        x_bar_star = 1 - b * c / (c - d)
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,
     # negative for all x > 0 exactly when b <= 1 (no positive root).
@@ -406,12 +400,10 @@ def uniqueness_check(p: Params) -> UniquenessReport:
         "iv": c > d and b <= 1,
     }
     return UniquenessReport(
-        f_coeffs=(b, 1 - b, -1),
         g_slope=c - d,
         a=a,
         lam=lam,
         x_star=x_star,
-        x_bar_star=x_bar_star,
         K=1,
         conditions_hold=conditions,
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "ZERO_BAND",
+    "AnalysisError",
     "Params",
     "Point2",
     "Discriminants",
@@ -40,6 +41,10 @@ Number = Union[int, float, Fraction]
 
 # Relative width of the zero band used for boundary detection in float mode.
 ZERO_BAND = 1e-12
+
+
+class AnalysisError(ValueError):
+    """The parameters lie outside what this analysis covers."""
 
 
 def _is_exact(*vals: Number) -> bool:
@@ -192,20 +197,26 @@ def _signs(p: Params) -> tuple[int, int, int, int]:
     """Signs of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta).
 
     Exact in exact mode; in float mode a value within ZERO_BAND of the
-    magnitude of its terms counts as zero.
+    magnitude of its terms counts as zero, and an overflow is an AnalysisError.
     """
     b, c, d = p.b, p.c, p.delta
-    disc = discriminants(p)
-    vals = (b * d - (c - d), disc.A, disc.B, 1 + c - d - b - b * d)
-    if p.is_exact:
-        return tuple((v > 0) - (v < 0) for v in vals)
-    S = d * (b + 1) + c * (b - 1)
-    scales = (
-        b * d + abs(c - d),
-        d * abs(c - d) + b * d * (c + d),
-        d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1)),
-        1 + c + d + b + b * d,
-    )
+    try:
+        A, B = _ab(b, c, d)
+        vals = (b * d - (c - d), A, B, 1 + c - d - b - b * d)
+        if p.is_exact:
+            return tuple((v > 0) - (v < 0) for v in vals)
+        S = d * (b + 1) + c * (b - 1)
+        scales = (
+            b * d + abs(c - d),
+            d * abs(c - d) + b * d * (c + d),
+            d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1)),
+            1 + c + d + b + b * d,
+        )
+    except OverflowError:  # float arithmetic out of range
+        vals = scales = (math.inf,)
+    # an overflow passes every band test and would read as a boundary case
+    if not all(math.isfinite(v) for v in vals + scales):
+        raise AnalysisError(f"float arithmetic overflows for {p}; classify it exactly (--exact)")
     return tuple(
         0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
         for v, s in zip(vals, scales)

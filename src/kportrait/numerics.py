@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .compactify import compactify, chart_transition, family_system
-from .model import Params, Point2, _p2_location, classify_case, finite_singular_points
+from .model import AnalysisError, Params, Point2, _p2_location, classify_case, finite_singular_points
 
 __all__ = [
     "IntegratorConfig",
@@ -148,7 +148,7 @@ class Orbit:
         x = 1/v (U1) or y = 1/v (U2) with v clamped away from zero."""
         pts = []
         for _, chart, (a, b) in self.samples:
-            if chart in ("affine", "U3"):
+            if chart == "affine":
                 pts.append((a, b))
                 continue
             v = b
@@ -408,10 +408,10 @@ def integrate(
 
 
 def interior_point(p: Params) -> tuple[float, float]:
-    """Float coordinates of the interior equilibrium; raises when absent."""
+    """Float coordinates of the interior equilibrium; AnalysisError when absent."""
     b, c, d = float(p.b), float(p.c), float(p.delta)
     if not (c > d and 0 < b * d < c - d):
-        raise ValueError("no interior equilibrium for these parameters")
+        raise AnalysisError("no interior equilibrium for these parameters")
     return _p2_location(b, c, d, exact=False)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .compactify import InfinitePoint, family_infinite_points
 from .local import DulacReport, dulac_check, hopf_analysis
 from .model import (
+    AnalysisError,
     CaseLabel,
     Params,
     SingularPoint,
@@ -149,7 +150,7 @@ def build_portrait(
             omega: Optional[float] = None
             try:
                 omega = hd.omega_at(b)
-            except ValueError:
+            except AnalysisError:
                 pass
             hopf = HopfSummary(
                 b0=float(hd.b0),
@@ -158,7 +159,7 @@ def build_portrait(
                 omega=omega,
                 ell1=hd.ell1,
             )
-        except ValueError as err:
+        except AnalysisError as err:
             warnings.append(f"hopf-analysis-unavailable: {err}")
 
     dulac = dulac_check(p)

@@ -74,6 +74,23 @@ def test_hopf_analysis_failure_is_exit_1(capsys):
     assert "error:" in err
 
 
+def test_classify_float_overflow_is_exit_1(capsys):
+    code, _, err = run(capsys, "classify", "--b", "1e200", "--c", "1e200", "--delta", "1e200")
+    assert code == 1
+    assert "error:" in err and "--exact" in err
+
+
+def test_programming_errors_raise(monkeypatch):
+    import kportrait.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "classify_case", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["classify", "--b", "2", "--c", "1", "--delta", "1"])
+
+
 def test_cycle_found(capsys):
     code, out, _ = run(capsys, "cycle", "--b", "0.5", "--c", "1", "--delta", "0.25")
     assert code == 0
@@ -123,6 +140,7 @@ def test_scan_writes_csv(tmp_path, capsys):
 
 
 def test_scan_bad_grid(capsys):
-    code, _, err = run(capsys, "scan", "--grid", "1:2", "--out", "x.csv")
-    assert code == 2
-    assert "usage" in err
+    for grid in ("1:2", "nan:1:2,1:1:1,1:1:1", "1:1e308:3,1:1:1,1:1:1"):
+        code, _, err = run(capsys, "scan", "--grid", grid, "--out", "x.csv")
+        assert code == 2
+        assert "usage" in err

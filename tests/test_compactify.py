@@ -1,6 +1,7 @@
 """Chart engine, transitions, equator points and the horizontal blow-up."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -173,8 +174,18 @@ def test_chart_consistency_with_affine_field():
 
 
 def test_family_infinite_points():
-    for trip in [(0.5, 1.0, 0.25), (2.0, 1.0, 1.0), (3.3, 0.7, 0.5)]:
-        pts = family_infinite_points(Params(*trip))
+    rng = np.random.default_rng(8)
+    params = [Params(*trip) for trip in [(0.5, 1.0, 0.25), (2.0, 1.0, 1.0), (3.3, 0.7, 0.5)]]
+    params += [random_rational_params(rng) for _ in range(30)]
+    # exact points on the case-2, A = 0 and S2 surfaces
+    params += [Params(F(1, 2), F(3, 2), F(1)), Params(F(3, 5), F(1), F(1, 4))]
+    params += [Params(F(19, 11), F(1), F(1, 10))]
+    for p in params:
+        pts = family_infinite_points(p)
+        generic = infinite_singular_points(family_system(p))
+        assert [(q.chart, q.location, q.kind, q.linear_part) for q in pts] == [
+            (q.chart, q.location, q.kind, q.linear_part) for q in generic
+        ]
         assert len(pts) == 2
         o1, o2 = pts
         assert o1.chart == "U1" and o1.location == (0.0, 0.0)
@@ -185,6 +196,22 @@ def test_family_infinite_points():
         assert o2.sector_data is not None
         assert o2.sector_data.sector == "hyperbolic"
         assert set(o2.sector_data.separatrices) == {"infinity-equator", "x=0-axis"}
+
+
+def test_family_infinite_points_do_no_chart_work(monkeypatch):
+    # the package attribute kportrait.compactify is the function, not the module
+    module = sys.modules["kportrait.compactify"]
+    calls = {"compactify": 0, "infinite_singular_points": 0}
+    for name in calls:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    family_infinite_points(Params(0.5, 1, 0.25))
+    assert calls == {"compactify": 0, "infinite_singular_points": 0}
 
 
 def test_infinite_points_degree_one_system():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kportrait import (
+    AnalysisError,
     Params,
     Point2,
     classify_case,
@@ -281,3 +282,8 @@ def test_exact_and_float_modes_agree_off_boundaries():
             lf.portrait,
             lf.status,
         )
+    # where float products overflow, float mode refuses instead of guessing
+    for trip, case in (((1e160, 1e160, 1e160), 1), ((1.0, 1e308, 1e-308), 6)):
+        assert classify_case(Params(*map(F, trip))).case == case
+        with pytest.raises(AnalysisError, match="--exact"):
+            classify_case(Params(*trip))

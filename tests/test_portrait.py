@@ -205,3 +205,7 @@ def test_build_portrait_lets_programming_errors_raise(monkeypatch):
     monkeypatch.setattr(portrait, "integrate", broken)
     with pytest.raises(ValueError, match="bug"):
         build_portrait(Params(2.0, 1.0, 1.0))
+    monkeypatch.undo()
+    monkeypatch.setattr(portrait, "hopf_analysis", broken)
+    with pytest.raises(ValueError, match="bug"):
+        build_portrait(Params(0.5, 1.0, 0.25))
