@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -103,6 +104,17 @@ def _compose_terms(terms: Terms, px: Terms, py: Terms) -> Terms:
     return out
 
 
+def _shift_terms(terms: Terms, x0: Number, y0: Number) -> Terms:
+    """Terms of the polynomial at (u + x0, v + y0); zero sums are left to PolySystem to drop."""
+    out: Terms = {}
+    for (i, j), a in terms.items():
+        for k in range(i + 1):
+            ak = a * comb(i, k) * x0 ** (i - k)
+            for l in range(j + 1):
+                out[k, l] = out.get((k, l), 0) + ak * comb(j, l) * y0 ** (j - l)
+    return out
+
+
 def _divide_by_second_var(terms: Terms) -> Terms:
     out: Terms = {}
     for (i, j), coeff in terms.items():
@@ -175,13 +187,9 @@ class PolySystem:
         )
 
     def translate(self, x0: Number, y0: Number) -> "PolySystem":
-        """Field in coordinates centred at (x0, y0)."""
-        px: Terms = {(1, 0): 1, (0, 0): x0}
-        py: Terms = {(0, 1): 1, (0, 0): y0}
-        return PolySystem(
-            _compose_terms(self._p, px, py),
-            _compose_terms(self._q, px, py),
-        )
+        """Field in coordinates centred at (x0, y0), exact for rational input: every term
+        takes the binomial (Taylor) shift sum C(i,k) C(j,l) x0^(i-k) y0^(j-l) u^k v^l."""
+        return PolySystem(_shift_terms(self._p, x0, y0), _shift_terms(self._q, x0, y0))
 
     def linear_change(self, m) -> "PolySystem":
         """Field in coordinates w with z = M w, i.e. w' = M^{-1} F(M w)."""

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .compactify import PolySystem, family_system
-from .model import AnalysisError, Number, Params, _ab, _is_exact, _p2_location
+from .model import AnalysisError, Number, Params, _ab, _in_range, _is_exact, _p2_location
 
 __all__ = [
     "NonHyperbolicError",
@@ -148,22 +148,20 @@ class MultilinearForms:
         )
         return cls(quad, cubic)
 
-    def bform(self, e, h):
-        out = []
-        for a20, a11, a02 in self.quad:
-            out.append(2 * a20 * e[0] * h[0] + a11 * (e[0] * h[1] + e[1] * h[0]) + 2 * a02 * e[1] * h[1])
-        return np.array(out)
+    def bform(self, e, h) -> tuple:
+        return tuple(
+            2 * a20 * e[0] * h[0] + a11 * (e[0] * h[1] + e[1] * h[0]) + 2 * a02 * e[1] * h[1]
+            for a20, a11, a02 in self.quad
+        )
 
-    def cform(self, e, h, z):
-        out = []
-        for a30, a21, a12, a03 in self.cubic:
-            out.append(
-                6 * a30 * e[0] * h[0] * z[0]
-                + 2 * a21 * (e[0] * h[0] * z[1] + e[0] * h[1] * z[0] + e[1] * h[0] * z[0])
-                + 2 * a12 * (e[0] * h[1] * z[1] + e[1] * h[0] * z[1] + e[1] * h[1] * z[0])
-                + 6 * a03 * e[1] * h[1] * z[1]
-            )
-        return np.array(out)
+    def cform(self, e, h, z) -> tuple:
+        return tuple(
+            6 * a30 * e[0] * h[0] * z[0]
+            + 2 * a21 * (e[0] * h[0] * z[1] + e[0] * h[1] * z[0] + e[1] * h[0] * z[0])
+            + 2 * a12 * (e[0] * h[1] * z[1] + e[1] * h[0] * z[1] + e[1] * h[1] * z[0])
+            + 6 * a03 * e[1] * h[1] * z[1]
+            for a30, a21, a12, a03 in self.cubic
+        )
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     cf, df = float(c), float(delta)
     b0f = float(b0)
 
-    _, bb0 = _ab(b0f, cf, df)
+    _, bb0 = _in_range(_ab, b0f, cf, df)
     if not bb0 < 0:
         raise AnalysisError("B(b0) must be negative for a complex pair at b0")
 
@@ -259,6 +257,11 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     )
 
 
+def _vdot(u, v) -> complex:
+    """<u, v> = conj(u) . v on complex 2-vectors."""
+    return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
+
+
 def _kuznetsov_data(c: float, delta: float) -> dict:
     """From-scratch normal-form data at b0: translated system, eigenvectors,
     multilinear forms and the g coefficients."""
@@ -271,40 +274,41 @@ def _kuznetsov_data(c: float, delta: float) -> dict:
     y2 = cf * cf / (cf + df) ** 2
     shifted = sys.translate(x2, y2)
 
-    a = np.asarray(shifted.linear_part(), dtype=float)
-    w = np.linalg.eigvals(a)
-    lam = w[np.argmax(w.imag)]
-    omega = float(lam.imag)
-    if omega <= 0:
-        raise IllConditionedError(f"no complex pair at b0; eigenvalues {w}")
+    (a11, a12), (a21, a22) = ((float(v) for v in row) for row in shifted.linear_part())
+    tr, det = a11 + a22, a11 * a22 - a12 * a21
+    if not det > tr * tr / 4:
+        raise IllConditionedError(f"no complex pair at b0; trace {tr}, determinant {det}")
+    omega = math.sqrt(det - tr * tr / 4)
 
     # eigenvector conventions: q = (a12, i w - a11), p ~ (a21, -i w - a11),
     # then p is pinned by <p, q> = 1.  This reproduces a phase with the
     # first component of q real and negative.
-    if a[0][1] == 0.0:
+    if a12 == 0.0:
         raise IllConditionedError("top-right Jacobian entry vanished")
-    q = np.array([a[0][1], 1j * omega - a[0][0]], dtype=complex)
-    resid = np.linalg.norm(a @ q - 1j * omega * q)
-    if resid > _RESID_TOL * max(1.0, float(np.linalg.norm(a))) * float(np.linalg.norm(q)):
+    q = (complex(a12), 1j * omega - a11)
+    aq = (a11 * q[0] + a12 * q[1], a21 * q[0] + a22 * q[1])
+    resid = math.hypot(abs(aq[0] - 1j * omega * q[0]), abs(aq[1] - 1j * omega * q[1]))
+    if resid > _RESID_TOL * max(1.0, math.hypot(a11, a12, a21, a22)) * math.hypot(*map(abs, q)):
         raise IllConditionedError(f"eigenproblem residual {resid} too large")
-    p0 = np.array([a[1][0], -1j * omega - a[0][0]], dtype=complex)
-    ip = np.vdot(p0, q)
+    p0 = (complex(a21), -1j * omega - a11)
+    ip = _vdot(p0, q)
     if ip == 0:
         raise IllConditionedError("degenerate normalisation <p, q> = 0")
-    p = p0 / np.conj(ip)
+    p = tuple(v / ip.conjugate() for v in p0)
 
     forms = MultilinearForms.from_system(shifted)
-    g20 = complex(np.vdot(p, forms.bform(q, q)))
-    g11 = complex(np.vdot(p, forms.bform(q, np.conj(q))))
-    g21 = complex(np.vdot(p, forms.cform(q, q, np.conj(q))))
+    qbar = (q[0].conjugate(), q[1].conjugate())
+    g20 = _vdot(p, forms.bform(q, q))
+    g11 = _vdot(p, forms.bform(q, qbar))
+    g21 = _vdot(p, forms.cform(q, q, qbar))
     ell1 = float((1j * g20 * g11 + omega * g21).real / (2 * omega * omega))
     return {
         "b0": b0,
         "omega": omega,
-        "jacobian": a,
+        "jacobian": np.array([[a11, a12], [a21, a22]]),
         "forms": forms,
-        "p": p,
-        "q": q,
+        "p": np.array(p),
+        "q": np.array(q),
         "g20": g20,
         "g11": g11,
         "g21": g21,
@@ -389,7 +393,7 @@ def uniqueness_check(p: Params) -> UniquenessReport:
         raise ValueError("uniqueness analysis needs 0 < b*delta < c - delta")
     a = (1 - b) / 2 if not p.is_exact else (1 - Fraction(b)) / 2
     lam = b * d
-    x_star, _ = _p2_location(b, c, d, p.is_exact)
+    x_star, _ = _in_range(_p2_location, b, c, d, p.is_exact)
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,
     # negative for all x > 0 exactly when b <= 1 (no positive root).

@@ -185,25 +185,31 @@ def discriminants(p: Params) -> Discriminants:
     return Discriminants(*_ab(p.b, p.c, p.delta))
 
 
-def _ab(b: Number, c: Number, d: Number) -> tuple[Number, Number]:
-    """A and B of :func:`discriminants` on raw numbers, without validation."""
-    A = d * (c - d) - b * d * (c + d)
-    S = d * (b + 1) + c * (b - 1)
-    B = d * S * S - 4 * c * (c - d) ** 2 * (c - d * (b + 1))
+def _ab(b: Number, c: Number, d: Number, scale: Number = 1) -> tuple[Number, Number]:
+    """A and B of :func:`discriminants` on raw numbers, without validation; on the
+    numerators of b, c, d over a common denominator ``scale``, A*scale^3 and B*scale^5."""
+    A = scale * d * (c - d) - b * d * (c + d)
+    S = d * (b + scale) + c * (b - scale)
+    B = d * S * S - 4 * c * (c - d) ** 2 * (scale * c - d * (b + scale))
     return A, B
 
 
 def _signs(p: Params) -> tuple[int, int, int, int]:
     """Signs of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta).
 
-    Exact in exact mode; in float mode a value within ZERO_BAND of the
-    magnitude of its terms counts as zero, and an overflow is an AnalysisError.
+    Exact mode takes them on integer numerators over the common denominator L
+    of b, c and delta; in float mode a value within ZERO_BAND of the magnitude
+    of its terms counts as zero, and an overflow is an AnalysisError.
     """
     b, c, d = p.b, p.c, p.delta
+    exact, L = p.is_exact, 1
+    if exact:
+        L = math.lcm(b.denominator, c.denominator, d.denominator)
+        b, c, d = (int(v.numerator) * (L // int(v.denominator)) for v in (b, c, d))
     try:
-        A, B = _ab(b, c, d)
-        vals = (b * d - (c - d), A, B, 1 + c - d - b - b * d)
-        if p.is_exact:
+        A, B = _ab(b, c, d, L)
+        vals = (b * d - L * (c - d), A, B, L * (L + c - d - b) - b * d)
+        if exact:
             return tuple((v > 0) - (v < 0) for v in vals)
         S = d * (b + 1) + c * (b - 1)
         scales = (
@@ -221,6 +227,17 @@ def _signs(p: Params) -> tuple[int, int, int, int]:
         0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
         for v, s in zip(vals, scales)
     )
+
+
+def _in_range(fn, *args):
+    """``fn(*args)``; a float overflow, or underflow to a zero divisor, is an AnalysisError."""
+    try:
+        vals = fn(*args)
+    except (OverflowError, ZeroDivisionError):
+        vals = (math.inf,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+        raise AnalysisError(f"float arithmetic leaves the range of doubles at (b, c, delta) = {args[:3]}")
+    return vals
 
 
 def _p2_location(b: Number, c: Number, d: Number, exact: bool) -> tuple[Number, Number]:
@@ -265,7 +282,7 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
 
     pts.append(SingularPoint("P1", "affine", (1, 0), "saddle", (lam1, lam2)))
 
-    loc = _p2_location(b, c, d, exact)
+    loc = _in_range(_p2_location, b, c, d, exact)
     if s_B < 0:
         kind = {1: "unstable-focus", -1: "stable-focus", 0: "weak-stable-focus"}[s_A]
     else:

@@ -25,7 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .compactify import compactify, chart_transition, family_system
-from .model import AnalysisError, Params, Point2, _p2_location, classify_case, finite_singular_points
+from .model import AnalysisError, Params, Point2, _in_range, _p2_location
+from .model import classify_case, finite_singular_points
 
 __all__ = [
     "IntegratorConfig",
@@ -412,7 +413,7 @@ def interior_point(p: Params) -> tuple[float, float]:
     b, c, d = float(p.b), float(p.c), float(p.delta)
     if not (c > d and 0 < b * d < c - d):
         raise AnalysisError("no interior equilibrium for these parameters")
-    return _p2_location(b, c, d, exact=False)
+    return _in_range(_p2_location, b, c, d, False)
 
 
 def _section_event(y2: float) -> StopEvent:

@@ -80,6 +80,20 @@ def test_classify_float_overflow_is_exit_1(capsys):
     assert "error:" in err and "--exact" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("hopf", "--c", "1e200", "--delta", "1"),
+        ("cycle", "--b", "1e-300", "--c", "1e200", "--delta", "1"),
+        ("classify", "--b", "1e-300", "--c", "1e-300", "--delta", "1e-310"),
+    ],
+)
+def test_float_range_errors_are_exit_1(capsys, args):
+    code, _, err = run(capsys, *args)
+    assert code == 1
+    assert err.startswith("error:") and "range of doubles" in err
+
+
 def test_programming_errors_raise(monkeypatch):
     import kportrait.cli as cli
 

@@ -1,6 +1,7 @@
 """Chart engine, transitions, equator points and the horizontal blow-up."""
 
 import math
+import random
 import sys
 from fractions import Fraction as F
 
@@ -293,3 +294,23 @@ def test_polysystem_translate_and_linear_part():
     j = np.array([[float(lin[0][0]), float(lin[0][1])], [float(lin[1][0]), float(lin[1][1])]])
     eig = sorted(np.linalg.eigvals(j).real)
     assert eig == pytest.approx([-1.5, 0.625])
+
+
+def test_translate_is_an_exact_taylor_shift():
+    rng = random.Random(67)
+
+    def rand_q(hi=9):
+        return F(rng.randint(-hi, hi), rng.randint(1, hi))
+
+    def rand_terms():
+        return {(i, j): rand_q() for i in range(5) for j in range(5 - i) if rng.random() < 0.6}
+
+    for _ in range(40):
+        poly = PolySystem(rand_terms(), rand_terms())
+        x0, y0 = rand_q(), rand_q()
+        shifted = poly.translate(x0, y0)
+        for _ in range(3):
+            u, v = rand_q(), rand_q()
+            assert shifted(u, v) == poly(u + x0, v + y0)
+        assert shifted.translate(-x0, -y0) == poly
+        assert shifted.degree == poly.degree

@@ -241,3 +241,16 @@ def test_uniqueness_fails_outside():
     assert not rep.all_hold
     with pytest.raises(ValueError):
         uniqueness_check(Params(2, 1, 1))  # precondition 0 < b*d < c-d violated
+
+
+def test_procedural_ell1_does_not_use_the_closed_forms(monkeypatch):
+    import kportrait.local as local_mod
+    import kportrait.model as model_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cross-check must not use the closed forms")
+
+    monkeypatch.setattr(local_mod, "hopf_analysis", forbidden)
+    monkeypatch.setattr(local_mod, "_ab", forbidden)
+    monkeypatch.setattr(model_mod, "_ab", forbidden)
+    assert abs(lyapunov_procedural(1.0, 0.25) - ELL1_SPOT) <= 1e-8

@@ -1,5 +1,6 @@
 """Field, Jacobian, discriminants and case classification."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,7 @@ from kportrait import (
     jacobian,
     vector_field,
 )
+from kportrait.model import _signs
 
 
 def random_params(rng, lo=0.05, hi=5.0):
@@ -287,3 +289,42 @@ def test_exact_and_float_modes_agree_off_boundaries():
         assert classify_case(Params(*map(F, trip))).case == case
         with pytest.raises(AnalysisError, match="--exact"):
             classify_case(Params(*trip))
+
+
+def _fraction_signs(b, c, d):
+    """Signs of the four classifying quantities, evaluated directly in Fractions."""
+    b, c, d = F(b), F(c), F(d)
+    s = d * (b + 1) + c * (b - 1)
+    vals = (
+        b * d - (c - d),
+        d * (c - d) - b * d * (c + d),
+        d * s * s - 4 * c * (c - d) ** 2 * (c - d * (b + 1)),
+        1 + c - d - b - b * d,
+    )
+    return tuple((v > 0) - (v < 0) for v in vals)
+
+
+def test_integer_signs_match_fraction_evaluation():
+    rng = random.Random(61)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    triples = []
+    for _ in range(170):  # large, unrelated denominators
+        triples.append(tuple(F(rng.randint(1, 10**15), rng.randint(1, 10**12)) for _ in range(3)))
+    for _ in range(170):  # pairwise coprime denominators
+        dens = rng.sample(primes, 3)
+        triples.append(tuple(F(rng.randint(1, 6 * q), q) for q in dens))
+    for _ in range(170):  # one shared denominator
+        q = rng.randint(1, 10**9)
+        triples.append(tuple(F(rng.randint(1, 6 * q), q) for _ in range(3)))
+    triples += [
+        (F(1, 2), F(3, 2), F(1)),  # case 2: b*delta = c - delta
+        (F(3, 5), F(1), F(1, 4)),  # A = 0
+        (F(7, 5), F(1), F(1, 4)),  # on S2: 1 + c - delta - b - b*delta = 0
+        (F(7, 9), 2, 1),  # B = 0, with integer c and delta
+    ]
+    seen = set()
+    for b, c, d in triples:
+        want = _fraction_signs(b, c, d)
+        assert _signs(Params(b, c, d)) == want, (b, c, d)
+        seen.add(want)
+    assert {(0, -1, 1, 1), (-1, 0, -1, 1), (-1, -1, -1, 0), (-1, -1, 0, 1)} <= seen
