@@ -1,11 +1,11 @@
 """Orbit integration, return maps, limit-cycle detection and the grid scanner.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
-control and FSAL.  When an orbit leaves the ball of radius
-``chart_switch_radius`` the state transfers to the compactification chart
-whose coordinate dominates (U1 for x, U2 for y) and integration continues on
-the charted polynomial field; in a chart the recorded ``time`` is the orbit
-parameter of the rescaled flow, which preserves orientation on v > 0.
+control and FSAL.  When an orbit leaves the ball of radius 10 the state
+transfers to the compactification chart whose coordinate dominates (U1 for x,
+U2 for y) and integration continues on the family's closed-form field in
+that chart; in a chart the recorded ``time`` is the orbit parameter of the
+rescaled flow, which preserves orientation on v > 0.
 
 Section crossings are located by sign-change bisection on controlled
 sub-steps, so the event state carries one local error, not an interpolation
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .compactify import compactify, chart_transition, family_system
+from .compactify import chart_transition
 from .model import AnalysisError, Params, Point2, _in_range, _p2_location
 from .model import classify_case, finite_singular_points
 
@@ -81,9 +81,9 @@ _MAX_SAMPLES = 2_000_000
 _AFFINE_CLAMP = 1e12  # chart samples with |v| < 1/_AFFINE_CLAMP map as if at that |v|
 _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
 _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
-# entries kept by each per-parameter setup cache; one parameter set needs
-# 2 stop tables (one per time direction) and up to 6 fields
-_SETUP_CACHE_SIZE = 32
+_CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to U1 or U2
+_EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
+_SETUP_CACHE_SIZE = 32  # stop tables kept; a parameter set needs one per time direction
 
 
 class IntegrationFailure(RuntimeError):
@@ -108,15 +108,11 @@ class IntegratorConfig:
     rel_tol: float = 1e-8
     max_step: float = 0.5
     max_time: float = 400.0
-    chart_switch_radius: float = 10.0
-    event_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "max_step", "max_time", "event_tol"):
+        for name in ("abs_tol", "rel_tol", "max_step", "max_time"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not self.chart_switch_radius > 1:
-            raise ValueError("chart_switch_radius must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -186,22 +182,6 @@ def _dp_step(f, x, y, h, k1x, k1y):
     return xn, yn, ex, ey, k7x, k7y
 
 
-def _poly_rhs(sys, sgn: float):
-    tp = [(i, j, float(c)) for (i, j), c in sys.terms_p().items()]
-    tq = [(i, j, float(c)) for (i, j), c in sys.terms_q().items()]
-
-    def f(u: float, v: float) -> tuple[float, float]:
-        du = 0.0
-        for i, j, c in tp:
-            du += c * u**i * v**j
-        dv = 0.0
-        for i, j, c in tq:
-            dv += c * u**i * v**j
-        return sgn * du, sgn * dv
-
-    return f
-
-
 @functools.lru_cache(maxsize=_SETUP_CACHE_SIZE)
 def _stops(b: float, c: float, d: float, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
     """Equilibria of the float parameters with the mode that stops an orbit
@@ -222,12 +202,26 @@ def _stops(b: float, c: float, d: float, sgn: float) -> tuple[tuple[str, float, 
     return tuple(equilibria)
 
 
-@functools.lru_cache(maxsize=_SETUP_CACHE_SIZE)
 def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
     """The family field in ``chart`` ("affine", "U1" or "U2"), time-reversed
-    when ``sgn`` is -1."""
-    if chart != "affine":
-        return _poly_rhs(compactify(family_system(Params(b, c, d)), chart).system, sgn)
+    when ``sgn`` is -1.  The chart fields equal ``compactify(family_system(p),
+    chart)`` to the last bit: coefficients are grouped as that engine sums
+    them, terms follow its ascending (i, j) order and powers stay ``**``."""
+    k, m = (b - 1.0) + (c - d), b + d * b
+    if chart == "U1":
+        def f_u1(u: float, v: float) -> tuple[float, float]:
+            return (
+                sgn * (u + k * u * v - m * u * v**2 + u**2 * v),
+                sgn * (v + (b - 1.0) * v**2 - b * v**3 + u * v**2),
+            )
+        return f_u1
+    if chart == "U2":
+        def f_u2(u: float, v: float) -> tuple[float, float]:
+            return (
+                sgn * (-u * v + m * u * v**2 - k * u**2 * v - u**3),
+                sgn * (d * b * v**3 + (d - c) * u * v**2),
+            )
+        return f_u2
 
     def f_affine(u: float, v: float) -> tuple[float, float]:
         return (
@@ -238,14 +232,6 @@ def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
     return f_affine
 
 
-def _as_event(stop) -> Optional[StopEvent]:
-    if stop is None or isinstance(stop, StopEvent):
-        return stop
-    if callable(stop):
-        return StopEvent(fn=stop)
-    raise TypeError("stop must be None, a callable g(x, y) or a StopEvent")
-
-
 def _sign_crossed(g0: float, g1: float, direction: int) -> bool:
     if direction > 0:
         return g0 < 0.0 <= g1
@@ -254,7 +240,7 @@ def _sign_crossed(g0: float, g1: float, direction: int) -> bool:
     return (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
 
 
-def _locate_event(rhs, event, x0, y0, t0, h, k1x, k1y, cfg):
+def _locate_event(rhs, event, x0, y0, t0, h, k1x, k1y):
     """Bisect the crossing time inside an accepted step.
 
     Each probe is a single controlled sub-step from the step start, so the
@@ -263,7 +249,7 @@ def _locate_event(rhs, event, x0, y0, t0, h, k1x, k1y, cfg):
     """
     g0 = event.fn(x0, y0)
     lo, hi = 0.0, h
-    tol = cfg.event_tol * max(1.0, abs(t0))
+    tol = _EVENT_TOL * max(1.0, abs(t0))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -282,15 +268,15 @@ def integrate(
     start,
     direction: str = "forward",
     cfg: Optional[IntegratorConfig] = None,
-    stop=None,
+    stop: Optional[StopEvent] = None,
 ) -> Orbit:
     """Adaptive trajectory of the family field from ``start``.
 
     ``start`` must lie in the closed positive quadrant.  The orbit record
-    switches charts beyond ``chart_switch_radius`` and terminates on
+    switches to the U1 or U2 chart beyond affine radius 10 and terminates on
     max-time, convergence to an equilibrium, escape to infinity, a located
-    stop event, or the excluded neighbourhood of the degenerate point at the
-    top of the disc.
+    ``stop`` event, or the excluded neighbourhood of the degenerate point at
+    the top of the disc.
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
@@ -300,7 +286,6 @@ def integrate(
     x, y = float(start[0]), float(start[1])
     if x < 0 or y < 0:
         raise ValueError(f"start {start} is outside the closed positive quadrant")
-    event = _as_event(stop)
     sgn = 1.0 if direction == "forward" else -1.0
     b, c, d = float(p.b), float(p.c), float(p.delta)
     equilibria = _stops(b, c, d, sgn)
@@ -314,9 +299,9 @@ def integrate(
     switches = 0
     terminal = ""
     detail = ""
-    r2_out = cfg.chart_switch_radius**2
-    r2_in = (0.9 * cfg.chart_switch_radius) ** 2
-    g_prev = event.fn(x, y) if event is not None else None
+    r2_out = _CHART_SWITCH_RADIUS**2
+    r2_in = (0.9 * _CHART_SWITCH_RADIUS) ** 2
+    g_prev = stop.fn(x, y) if stop is not None else None
 
     while True:
         if t >= cfg.max_time:
@@ -332,7 +317,10 @@ def integrate(
             xn, yn, ex, ey, k7x, k7y = _dp_step(rhs, x, y, h, k1x, k1y)
             scx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
             scy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
-            err = math.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
+            try:
+                err = math.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
+            except OverflowError:  # a float ** 2 overflow raises instead of giving inf
+                err = math.inf
             if err <= 1.0 and math.isfinite(xn) and math.isfinite(yn):
                 break
             if not math.isfinite(err):
@@ -344,14 +332,14 @@ def integrate(
                 )
         tn = t + h
 
-        if event is not None and chart == "affine":
-            g_new = event.fn(xn, yn)
+        if stop is not None and chart == "affine":
+            g_new = stop.fn(xn, yn)
             if (
                 g_prev is not None
-                and tn > event.min_time
-                and _sign_crossed(g_prev, g_new, event.direction)
+                and tn > stop.min_time
+                and _sign_crossed(g_prev, g_new, stop.direction)
             ):
-                te, xe, ye = _locate_event(rhs, event, x, y, t, h, k1x, k1y, cfg)
+                te, xe, ye = _locate_event(rhs, stop, x, y, t, h, k1x, k1y)
                 samples.append((te, "affine", (xe, ye)))
                 terminal = "hit-section"
                 break
@@ -400,7 +388,7 @@ def integrate(
             k1x, k1y = rhs(x, y)
             h = min(h, 0.05)
             switches += 1
-            g_prev = event.fn(x, y) if event is not None and chart == "affine" else None
+            g_prev = stop.fn(x, y) if stop is not None and chart == "affine" else None
         if switches > _MAX_SWITCHES:
             terminal = "chart-boundary-loop"
             break

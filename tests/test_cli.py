@@ -74,6 +74,29 @@ def test_hopf_analysis_failure_is_exit_1(capsys):
     assert "error:" in err
 
 
+def test_ill_conditioned_hopf_is_exit_1(capsys):
+    # trace^2 > 4 det at b0 in floats: the trace is rounding residue
+    code, out, err = run(
+        capsys, "hopf", "--c", "2.961503700683393e+70", "--delta", "3.110359770482965e+58"
+    )
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "no complex pair" in err
+
+
+@pytest.mark.parametrize(
+    "c, delta, warns",
+    [("1e60", "1", True), ("1", "0.25", False)],
+)
+def test_hopf_warns_when_ell1_routes_disagree(capsys, c, delta, warns):
+    code, out, err = run(capsys, "hopf", "--c", c, "--delta", delta)
+    assert code == 0
+    assert "ell1 (from-scratch cross-check) = " in out
+    if warns:
+        assert err.count("\n") == 1 and err.startswith("warning:") and "ell1" in err
+    else:
+        assert err == ""
+
+
 def test_classify_float_overflow_is_exit_1(capsys):
     code, _, err = run(capsys, "classify", "--b", "1e200", "--c", "1e200", "--delta", "1e200")
     assert code == 1
