@@ -22,8 +22,6 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .model import Number, Params, SingularPoint, _is_exact, _sorted_eig
 
 __all__ = [
@@ -336,12 +334,13 @@ def chart_transition(chart_from: str, chart_to: str, pt) -> tuple[Number, Number
 def infinite_singular_points(sys: PolySystem) -> list[InfinitePoint]:
     """Singular points on the equator: zeros of the U1 field on v = 0 plus
     the origin of U2 when it is singular."""
+    import numpy as np
+
     from .local import NonHyperbolicError, classify_hyperbolic
 
     def _kind(jac) -> str:
-        j = np.asarray(jac, dtype=float)
         try:
-            return classify_hyperbolic(j)
+            return classify_hyperbolic(jac)
         except NonHyperbolicError:
             return "degenerate"
 

@@ -10,7 +10,9 @@ The first Lyapunov coefficient is computed twice, by independent routes:
 ``hopf_analysis`` evaluates closed forms, ``lyapunov_procedural`` rebuilds
 everything from the translated polynomial system and the eigenproblem.  The
 two must agree to high relative accuracy; that cross-check is the main
-safeguard of this module.
+safeguard of this module.  Eigenvalues come from the closed 2x2 form of
+``model._sorted_eig``, the package's one eigenvalue routine, and the centre
+directions of the semi-hyperbolic classifier from its kernel vectors.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .compactify import PolySystem, family_system
-from .model import AnalysisError, Number, Params, _ab, _in_range, _is_exact, _p2_location
+from .model import AnalysisError, Number, Params, _ab, _in_range, _is_exact, _p2_location, _sorted_eig
 
 __all__ = [
     "NonHyperbolicError",
@@ -63,23 +63,26 @@ class IllConditionedError(RuntimeError):
     """The Hopf eigenproblem residual exceeded tolerance."""
 
 
+def _eig_band(j) -> tuple[tuple[complex, complex], float]:
+    """Sorted eigenvalues of the 2x2 ``j`` and the zero band relative to its inf-norm."""
+    norm = max(abs(float(row[0])) + abs(float(row[1])) for row in j)
+    return _sorted_eig(j), HYPERBOLIC_BAND * max(1e-300, norm)
+
+
 def classify_hyperbolic(j) -> str:
     """Kind of a hyperbolic equilibrium from its Jacobian.
 
     Raises :class:`NonHyperbolicError` when an eigenvalue, or its real part,
     falls inside the zero band relative to the matrix norm.
     """
-    jm = np.asarray(j, dtype=float)
-    band = HYPERBOLIC_BAND * max(1e-300, float(np.linalg.norm(jm, np.inf)))
-    w = np.linalg.eigvals(jm)
+    w, band = _eig_band(j)
     if any(abs(z) <= band or abs(z.real) <= band for z in w):
         raise NonHyperbolicError(f"eigenvalues {w} are inside the zero band")
     if abs(w[0].imag) > band:
         return "unstable-focus" if w[0].real > 0 else "stable-focus"
-    re = sorted(z.real for z in w)
-    if re[0] < 0 < re[1]:
+    if w[0].real < 0 < w[1].real:
         return "saddle"
-    return "unstable-node" if re[0] > 0 else "stable-node"
+    return "unstable-node" if w[0].real > 0 else "stable-node"
 
 
 def classify_semihyperbolic(sys: PolySystem, pt) -> str:
@@ -95,21 +98,16 @@ def classify_semihyperbolic(sys: PolySystem, pt) -> str:
     f0 = shifted(0.0, 0.0)
     if max(abs(float(f0[0])), abs(float(f0[1]))) > 1e-9:
         raise ValueError(f"{pt} is not an equilibrium of the system")
-    jm = np.asarray(shifted.linear_part(), dtype=float)
-    band = HYPERBOLIC_BAND * max(1e-300, float(np.linalg.norm(jm, np.inf)))
-    w, vecs = np.linalg.eig(jm)
-    idx_zero = [k for k in range(2) if abs(w[k]) <= band]
-    if len(idx_zero) != 1:
+    (a, b), (c, d) = ((float(v) for v in row) for row in shifted.linear_part())
+    w, band = _eig_band(((a, b), (c, d)))
+    if [abs(z) <= band for z in w].count(True) != 1:
         raise ValueError(f"expected exactly one zero eigenvalue, got {w}")
-    kz = idx_zero[0]
-    kh = 1 - kz
-    if abs(w[kh].imag) > band:
-        raise ValueError(f"nonzero eigenvalue {w[kh]} is not real")
-
-    v0 = np.real(vecs[:, kz])
-    v1 = np.real(vecs[:, kh])
-    m = ((float(v0[0]), float(v1[0])), (float(v0[1]), float(v1[1])))
-    local = shifted.linear_change(m)
+    # unit kernel vectors of J - mu*I, centre first; the other eigenvalue is then real
+    cols = []
+    for mu in sorted((z.real for z in w), key=abs):
+        u, v = max(((b, mu - a), (mu - d, c)), key=lambda t: math.hypot(*t))
+        cols.append((u / math.hypot(u, v), v / math.hypot(u, v)))
+    local = shifted.linear_change(tuple(zip(*cols)))
 
     # centre-component quadratic coefficient in the centre variable
     a20 = float(local.coeff_p(2, 0))
@@ -238,7 +236,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     # p solves A^T p = -i w p with <p, q> = 1; in closed form
     # p = (-(c+d)/(2d), i/(2w)).
     p = (complex(-(cf + df) / (2 * df), 0.0), complex(0.0, 1.0 / (2.0 * w)))
-    ip = np.vdot(np.array(p), np.array(q))
+    ip = _vdot(p, q)
     if abs(ip - 1.0) > 1e-12:
         raise IllConditionedError(f"<p, q> = {ip} deviates from 1")
 
@@ -305,10 +303,10 @@ def _kuznetsov_data(c: float, delta: float) -> dict:
     return {
         "b0": b0,
         "omega": omega,
-        "jacobian": np.array([[a11, a12], [a21, a22]]),
+        "jacobian": ((a11, a12), (a21, a22)),
         "forms": forms,
-        "p": np.array(p),
-        "q": np.array(q),
+        "p": p,
+        "q": q,
         "g20": g20,
         "g11": g11,
         "g21": g21,

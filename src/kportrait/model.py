@@ -9,18 +9,19 @@ with positive parameters (b, c, delta), analysed on the closed positive
 quadrant.  Classification runs in exact rational arithmetic whenever the
 parameters are rational (int / Fraction) and in double precision with a
 relative epsilon band otherwise; the band keeps measure-zero boundary
-surfaces from being misread as open-region cases.
+surfaces from being misread as open-region cases.  Eigenvalues of 2x2
+Jacobians come from one closed form, :func:`_sorted_eig`, so the analysis
+runs on the standard library alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
-
-import numpy as np
 
 __all__ = [
     "ZERO_BAND",
@@ -154,11 +155,11 @@ def vector_field(p: Params, pt: PointLike) -> tuple[Number, Number]:
     return dx, dy
 
 
-def jacobian(p: Params, pt: PointLike) -> np.ndarray:
-    """Partial-derivative matrix of the field at ``pt``.
+def jacobian(p: Params, pt: PointLike) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
+    """Partial-derivative matrix of the field at ``pt`` as nested row tuples.
 
-    Returns an object-dtype array when both parameters and coordinates are
-    rational so entries stay exact, a float array otherwise.
+    Entries stay exact when both parameters and coordinates are rational and
+    are floats otherwise.
     """
     x, y = _xy(pt)
     b, c, d = p.b, p.c, p.delta
@@ -167,8 +168,8 @@ def jacobian(p: Params, pt: PointLike) -> np.ndarray:
     j21 = (c - d) * y
     j22 = (c - d) * x - d * b
     if _is_exact(b, c, d, x, y):
-        return np.array([[j11, j12], [j21, j22]], dtype=object)
-    return np.array([[j11, j12], [j21, j22]], dtype=float)
+        return (j11, j12), (j21, j22)
+    return (float(j11), float(j12)), (float(j21), float(j22))
 
 
 def discriminants(p: Params) -> Discriminants:
@@ -248,9 +249,20 @@ def _p2_location(b: Number, c: Number, d: Number, exact: bool) -> tuple[Number, 
     return x2, y2
 
 
-def _sorted_eig(j: np.ndarray) -> tuple[complex, complex]:
-    w = sorted(np.linalg.eigvals(np.asarray(j, dtype=float)), key=lambda z: (z.real, z.imag))
-    return complex(w[0]), complex(w[1])
+def _sorted_eig(j) -> tuple[complex, complex]:
+    """Eigenvalues (tr -+ sqrt((a-d)^2 + 4bc))/2 of the 2x2 matrix [[a, b], [c, d]] in
+    float, sorted by (real, imag); the package's one eigenvalue routine.  A real pair
+    takes its smaller root as det over the larger, so no sign is lost to cancellation."""
+    (a, b), (c, d) = ((float(v) for v in row) for row in j)
+    # scaling by a power of two keeps the squares in range and changes no bit
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b, c, d = (math.ldexp(v, -e) for v in (a, b, c, d))
+    tr, root, half = a + d, cmath.sqrt((a - d) * (a - d) + 4 * b * c), 2.0 ** (e - 1)
+    if root.imag or not (tr or root):
+        return (tr - root) * half, (tr + root) * half
+    big = tr + math.copysign(root.real, tr)
+    lo, hi = sorted((4 * (a * d - b * c) / big, big))
+    return complex(lo * half), complex(hi * half)
 
 
 def finite_singular_points(p: Params) -> list[SingularPoint]:

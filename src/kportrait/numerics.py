@@ -20,13 +20,14 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .compactify import chart_transition
 from .model import AnalysisError, Params, Point2, _in_range, _p2_location
 from .model import classify_case, finite_singular_points
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorConfig",
@@ -143,6 +144,8 @@ class Orbit:
     def affine_points(self) -> np.ndarray:
         """Samples pushed to affine coordinates; chart samples map through
         x = 1/v (U1) or y = 1/v (U2) with v clamped away from zero."""
+        import numpy as np
+
         pts = []
         for _, chart, (a, b) in self.samples:
             if chart == "affine":
@@ -597,41 +600,38 @@ def cycle_amplitude(
         raise ValueError("no limit cycle detected for these parameters")
     loop = cycle_loop(p, cycle, cfg)
     x2, y2 = interior_point(p)
-    return float(np.max(np.hypot(loop[:, 0] - x2, loop[:, 1] - y2)))
+    return max(math.hypot(x - x2, y - y2) for x, y in loop)
 
 
-def _point_segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    d = seg_b - seg_a
-    denom = np.einsum("md,md->m", d, d)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    pa = points[:, None, :] - seg_a[None, :, :]
-    tpar = np.clip(np.einsum("nmd,md->nm", pa, d) / denom, 0.0, 1.0)
-    proj = seg_a[None, :, :] + tpar[..., None] * d[None, :, :]
-    return np.linalg.norm(points[:, None, :] - proj, axis=2)
+def _min_dist_to_polyline(points, poly) -> np.ndarray:
+    """Distance from each point to the polyline; both are (n, 2)-shaped point lists."""
+    import numpy as np
 
-
-def _min_dist_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
     if len(poly) < 2:
         return np.linalg.norm(points[:, None, :] - poly[None, :, :], axis=2).min(axis=1)
     best = np.full(len(points), np.inf)
     seg_a, seg_b = poly[:-1], poly[1:]
     # chunk the segment axis to bound memory
     for k in range(0, len(seg_a), 512):
-        dmat = _point_segment_distances(points, seg_a[k : k + 512], seg_b[k : k + 512])
-        best = np.minimum(best, dmat.min(axis=1))
+        a = seg_a[k : k + 512]
+        d = seg_b[k : k + 512] - a
+        denom = np.einsum("md,md->m", d, d)
+        denom = np.where(denom == 0.0, 1.0, denom)
+        tpar = np.clip(np.einsum("nmd,md->nm", points[:, None, :] - a[None, :, :], d) / denom, 0.0, 1.0)
+        proj = a[None, :, :] + tpar[..., None] * d[None, :, :]
+        best = np.minimum(best, np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1))
     return best
 
 
 def polyline_hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two polylines."""
-    pa = np.asarray(a, dtype=float).reshape(-1, 2)
-    pb = np.asarray(b, dtype=float).reshape(-1, 2)
-    return float(max(_min_dist_to_polyline(pa, pb).max(), _min_dist_to_polyline(pb, pa).max()))
+    return float(max(_min_dist_to_polyline(a, b).max(), _min_dist_to_polyline(b, a).max()))
 
 
 def point_polyline_distance(pt, poly) -> float:
-    pts = np.asarray([pt], dtype=float)
-    return float(_min_dist_to_polyline(pts, np.asarray(poly, dtype=float).reshape(-1, 2))[0])
+    return float(_min_dist_to_polyline([pt], poly)[0])
 
 
 @dataclass(frozen=True)

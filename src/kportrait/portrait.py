@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Optional
 
 from .compactify import InfinitePoint, family_infinite_points
 from .local import DulacReport, dulac_check, hopf_analysis
@@ -41,6 +40,9 @@ from .numerics import (
     interior_point,
     point_polyline_distance,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscProjection",
@@ -109,6 +111,8 @@ class PortraitReport:
 
 
 def _thin(points: np.ndarray, target: int) -> np.ndarray:
+    import numpy as np
+
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) <= target:
         return pts
@@ -128,6 +132,8 @@ def build_portrait(
     The representative seeds sit on a geometric ladder along the section ray
     when the interior point exists, on a diagonal ladder otherwise.
     """
+    import numpy as np
+
     cfg = cfg or IntegratorConfig()
     label = classify_case(p)
     pts = finite_singular_points(p)
@@ -410,8 +416,7 @@ def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
         parts.append(polyline(tr.points, tr.role))
         parts.append(arrow(tr.points))
     if report.cycle_points is not None and len(report.cycle_points) > 1:
-        closed = np.vstack([report.cycle_points, report.cycle_points[:1]])
-        parts.append(polyline(closed, "cycle"))
+        parts.append(polyline([*report.cycle_points, report.cycle_points[0]], "cycle"))
 
     for q in report.finite_points:
         parts.append(glyph(q.name, q.kind, float(q.location[0]), float(q.location[1])))
@@ -459,7 +464,7 @@ def _trace_dict(tr: OrbitTrace) -> dict:
         "stability": tr.stability,
         "alpha_limit": tr.alpha_limit,
         "omega_limit": tr.omega_limit,
-        "points": [[float(x), float(y)] for x, y in np.asarray(tr.points, dtype=float)],
+        "points": [[float(x), float(y)] for x, y in tr.points],
     }
 
 
@@ -559,9 +564,9 @@ def _emit_json(value, out: list[str], indent: int) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, Integral):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, Real):
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"non-finite number {v!r} in report")

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import kportrait
 from kportrait.cli import main
 
 
@@ -181,3 +186,39 @@ def test_scan_bad_grid(capsys):
         code, _, err = run(capsys, "scan", "--grid", grid, "--out", "x.csv")
         assert code == 2
         assert "usage" in err
+
+
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from fractions import Fraction as F
+import kportrait as k
+from kportrait.cli import main
+
+argvs = [
+    ["classify", "--b", "0.5", "--c", "1", "--delta", "0.25"],
+    ["classify", "--exact", "--b", "3/10", "--c", "1", "--delta", "1/4"],
+    ["classify", "--b", "2", "--c", "1", "--delta", "1"],
+    ["hopf", "--c", "1", "--delta", "0.25"],
+]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert [main(a) for a in argvs] == [0, 0, 0, 0]
+assert out.getvalue().count("P2: unstable-focus") == 2, out.getvalue()
+for p in (k.Params(0.5, 1.0, 0.25), k.Params(F(3, 10), F(1), F(1, 4)), k.Params(F(3, 5), F(1), F(1, 4))):
+    k.classify_case(p), k.finite_singular_points(p), k.family_infinite_points(p)
+    k.dulac_check(p), k.uniqueness_check(p)
+    k.hopf_analysis(p.c, p.delta), k.lyapunov_procedural(p.c, p.delta)
+assert "numpy" not in sys.modules, "the analysis path loaded numpy"
+k.polyline_hausdorff([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)])
+assert "numpy" in sys.modules, "the control did not load numpy"
+print("ok")
+"""
+
+
+def test_analysis_path_runs_without_numpy():
+    # pytest has imported numpy already, so the check needs a fresh interpreter
+    src = str(Path(kportrait.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr

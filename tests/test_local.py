@@ -51,6 +51,31 @@ def test_classify_hyperbolic_kinds():
     assert classify_hyperbolic([[-0.01, -0.5], [0.5, -0.01]]) == "stable-focus"
 
 
+def numpy_kind(m):
+    """Reference classification from numpy's general eigenvalue solver."""
+    w = np.linalg.eigvals(np.asarray(m, dtype=float))
+    if abs(w[0].imag) > 0:
+        return "unstable-focus" if w[0].real > 0 else "stable-focus"
+    re = sorted(w.real)
+    if re[0] < 0 < re[1]:
+        return "saddle"
+    return "unstable-node" if re[0] > 0 else "stable-node"
+
+
+def test_classify_hyperbolic_matches_numpy_reference():
+    rng = np.random.default_rng(59)
+    checked = 0
+    while checked < 1000:
+        m = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-3, 3)
+        w = np.linalg.eigvals(m)
+        gap = 1e-6 * np.linalg.norm(m, np.inf)
+        # well outside the zero band and off the real/complex boundary
+        if any(abs(z) <= gap or abs(z.real) <= gap or 0 < abs(z.imag) <= gap for z in w):
+            continue
+        checked += 1
+        assert classify_hyperbolic(m.tolist()) == numpy_kind(m), m
+
+
 def test_classify_hyperbolic_rejects_zero_band():
     with pytest.raises(NonHyperbolicError):
         classify_hyperbolic([[0.0, -1.0], [1.0, 0.0]])
@@ -135,7 +160,7 @@ def test_hopf_eigenvector_normalisation():
 
 def test_kuznetsov_eigenproblem_residual():
     kd = _kuznetsov_data(1.0, 0.25)
-    a, q, w = kd["jacobian"], kd["q"], kd["omega"]
+    a, q, w = np.array(kd["jacobian"]), np.array(kd["q"]), kd["omega"]
     assert np.linalg.norm(a @ q - 1j * w * q) <= 1e-12 * np.linalg.norm(q)
 
 

@@ -18,7 +18,7 @@ from kportrait import (
     jacobian,
     vector_field,
 )
-from kportrait.model import _signs
+from kportrait.model import _signs, _sorted_eig
 
 
 def random_params(rng, lo=0.05, hi=5.0):
@@ -69,6 +69,44 @@ def test_jacobian_at_axial_points():
     j1 = np.asarray(jacobian(p, (1.0, 0.0)), dtype=float)
     eig = sorted(np.linalg.eigvals(j1).real)
     assert eig == pytest.approx([-1.5, 0.625])
+
+
+def test_jacobian_is_nested_tuples_exact_for_rational_input():
+    exact = jacobian(Params(F(1, 2), F(1), F(1, 4)), (F(1, 6), F(5, 9)))
+    assert all(isinstance(v, F) for row in exact for v in row)
+    floats = jacobian(Params(0.5, 1.0, 0.25), (F(1, 6), F(5, 9)))
+    assert all(type(v) is float for row in floats for v in row)
+    assert [list(row) for row in floats] == [pytest.approx([float(v) for v in row]) for row in exact]
+
+
+def test_closed_form_eigenvalues_match_numpy_at_p2():
+    # the integrator's stop modes read only the signs of the real parts, so
+    # those and the realness must agree exactly, the values to 1e-12
+    rng = random.Random(71)
+    mats = []
+    while len(mats) < 500:
+        b, c, d = 10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1.5, 0.5)
+        p = Params(b, c, d)
+        if c > d and b * d < c - d:
+            mats.append(jacobian(p, interior_point(p)))
+    # exact points on A = 0 (case 7, trace 0), cast to float
+    for c, d in [(F(1), F(1, 4)), (F(2), F(1, 3)), (F(5, 2), F(7, 10)), (F(9), F(1, 20))]:
+        p = Params((c - d) / (c + d), c, d)
+        assert classify_case(p).case == 7
+        (p2,) = [q.location for q in finite_singular_points(p) if q.name == "P2"]
+        mats.append(tuple(tuple(float(v) for v in row) for row in jacobian(p, p2)))
+    # far out: (a-d)^2 overflows unscaled, and the smaller root is lost to
+    # cancellation unless it is taken as det over the larger
+    p = Params(1.5485431864783346e174, 1.1229562123685506e24, 1.3945112294371462e-253)
+    mats.append(jacobian(p, interior_point(p)))
+    for m in mats:
+        got = _sorted_eig(m)
+        want = sorted((complex(z) for z in np.linalg.eigvals(np.array(m))), key=lambda z: (z.real, z.imag))
+        norm = np.linalg.norm(np.array(m), np.inf)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * norm, (m, got, want)
+            assert (g.real > 0) - (g.real < 0) == (w.real > 0) - (w.real < 0), (m, got, want)
+            assert (g.imag == 0) == (w.imag == 0), (m, got, want)
 
 
 def test_jacobian_matches_finite_differences():
