@@ -4,83 +4,55 @@ Classification of the parameter space, Poincare compactification and
 blow-up of the points at infinity, Hopf analysis with the first Lyapunov
 coefficient, return-map limit-cycle detection, and SVG/JSON portrait
 output on the positive quarter of the Poincare disc.
+
+``model`` and ``compactify``, which every path loads, are imported with the
+package.  The names of ``local``, ``numerics`` and ``portrait`` are imported
+on first use (PEP 562), so a command loads only the modules it calls.
 """
 
-from .compactify import (
-    BlowupSystem,
-    ChartDomainError,
-    ChartSystem,
-    InfinitePoint,
-    PolySystem,
-    SectorData,
-    blowup_horizontal,
-    chart_transition,
-    classify_blowup_origin,
-    compactify,
-    family_infinite_points,
-    family_system,
-    infinite_singular_points,
-)
-from .local import (
-    DulacReport,
-    HopfData,
-    IllConditionedError,
-    MultilinearForms,
-    NeedsHigherOrderError,
-    NonHyperbolicError,
-    UniquenessReport,
-    classify_hyperbolic,
-    classify_semihyperbolic,
-    dulac_check,
-    hopf_analysis,
-    lyapunov_procedural,
-    uniqueness_check,
-)
-from .model import (
-    AnalysisError,
-    CaseLabel,
-    Discriminants,
-    Params,
-    Point2,
-    SingularPoint,
-    classify_case,
-    discriminants,
-    finite_singular_points,
-    jacobian,
-    vector_field,
-)
-from .numerics import (
-    CycleResult,
-    GridSpec,
-    IntegrationFailure,
-    IntegratorConfig,
-    NoReturnError,
-    Orbit,
-    ScanEvidence,
-    StopEvent,
-    conjecture_scan,
-    cycle_amplitude,
-    cycle_loop,
-    detect_limit_cycle,
-    integrate,
-    interior_point,
-    point_polyline_distance,
-    polyline_hausdorff,
-    return_iterates,
-    return_map,
-    scan_to_csv,
-    separatrix_section_crossing,
-)
-from .portrait import (
-    DiscProjection,
-    HopfSummary,
-    OrbitTrace,
-    PortraitReport,
-    SvgStyle,
-    build_portrait,
-    render_svg,
-    report_to_dict,
-    write_report,
-)
+# the star import binds the function compactify over the submodule's name
+from .compactify import *  # noqa: F403
+from .model import *  # noqa: F403
+
+# Every public name, by home module; each module's own __all__ lists the same.
+_EXPORTS = {
+    "compactify": (
+        "BlowupSystem", "ChartDomainError", "ChartSystem", "InfinitePoint", "PolySystem", "SectorData",
+        "blowup_horizontal", "chart_transition", "classify_blowup_origin", "compactify",
+        "family_infinite_points", "family_system", "infinite_singular_points",
+    ),
+    "model": (
+        "AnalysisError", "CaseLabel", "Discriminants", "Params", "Point2", "SingularPoint",
+        "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",
+    ),
+    "local": (
+        "DulacReport", "HopfData", "IllConditionedError", "MultilinearForms", "NeedsHigherOrderError",
+        "NonHyperbolicError", "UniquenessReport", "classify_hyperbolic", "classify_semihyperbolic",
+        "dulac_check", "hopf_analysis", "lyapunov_procedural", "uniqueness_check",
+    ),
+    "numerics": (
+        "CycleResult", "GridSpec", "IntegrationFailure", "IntegratorConfig", "NoReturnError", "Orbit",
+        "ScanEvidence", "StopEvent", "conjecture_scan", "cycle_amplitude", "cycle_loop",
+        "detect_limit_cycle", "integrate", "interior_point", "point_polyline_distance",
+        "polyline_hausdorff", "return_iterates", "return_map", "scan_to_csv",
+        "separatrix_section_crossing",
+    ),
+    "portrait": (
+        "DiscProjection", "HopfSummary", "OrbitTrace", "PortraitReport", "SvgStyle", "build_portrait",
+        "render_svg", "report_to_dict", "write_report",
+    ),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            # __import__ rather than importlib.import_module, so -X importtime lists the
+            # module; the name is bound here, so the next access does not come back
+            value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

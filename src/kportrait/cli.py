@@ -11,18 +11,35 @@ import functools
 import sys
 from fractions import Fraction
 
-from .local import IllConditionedError, hopf_analysis, lyapunov_procedural
-from .model import AnalysisError, Params, classify_case, discriminants, finite_singular_points
-from .numerics import (
-    GridSpec,
-    IntegrationFailure,
-    IntegratorConfig,
-    NoReturnError,
-    conjecture_scan,
-    detect_limit_cycle,
-    scan_to_csv,
-)
-from .portrait import build_portrait, render_svg, write_report
+from .model import AnalysisError, IllConditionedError, IntegrationFailure, NoReturnError
+from .model import Params, classify_case, discriminants, finite_singular_points
+
+# The names the commands take from local, numerics and portrait.  They stay
+# attributes of this module, which tests and the bench tracer replace, but are
+# bound only when a command first needs them or on attribute access, so
+# classify runs on model alone.
+_LAZY = {
+    "local": ("hopf_analysis", "lyapunov_procedural"),
+    "numerics": ("GridSpec", "IntegratorConfig", "conjecture_scan", "detect_limit_cycle", "scan_to_csv"),
+    "portrait": ("build_portrait", "render_svg", "write_report"),
+}
+
+
+def _load(module: str) -> None:
+    """Import ``module`` and bind its names of ``_LAZY`` here; a name already
+    bound, such as a stub set on this module, is kept."""
+    # __import__ rather than importlib.import_module, so -X importtime lists the module
+    home = __import__(f"{__package__}.{module}", fromlist=_LAZY[module])
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @functools.cache
@@ -111,6 +128,7 @@ def _cmd_classify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> in
 
 
 def _cmd_hopf(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
+    _load("local")
     c = _parse_value(parser, "c", ns.c, False)
     d = _parse_value(parser, "delta", ns.delta, False)
     if c <= 0 or d <= 0:
@@ -133,6 +151,7 @@ def _cmd_hopf(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
 
 
 def _cmd_cycle(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
+    _load("numerics")
     p = _params(parser, ns)
     res = detect_limit_cycle(p)
     if res.found:
@@ -147,6 +166,7 @@ def _cmd_cycle(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
 
 
 def _cmd_portrait(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
+    _load("portrait")
     p = _params(parser, ns)
     report = build_portrait(p)
     print(
@@ -187,6 +207,7 @@ def _parse_grid(parser: argparse.ArgumentParser, text: str) -> GridSpec:
 
 
 def _cmd_scan(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
+    _load("numerics")
     grid = _parse_grid(parser, ns.grid)
     if ns.jobs < 1:
         parser.error("--jobs must be at least 1")

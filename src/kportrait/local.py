@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .compactify import PolySystem, family_system
-from .model import AnalysisError, Number, Params, _ab, _in_range, _is_exact, _p2_location, _sorted_eig
+from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
+from .model import _p2_location, _sorted_eig
 
 __all__ = [
     "NonHyperbolicError",
@@ -57,10 +58,6 @@ class NonHyperbolicError(ValueError):
 
 class NeedsHigherOrderError(ValueError):
     """The second-order centre-manifold reduction is degenerate."""
-
-
-class IllConditionedError(RuntimeError):
-    """The Hopf eigenproblem residual exceeded tolerance."""
 
 
 def _eig_band(j) -> tuple[tuple[complex, complex], float]:
@@ -221,10 +218,16 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
             raise AnalysisError(f"eigenvalues at b={b} are not a complex pair")
         return float(b) * math.sqrt(val) / (2 * (cf - df) ** 2)
 
-    dmu = -df / (2 * (cf - df))
+    def scales(b: float, c: float, d: float) -> tuple[float, float, float, float]:
+        w = omega_at(b)
+        return w, -d / (2 * (c - d)), -(c + d) / (2 * d), 1.0 / (2.0 * w)
+
+    # w, dmu/db and p = (-(c+d)/(2d), i/(2w)) must be nonzero doubles for <p, q> = 1 to mean anything
+    w, dmu, p1, p2 = _in_range(scales, b0f, cf, df)
+    if not (w and dmu):
+        raise AnalysisError(f"float arithmetic leaves the range of doubles at (b, c, delta) = {(b0f, cf, df)}")
     x2 = df / (cf + df)
     y2 = cf * cf / (cf + df) ** 2
-    w = omega_at(b0f)
 
     gamma = df * df / (cf + df) ** 2
     g20 = complex(gamma - df * (cf - df) / (cf + df), -w)
@@ -233,9 +236,8 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     ell1 = -gamma / w
 
     q = (complex(-df / (cf + df), 0.0), complex(0.0, w))
-    # p solves A^T p = -i w p with <p, q> = 1; in closed form
-    # p = (-(c+d)/(2d), i/(2w)).
-    p = (complex(-(cf + df) / (2 * df), 0.0), complex(0.0, 1.0 / (2.0 * w)))
+    # p solves A^T p = -i w p with <p, q> = 1
+    p = (complex(p1, 0.0), complex(0.0, p2))
     ip = _vdot(p, q)
     if abs(ip - 1.0) > 1e-12:
         raise IllConditionedError(f"<p, q> = {ip} deviates from 1")

@@ -12,6 +12,11 @@ relative epsilon band otherwise; the band keeps measure-zero boundary
 surfaces from being misread as open-region cases.  Eigenvalues of 2x2
 Jacobians come from one closed form, :func:`_sorted_eig`, so the analysis
 runs on the standard library alone.
+
+This bottom layer, which every path loads, also declares the errors that the
+CLI maps to exit 1: :class:`AnalysisError`, and the ``IllConditionedError``,
+``NoReturnError`` and ``IntegrationFailure`` that ``local`` and ``numerics``
+raise and export.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
+
+if TYPE_CHECKING:
+    from .numerics import Orbit
 
 __all__ = [
-    "ZERO_BAND",
     "AnalysisError",
     "Params",
     "Point2",
@@ -46,6 +53,26 @@ ZERO_BAND = 1e-12
 
 class AnalysisError(ValueError):
     """The parameters lie outside what this analysis covers."""
+
+
+class IllConditionedError(RuntimeError):
+    """The Hopf eigenproblem residual exceeded tolerance."""
+
+
+class IntegrationFailure(RuntimeError):
+    """Step-size underflow or sample-budget exhaustion; carries the partial orbit."""
+
+    def __init__(self, message: str, orbit: "Orbit"):
+        super().__init__(message)
+        self.orbit = orbit
+
+
+class NoReturnError(RuntimeError):
+    """The orbit converged or escaped before recrossing the section."""
+
+    def __init__(self, message: str, orbit: Optional["Orbit"] = None):
+        super().__init__(message)
+        self.orbit = orbit
 
 
 def _is_exact(*vals: Number) -> bool:

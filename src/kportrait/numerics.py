@@ -23,8 +23,8 @@ from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .compactify import chart_transition
-from .model import AnalysisError, Params, Point2, _in_range, _p2_location
-from .model import classify_case, finite_singular_points
+from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, Point2, _in_range
+from .model import _p2_location, classify_case, finite_singular_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,22 +85,6 @@ _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
 _CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to U1 or U2
 _EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
 _SETUP_CACHE_SIZE = 32  # stop tables kept; a parameter set needs one per time direction
-
-
-class IntegrationFailure(RuntimeError):
-    """Step-size underflow or sample-budget exhaustion; carries the partial orbit."""
-
-    def __init__(self, message: str, orbit: "Orbit"):
-        super().__init__(message)
-        self.orbit = orbit
-
-
-class NoReturnError(RuntimeError):
-    """The orbit converged or escaped before recrossing the section."""
-
-    def __init__(self, message: str, orbit: Optional["Orbit"] = None):
-        super().__init__(message)
-        self.orbit = orbit
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def test_hopf_analysis_failure_is_exit_1(capsys):
 def test_ill_conditioned_hopf_is_exit_1(capsys):
     # trace^2 > 4 det at b0 in floats: the trace is rounding residue
     code, out, err = run(
-        capsys, "hopf", "--c", "2.961503700683393e+70", "--delta", "3.110359770482965e+58"
+        capsys, "hopf", "--c", "3.7802802784996394e+57", "--delta", "2.461851146874583e+47"
     )
     assert code == 1
     assert out == "" and err.startswith("error:") and "no complex pair" in err
@@ -114,6 +114,9 @@ def test_classify_float_overflow_is_exit_1(capsys):
         ("hopf", "--c", "1e200", "--delta", "1"),
         ("cycle", "--b", "1e-300", "--c", "1e200", "--delta", "1"),
         ("classify", "--b", "1e-300", "--c", "1e-300", "--delta", "1e-310"),
+        # at b0, p = (-(c+delta)/(2 delta), i/(2 omega)) overflows; then omega does
+        ("hopf", "--c", "2.6004607454220134e+53", "--delta", "2.7284730497909304e-263"),
+        ("hopf", "--c", "2.961503700683393e+70", "--delta", "3.110359770482965e+58"),
     ],
 )
 def test_float_range_errors_are_exit_1(capsys, args):
@@ -214,11 +217,57 @@ print("ok")
 """
 
 
-def test_analysis_path_runs_without_numpy():
-    # pytest has imported numpy already, so the check needs a fresh interpreter
+def _run_fresh(script):
     src = str(Path(kportrait.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_analysis_path_runs_without_numpy():
+    # pytest has imported numpy already, so the check needs a fresh interpreter
+    _run_fresh(NUMPY_FREE_SCRIPT)
+
+
+LAZY_LOAD_SCRIPT = """
+import contextlib, io, sys
+import kportrait
+
+def loaded():
+    return {m for m in ("local", "numerics", "portrait") if "kportrait." + m in sys.modules}
+
+assert loaded() == set(), loaded()
+from kportrait.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["classify", "--b", "0.5", "--c", "1", "--delta", "0.25"]) == 0
+    assert main(["classify", "--exact", "--b", "3/10", "--c", "1", "--delta", "1/4"]) == 0
+    assert loaded() == set(), loaded()
+    assert main(["hopf", "--c", "1", "--delta", "0.25"]) == 0
+assert loaded() == {"local"}, loaded()
+kportrait.build_portrait
+assert loaded() == {"local", "numerics", "portrait"}, loaded()
+assert kportrait.compactify is sys.modules["kportrait.compactify"].compactify
+print("ok")
+"""
+
+
+def test_each_command_loads_only_the_modules_it_calls():
+    _run_fresh(LAZY_LOAD_SCRIPT)
+
+
+def test_lazy_exports_resolve_to_their_home_objects():
+    import importlib
+
+    for module in ("compactify", "model", "local", "numerics", "portrait"):
+        home = importlib.import_module(f"kportrait.{module}")
+        assert set(home.__all__) <= set(kportrait.__all__), module
+    homes = {name: module for module, names in kportrait._EXPORTS.items() for name in names}
+    assert sorted(homes) == sorted(kportrait.__all__)
+    for name, module in homes.items():
+        assert getattr(kportrait, name) is getattr(importlib.import_module(f"kportrait.{module}"), name), name
+    assert set(kportrait.__all__) <= set(vars(kportrait)), "a resolved name was not cached"
+    assert not hasattr(kportrait, "no_such_name")
+    # importing the submodules that import compactify leaves the package name
+    # compactify bound to the function, not to its submodule
+    importlib.import_module("kportrait.local"), importlib.import_module("kportrait.numerics")
+    assert kportrait.compactify is importlib.import_module("kportrait.compactify").compactify
