@@ -22,7 +22,7 @@ _EXPORTS = {
         "family_infinite_points", "family_system", "infinite_singular_points",
     ),
     "model": (
-        "AnalysisError", "CaseLabel", "Discriminants", "Params", "Point2", "SingularPoint",
+        "AnalysisError", "CaseLabel", "Discriminants", "Params", "SingularPoint",
         "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",
     ),
     "local": (
@@ -32,14 +32,14 @@ _EXPORTS = {
     ),
     "numerics": (
         "CycleResult", "GridSpec", "IntegrationFailure", "IntegratorConfig", "NoReturnError", "Orbit",
-        "ScanEvidence", "StopEvent", "conjecture_scan", "cycle_amplitude", "cycle_loop",
+        "ScanEvidence", "conjecture_scan", "cycle_amplitude", "cycle_loop",
         "detect_limit_cycle", "integrate", "interior_point", "point_polyline_distance",
         "polyline_hausdorff", "return_iterates", "return_map", "scan_to_csv",
         "separatrix_section_crossing",
     ),
     "portrait": (
-        "DiscProjection", "HopfSummary", "OrbitTrace", "PortraitReport", "SvgStyle", "build_portrait",
-        "render_svg", "report_to_dict", "write_report",
+        "HopfSummary", "OrbitTrace", "PortraitReport", "build_portrait", "render_svg", "report_to_dict",
+        "write_report",
     ),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

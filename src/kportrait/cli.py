@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .model import AnalysisError, IllConditionedError, IntegrationFailure, NoReturnError
-from .model import Params, classify_case, discriminants, finite_singular_points
+from .model import Params, _check_parameter, classify_case, discriminants, finite_singular_points
 
 # The names the commands take from local, numerics and portrait.  They stay
 # attributes of this module, which tests and the bench tracer replace, but are
@@ -93,21 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_value(parser: argparse.ArgumentParser, name: str, text: str, exact: bool):
+    """The number ``text``, held to the rule of :class:`Params`: finite and positive."""
     try:
-        return Fraction(text) if exact else float(text)
+        value = Fraction(text) if exact else float(text)
     except (ValueError, ZeroDivisionError):
         parser.error(f"argument --{name}: invalid number {text!r}")
+    try:
+        _check_parameter(name, value)
+    except ValueError as err:
+        parser.error(str(err))
+    return value
 
 
 def _params(parser: argparse.ArgumentParser, ns: argparse.Namespace, exact: bool = False) -> Params:
-    b = _parse_value(parser, "b", ns.b, exact)
-    c = _parse_value(parser, "c", ns.c, exact)
-    d = _parse_value(parser, "delta", ns.delta, exact)
-    try:
-        return Params(b, c, d)
-    except ValueError as err:
-        parser.error(str(err))
-        raise AssertionError("unreachable")
+    return Params(*(_parse_value(parser, name, getattr(ns, name), exact) for name in ("b", "c", "delta")))
 
 
 def _cmd_classify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
@@ -131,8 +130,6 @@ def _cmd_hopf(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> int:
     _load("local")
     c = _parse_value(parser, "c", ns.c, False)
     d = _parse_value(parser, "delta", ns.delta, False)
-    if c <= 0 or d <= 0:
-        parser.error("c and delta must be positive")
     hd = hopf_analysis(c, d)
     ell1_proc = lyapunov_procedural(c, d)
     b0 = float(hd.b0)
@@ -170,7 +167,7 @@ def _cmd_portrait(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> in
     p = _params(parser, ns)
     report = build_portrait(p)
     print(
-        f"portrait {report.portrait_letter} [{report.status}] "
+        f"portrait {report.label.portrait} [{report.label.status}] "
         f"(case {report.label.case}, region {report.label.region})"
     )
     for w in report.warnings:

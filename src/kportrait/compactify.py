@@ -57,10 +57,6 @@ def _add_term(terms: Terms, key: tuple[int, int], coeff: Number) -> None:
         terms[key] = c
 
 
-def _terms_to_table(terms: Terms, size: int) -> tuple[tuple[Number, ...], ...]:
-    return tuple(tuple(terms.get((i, j), 0) for j in range(size)) for i in range(size))
-
-
 def _eval_terms(terms: Terms, x: Number, y: Number) -> Number:
     total: Number = 0
     for (i, j), coeff in terms.items():
@@ -129,7 +125,7 @@ class PolySystem:
     The constructor copies both term maps into canonical form (zeros dropped,
     keys ascending by (i, j)), so every sum over the terms runs in one order.
     ``terms_p()`` maps (i, j) to the coefficient of x^i y^j in the first
-    component; ``coeffs_p[i][j]`` is the same data as a dense table.
+    component, ``terms_q()`` the same for the second.
     """
 
     _p: Terms
@@ -152,14 +148,6 @@ class PolySystem:
     @property
     def degree(self) -> int:
         return max((i + j for terms in (self._p, self._q) for (i, j) in terms), default=0)
-
-    @property
-    def coeffs_p(self) -> tuple[tuple[Number, ...], ...]:
-        return _terms_to_table(self._p, self.degree + 1)
-
-    @property
-    def coeffs_q(self) -> tuple[tuple[Number, ...], ...]:
-        return _terms_to_table(self._q, self.degree + 1)
 
     def coeff_p(self, i: int, j: int) -> Number:
         return self._p.get((i, j), 0)

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .compactify import PolySystem, family_system
 from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
-from .model import _p2_location, _sorted_eig
+from .model import _p2_location, _signs, _sorted_eig
 
 __all__ = [
     "NonHyperbolicError",
@@ -343,8 +343,9 @@ class DulacReport:
 
 
 def dulac_check(p: Params) -> DulacReport:
-    """The verdict is decided in the parameters' own arithmetic, so an exact
-    point on 1 + c - d - b - b*d = 0 is never misread as applicable."""
+    """The verdict follows the S2 sign of ``classify_case``: exact for rational
+    parameters, banded in floats, so a margin within the band of 0 is never
+    read as applicable."""
     margin = 1 + p.c - p.delta - p.b - p.b * p.delta
     b, c, d = float(p.b), float(p.c), float(p.delta)
 
@@ -353,7 +354,7 @@ def dulac_check(p: Params) -> DulacReport:
             raise ValueError("the multiplier 1/x needs x > 0")
         return 1 + c - d - 2 * x - b * (d + x) / x
 
-    applicable = margin < 0
+    applicable = _signs(p)[3] < 0
     return DulacReport(
         applicable=applicable,
         margin=float(margin),

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AnalysisError",
     "Params",
-    "Point2",
     "Discriminants",
     "SingularPoint",
     "CaseLabel",
@@ -79,6 +78,14 @@ def _is_exact(*vals: Number) -> bool:
     return all(isinstance(v, Rational) for v in vals)
 
 
+def _check_parameter(name: str, v: Number) -> None:
+    """The rule every parameter obeys: finite and strictly positive."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    if not v > 0:
+        raise ValueError(f"{name} must be positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Params:
     """The positive triple (b, c, delta) driving the whole analysis."""
@@ -89,11 +96,7 @@ class Params:
 
     def __post_init__(self) -> None:
         for name in ("b", "c", "delta"):
-            v = getattr(self, name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            _check_parameter(name, getattr(self, name))
 
     @property
     def is_exact(self) -> bool:
@@ -107,32 +110,6 @@ class Params:
         if not self.is_exact:
             raise ValueError("parameters are not rational")
         return Fraction(self.b), Fraction(self.c), Fraction(self.delta)
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A finite point of the phase plane."""
-
-    x: Number
-    y: Number
-
-    def __post_init__(self) -> None:
-        for v in (self.x, self.y):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"coordinates must be finite, got {v!r}")
-
-    def as_tuple(self) -> tuple[Number, Number]:
-        return (self.x, self.y)
-
-
-PointLike = Union[Point2, tuple, list]
-
-
-def _xy(pt: PointLike) -> tuple[Number, Number]:
-    if isinstance(pt, Point2):
-        return pt.x, pt.y
-    x, y = pt
-    return x, y
 
 
 @dataclass(frozen=True)
@@ -174,21 +151,21 @@ class CaseLabel:
     boundary: tuple[str, ...] = ()
 
 
-def vector_field(p: Params, pt: PointLike) -> tuple[Number, Number]:
-    """Evaluate the family field at ``pt``; exact when inputs are rational."""
-    x, y = _xy(pt)
+def vector_field(p: Params, pt) -> tuple[Number, Number]:
+    """Evaluate the family field at the point ``pt``; exact when inputs are rational."""
+    x, y = pt
     dx = x * (-x * x + (1 - p.b) * x - y + p.b)
     dy = y * ((p.c - p.delta) * x - p.delta * p.b)
     return dx, dy
 
 
-def jacobian(p: Params, pt: PointLike) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
-    """Partial-derivative matrix of the field at ``pt`` as nested row tuples.
+def jacobian(p: Params, pt) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
+    """Partial-derivative matrix of the field at the point ``pt`` as nested row tuples.
 
     Entries stay exact when both parameters and coordinates are rational and
     are floats otherwise.
     """
-    x, y = _xy(pt)
+    x, y = pt
     b, c, d = p.b, p.c, p.delta
     j11 = -3 * x * x + 2 * (1 - b) * x - y + b
     j12 = -x
@@ -250,7 +227,7 @@ def _signs(p: Params) -> tuple[int, int, int, int]:
         vals = scales = (math.inf,)
     # an overflow passes every band test and would read as a boundary case
     if not all(math.isfinite(v) for v in vals + scales):
-        raise AnalysisError(f"float arithmetic overflows for {p}; classify it exactly (--exact)")
+        raise AnalysisError(f"float arithmetic leaves the range of doubles for {p}; classify it exactly (--exact)")
     return tuple(
         0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
         for v, s in zip(vals, scales)

@@ -7,10 +7,12 @@ U2 for y) and integration continues on the family's closed-form field in
 that chart; in a chart the recorded ``time`` is the orbit parameter of the
 rescaled flow, which preserves orientation on v > 0.
 
-Section crossings are located by sign-change bisection on controlled
-sub-steps, so the event state carries one local error, not an interpolation
-error.  The section for return maps is the horizontal ray right of the
-interior equilibrium, where upward crossings are provably transversal.
+``integrate(..., section=y)`` stops an orbit at its first upward crossing
+of that horizontal line in the affine chart.  The crossing is located by
+bisection on controlled sub-steps, so the event state carries one local
+error, not an interpolation error.  The section for return maps is the
+horizontal ray right of the interior equilibrium, where upward crossings are
+provably transversal.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .compactify import chart_transition
-from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, Point2, _in_range
-from .model import _p2_location, classify_case, finite_singular_points
+from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, _in_range
+from .model import _p2_location, _signs, classify_case, finite_singular_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,7 +37,6 @@ __all__ = [
     "CycleResult",
     "ScanEvidence",
     "GridSpec",
-    "StopEvent",
     "IntegrationFailure",
     "NoReturnError",
     "integrate",
@@ -84,6 +85,7 @@ _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
 _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
 _CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to U1 or U2
 _EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
+_SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
 _SETUP_CACHE_SIZE = 32  # stop tables kept; a parameter set needs one per time direction
 
 
@@ -98,19 +100,6 @@ class IntegratorConfig:
         for name in ("abs_tol", "rel_tol", "max_step", "max_time"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class StopEvent:
-    """Scalar event on affine coordinates; a sign change stops the orbit.
-
-    ``direction`` +1 accepts only crossings from negative to non-negative,
-    -1 the opposite, 0 both.  Crossings before ``min_time`` are ignored.
-    """
-
-    fn: Callable[[float, float], float]
-    direction: int = 0
-    min_time: float = 0.0
 
 
 @dataclass
@@ -219,30 +208,22 @@ def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
     return f_affine
 
 
-def _sign_crossed(g0: float, g1: float, direction: int) -> bool:
-    if direction > 0:
-        return g0 < 0.0 <= g1
-    if direction < 0:
-        return g0 > 0.0 >= g1
-    return (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
-
-
-def _locate_event(rhs, event, x0, y0, t0, h, k1x, k1y):
-    """Bisect the crossing time inside an accepted step.
+def _locate_section(rhs, section, x0, y0, t0, h, k1x, k1y):
+    """Bisect the time at which an accepted step that starts below y = ``section``
+    reaches it.
 
     Each probe is a single controlled sub-step from the step start, so the
     located state carries one local truncation error rather than an
     interpolation error.
     """
-    g0 = event.fn(x0, y0)
     lo, hi = 0.0, h
     tol = _EVENT_TOL * max(1.0, abs(t0))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        xm, ym, _, _, _, _ = _dp_step(rhs, x0, y0, mid, k1x, k1y)
-        if _sign_crossed(g0, event.fn(xm, ym), event.direction):
+        _, ym, _, _, _, _ = _dp_step(rhs, x0, y0, mid, k1x, k1y)
+        if ym >= section:
             hi = mid
         else:
             lo = mid
@@ -255,24 +236,24 @@ def integrate(
     start,
     direction: str = "forward",
     cfg: Optional[IntegratorConfig] = None,
-    stop: Optional[StopEvent] = None,
+    section: Optional[float] = None,
 ) -> Orbit:
     """Adaptive trajectory of the family field from ``start``.
 
-    ``start`` must lie in the closed positive quadrant.  The orbit record
-    switches to the U1 or U2 chart beyond affine radius 10 and terminates on
-    max-time, convergence to an equilibrium, escape to infinity, a located
-    ``stop`` event, or the excluded neighbourhood of the degenerate point at
-    the top of the disc.
+    ``start`` must be a finite point of the closed positive quadrant.  The
+    orbit record switches to the U1 or U2 chart beyond affine radius 10 and
+    terminates on max-time, convergence to an equilibrium, escape to
+    infinity, the located first upward crossing of the line y = ``section``
+    in the affine chart after time 1e-9 (hit-section), or the excluded
+    neighbourhood of the degenerate point at the top of the disc.
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    if isinstance(start, Point2):
-        start = start.as_tuple()
     x, y = float(start[0]), float(start[1])
-    if x < 0 or y < 0:
-        raise ValueError(f"start {start} is outside the closed positive quadrant")
+    # the comparisons also reject nan
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise ValueError(f"start {start} is not a finite point of the closed positive quadrant")
     sgn = 1.0 if direction == "forward" else -1.0
     b, c, d = float(p.b), float(p.c), float(p.delta)
     equilibria = _stops(b, c, d, sgn)
@@ -288,7 +269,6 @@ def integrate(
     detail = ""
     r2_out = _CHART_SWITCH_RADIUS**2
     r2_in = (0.9 * _CHART_SWITCH_RADIUS) ** 2
-    g_prev = stop.fn(x, y) if stop is not None else None
 
     while True:
         if t >= cfg.max_time:
@@ -319,18 +299,11 @@ def integrate(
                 )
         tn = t + h
 
-        if stop is not None and chart == "affine":
-            g_new = stop.fn(xn, yn)
-            if (
-                g_prev is not None
-                and tn > stop.min_time
-                and _sign_crossed(g_prev, g_new, stop.direction)
-            ):
-                te, xe, ye = _locate_event(rhs, stop, x, y, t, h, k1x, k1y)
-                samples.append((te, "affine", (xe, ye)))
-                terminal = "hit-section"
-                break
-            g_prev = g_new
+        if section is not None and chart == "affine" and y < section <= yn and tn > _SECTION_MIN_TIME:
+            te, xe, ye = _locate_section(rhs, section, x, y, t, h, k1x, k1y)
+            samples.append((te, "affine", (xe, ye)))
+            terminal = "hit-section"
+            break
 
         x, y, t = xn, yn, tn
         k1x, k1y = k7x, k7y
@@ -375,7 +348,6 @@ def integrate(
             k1x, k1y = rhs(x, y)
             h = min(h, 0.05)
             switches += 1
-            g_prev = stop.fn(x, y) if stop is not None and chart == "affine" else None
         if switches > _MAX_SWITCHES:
             terminal = "chart-boundary-loop"
             break
@@ -385,14 +357,10 @@ def integrate(
 
 def interior_point(p: Params) -> tuple[float, float]:
     """Float coordinates of the interior equilibrium; AnalysisError when absent."""
-    b, c, d = float(p.b), float(p.c), float(p.delta)
-    if not (c > d and 0 < b * d < c - d):
+    # the case-2 sign of finite_singular_points, so both agree inside its zero band
+    if _signs(p)[0] >= 0:
         raise AnalysisError("no interior equilibrium for these parameters")
-    return _in_range(_p2_location, b, c, d, False)
-
-
-def _section_event(y2: float) -> StopEvent:
-    return StopEvent(fn=lambda _x, y: y - y2, direction=+1, min_time=1e-9)
+    return _in_range(_p2_location, float(p.b), float(p.c), float(p.delta), False)
 
 
 def return_map(
@@ -407,7 +375,7 @@ def return_map(
     x2, y2 = interior_point(p)
     if not x > x2:
         raise ValueError(f"section abscissa must exceed {x2}, got {x}")
-    orbit = integrate(p, (x, y2), "forward", cfg, stop=_section_event(y2))
+    orbit = integrate(p, (x, y2), "forward", cfg, section=y2)
     if orbit.terminal != "hit-section":
         raise NoReturnError(
             f"orbit did not recross the section ({orbit.terminal} {orbit.detail})".strip(),
@@ -443,7 +411,7 @@ def separatrix_section_crossing(
     # an interior point exists only where P1 has an unstable direction
     _, y2 = interior_point(p)
     start = _p1_separatrix_start(p)
-    orbit = integrate(p, start, "forward", cfg, stop=_section_event(y2))
+    orbit = integrate(p, start, "forward", cfg, section=y2)
     if orbit.terminal != "hit-section":
         raise NoReturnError(
             f"separatrix did not reach the section ({orbit.terminal})", orbit
@@ -567,7 +535,7 @@ def cycle_loop(
         raise ValueError("no cycle to sample")
     cfg = replace(cfg or IntegratorConfig(), max_step=_LOOP_MAX_STEP)
     _, y2 = interior_point(p)
-    orbit = integrate(p, (cycle.section_x, y2), "forward", cfg, stop=_section_event(y2))
+    orbit = integrate(p, (cycle.section_x, y2), "forward", cfg, section=y2)
     if orbit.terminal != "hit-section":
         raise NoReturnError("cycle sampling failed to close the loop", orbit)
     return orbit.affine_points()

@@ -45,11 +45,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DiscProjection",
     "OrbitTrace",
     "HopfSummary",
     "PortraitReport",
-    "SvgStyle",
     "build_portrait",
     "render_svg",
     "write_report",
@@ -58,14 +56,20 @@ __all__ = [
 
 _THIN_TO = 600  # most points stored per orbit trace and cycle loop
 
+# SVG canvas side and margin in pixels, glyph radius and stroke colours
+_SIZE = 640
+_MARGIN = 48.0
+_POINT_SIZE = 5.0
+_ORBIT_COLOR = "#4477aa"
+_SEPARATRIX_COLOR = "#111111"
+_CYCLE_COLOR = "#cc3311"
+_SKELETON_COLOR = "#000000"
 
-@dataclass(frozen=True)
-class DiscProjection:
-    """Projection of the affine quadrant into the closed quarter disc."""
 
-    def project(self, x: float, y: float) -> tuple[float, float]:
-        r = math.sqrt(1.0 + x * x + y * y)
-        return x / r, y / r
+def _project(x: float, y: float) -> tuple[float, float]:
+    """The affine quadrant into the closed quarter disc: (x, y) / sqrt(1 + x^2 + y^2)."""
+    r = math.sqrt(1.0 + x * x + y * y)
+    return x / r, y / r
 
 
 @dataclass
@@ -105,8 +109,6 @@ class PortraitReport:
     separatrices: list[OrbitTrace]
     representatives: list[OrbitTrace]
     cycle_points: Optional[np.ndarray]
-    portrait_letter: str
-    status: str
     warnings: list[str]
 
 
@@ -275,36 +277,21 @@ def build_portrait(
         separatrices=separatrices,
         representatives=rep_traces,
         cycle_points=None if cycle_pts is None else _thin(cycle_pts, _THIN_TO),
-        portrait_letter=label.portrait,
-        status=label.status,
         warnings=warnings,
     )
-
-
-@dataclass(frozen=True)
-class SvgStyle:
-    size: int = 640
-    margin: float = 48.0
-    orbit_color: str = "#4477aa"
-    separatrix_color: str = "#111111"
-    cycle_color: str = "#cc3311"
-    skeleton_color: str = "#000000"
-    point_size: float = 5.0
 
 
 def _fmt_px(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
+def render_svg(report: PortraitReport) -> str:
     """Deterministic SVG 1.1 document of the quarter-disc portrait."""
-    st = style or SvgStyle()
-    proj = DiscProjection()
-    scale = st.size - 2.0 * st.margin
+    scale = _SIZE - 2.0 * _MARGIN
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        dx, dy = proj.project(float(x), float(y))
-        return st.margin + dx * scale, st.size - st.margin - dy * scale
+        dx, dy = _project(float(x), float(y))
+        return _MARGIN + dx * scale, _SIZE - _MARGIN - dy * scale
 
     def polyline(points, cls: str) -> str:
         if len(points) < 2:
@@ -335,7 +322,7 @@ def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
 
     def glyph(name: str, kind: str, x: float, y: float) -> str:
         px, py = to_px(x, y)
-        r = st.point_size
+        r = _POINT_SIZE
         title = f"<title>{name}: {kind}</title>"
         if kind == "saddle":
             return (
@@ -375,21 +362,21 @@ def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{st.size}" height="{st.size}" viewBox="0 0 {st.size} {st.size}">'
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">'
     )
     parts.append(
         "<desc>Positive quarter of the Poincare disc; the arc is the image of infinity.</desc>"
     )
     parts.append(
         "<style>"
-        f"polyline{{fill:none;stroke:{st.orbit_color};stroke-width:1.1}}"
-        f"polyline.separatrix{{stroke:{st.separatrix_color};stroke-width:2.0}}"
-        f"polyline.axis{{stroke:{st.skeleton_color};stroke-width:2.0}}"
-        f"polyline.cycle{{stroke:{st.cycle_color};stroke-width:2.4}}"
-        f"polyline.skeleton{{stroke:{st.skeleton_color};stroke-width:1.6}}"
-        f"path.skeleton{{fill:none;stroke:{st.skeleton_color};stroke-width:1.6}}"
+        f"polyline{{fill:none;stroke:{_ORBIT_COLOR};stroke-width:1.1}}"
+        f"polyline.separatrix{{stroke:{_SEPARATRIX_COLOR};stroke-width:2.0}}"
+        f"polyline.axis{{stroke:{_SKELETON_COLOR};stroke-width:2.0}}"
+        f"polyline.cycle{{stroke:{_CYCLE_COLOR};stroke-width:2.4}}"
+        f"polyline.skeleton{{stroke:{_SKELETON_COLOR};stroke-width:1.6}}"
+        f"path.skeleton{{fill:none;stroke:{_SKELETON_COLOR};stroke-width:1.6}}"
         f".pt circle,.pt line,.pt rect,.pt path{{stroke:#000000;stroke-width:1.4}}"
-        f".arrow{{fill:{st.orbit_color};stroke:none}}"
+        f".arrow{{fill:{_ORBIT_COLOR};stroke:none}}"
         "text{font-family:monospace;font-size:13px}"
         "text.status-conjectured{fill:#aa3300;font-weight:bold}"
         "</style>"
@@ -397,16 +384,16 @@ def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
 
     # skeleton: the two axes and the arc at infinity
     ox, oy = to_px(0.0, 0.0)
-    xe, ye = st.margin + scale, st.size - st.margin
+    xe, ye = _MARGIN + scale, _SIZE - _MARGIN
     parts.append(
         f'<polyline class="skeleton" points="{_fmt_px(ox)},{_fmt_px(oy)} {_fmt_px(xe)},{_fmt_px(ye)}" />'
     )
     parts.append(
-        f'<polyline class="skeleton" points="{_fmt_px(ox)},{_fmt_px(oy)} {_fmt_px(st.margin)},{_fmt_px(st.size - st.margin - scale)}" />'
+        f'<polyline class="skeleton" points="{_fmt_px(ox)},{_fmt_px(oy)} {_fmt_px(_MARGIN)},{_fmt_px(_SIZE - _MARGIN - scale)}" />'
     )
     parts.append(
         f'<path class="skeleton" d="M {_fmt_px(xe)} {_fmt_px(ye)} '
-        f'A {_fmt_px(scale)} {_fmt_px(scale)} 0 0 0 {_fmt_px(st.margin)} {_fmt_px(st.size - st.margin - scale)}" />'
+        f'A {_fmt_px(scale)} {_fmt_px(scale)} 0 0 0 {_fmt_px(_MARGIN)} {_fmt_px(_SIZE - _MARGIN - scale)}" />'
     )
 
     for tr in report.representatives:
@@ -423,9 +410,9 @@ def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
     for q in report.infinite_points:
         name = "O1" if q.chart == "U1" else "O2"
         if q.chart == "U1":
-            px, py = st.margin + scale, st.size - st.margin
+            px, py = _MARGIN + scale, _SIZE - _MARGIN
         else:
-            px, py = st.margin, st.size - st.margin - scale
+            px, py = _MARGIN, _SIZE - _MARGIN - scale
         kind = q.kind
         title = f"{name}: {kind}"
         if q.sector_data is not None:
@@ -437,21 +424,22 @@ def render_svg(report: PortraitReport, style: Optional[SvgStyle] = None) -> str:
         parts.append(
             f'<g class="pt infinite" data-name="{name}" data-kind="{kind}">'
             f"<title>{title}</title>"
-            f'<circle cx="{_fmt_px(px)}" cy="{_fmt_px(py)}" r="{_fmt_px(st.point_size)}" fill="{fill}"/>'
+            f'<circle cx="{_fmt_px(px)}" cy="{_fmt_px(py)}" r="{_fmt_px(_POINT_SIZE)}" fill="{fill}"/>'
             "</g>"
         )
 
     cap1 = f"b={float(p.b):.6g} c={float(p.c):.6g} delta={float(p.delta):.6g}"
     cap2 = (
         f"case {report.label.case} (region {report.label.region}) "
-        f"portrait {report.portrait_letter}"
+        f"portrait {report.label.portrait}"
     )
-    parts.append(f'<text x="{_fmt_px(st.margin)}" y="20">{cap1}</text>')
-    parts.append(f'<text x="{_fmt_px(st.margin)}" y="36">{cap2}</text>')
-    status_cls = "status-conjectured" if report.status == "conjectured" else "status-proven"
+    parts.append(f'<text x="{_fmt_px(_MARGIN)}" y="20">{cap1}</text>')
+    parts.append(f'<text x="{_fmt_px(_MARGIN)}" y="36">{cap2}</text>')
+    status = report.label.status
+    status_cls = "status-conjectured" if status == "conjectured" else "status-proven"
     parts.append(
-        f'<text class="{status_cls}" x="{_fmt_px(st.size - st.margin - 140)}" y="20">'
-        f"{report.status.upper()}</text>"
+        f'<text class="{status_cls}" x="{_fmt_px(_SIZE - _MARGIN - 140)}" y="20">'
+        f"{status.upper()}</text>"
     )
     parts.append("</svg>")
     return "\n".join(s for s in parts if s)
@@ -550,8 +538,8 @@ def report_to_dict(report: PortraitReport) -> dict:
         "cycle_points": None
         if report.cycle_points is None
         else [[float(x), float(y)] for x, y in report.cycle_points],
-        "portrait": report.portrait_letter,
-        "status": report.status,
+        "portrait": report.label.portrait,
+        "status": report.label.status,
         "warnings": list(report.warnings),
     }
 

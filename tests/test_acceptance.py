@@ -243,17 +243,17 @@ def test_criterion_7_conjecture_scan():
 @criterion(8, "portrait topology per proven region: limit-set bookkeeping")
 def test_criterion_8_portrait_topology():
     rep = build_portrait(Params(2.0, 1.0, 1.0))  # region I
-    assert rep.portrait_letter == "A" and rep.status == "proven"
+    assert (rep.label.portrait, rep.label.status) == ("A", "proven")
     for tr in rep.representatives:
         assert tr.alpha_limit == "O1" and tr.omega_limit == "P1"
 
     rep = build_portrait(Params(2.0, 1.0, 0.2))  # region II-a
-    assert rep.portrait_letter == "C" and rep.status == "proven"
+    assert (rep.label.portrait, rep.label.status) == ("C", "proven")
     for tr in rep.representatives:
         assert tr.omega_limit == "P2"
 
     rep = build_portrait(Params(0.5, 1.0, 0.25))  # region III
-    assert rep.portrait_letter == "B" and rep.status == "proven"
+    assert (rep.label.portrait, rep.label.status) == ("B", "proven")
     assert rep.cycle is not None and rep.cycle.found
     for tr in rep.representatives:
         assert tr.omega_limit == "cycle"

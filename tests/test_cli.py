@@ -102,6 +102,16 @@ def test_hopf_warns_when_ell1_routes_disagree(capsys, c, delta, warns):
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "c, delta",
+    [("nan", "1"), ("inf", "1"), ("1", "nan"), ("1", "inf"), ("0", "1"), ("1", "-1")],
+)
+def test_hopf_holds_c_and_delta_to_the_params_rule(capsys, c, delta):
+    code, out, err = run(capsys, "hopf", "--c", c, "--delta", delta)
+    assert code == 2
+    assert out == "" and "usage" in err and ("finite" in err or "positive" in err)
+
+
 def test_classify_float_overflow_is_exit_1(capsys):
     code, _, err = run(capsys, "classify", "--b", "1e200", "--c", "1e200", "--delta", "1e200")
     assert code == 1

@@ -1,6 +1,7 @@
 """Equilibrium classification, Hopf pipeline, Dulac test, uniqueness conditions."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from kportrait import (
     Params,
     PolySystem,
     blowup_horizontal,
+    classify_case,
     classify_hyperbolic,
     classify_semihyperbolic,
     compactify,
@@ -228,6 +230,27 @@ def test_dulac_inconclusive_zone():
     assert rep.applicable is False
     assert rep.margin == 0.0
     assert rep.conclusion == "inconclusive"
+
+
+def test_dulac_follows_the_banded_s2_sign():
+    # the float image of that point: S2 to classify_case, so no proof either
+    p = Params(19 / 11, 1.0, 0.1)
+    assert (classify_case(p).region, classify_case(p).status) == ("S2", "conjectured")
+    rep = dulac_check(p)
+    assert (rep.applicable, rep.conclusion) == (False, "inconclusive")
+    assert rep.margin == 1 + 1.0 - 0.1 - 19 / 11 - 19 / 11 * 0.1 != 0.0  # reported as computed
+    # on portrait C the divergence test applies exactly when the label is proven
+    rng = random.Random(5)
+    for _ in range(100):
+        b, d = 1 + F(rng.randint(1, 30), rng.randint(1, 10)), F(rng.randint(1, 40), 40)
+        c = b + b * d + d - 1  # exact S2 point; b > 1 puts it in case 4, 6 or 7
+        exact = dulac_check(Params(b, c, d))
+        assert (exact.applicable, exact.margin, exact.conclusion) == (False, 0.0, "inconclusive")
+        cf = float(c) * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -9))
+        for q in (Params(b, c, d).as_float(), Params(float(b), cf, float(d))):
+            label = classify_case(q)
+            assert label.portrait == "C"
+            assert dulac_check(q).applicable == (label.status == "proven")
 
 
 def test_uniqueness_holds_in_cycle_zone():

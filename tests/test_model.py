@@ -9,7 +9,6 @@ import pytest
 from kportrait import (
     AnalysisError,
     Params,
-    Point2,
     classify_case,
     discriminants,
     finite_singular_points,
@@ -49,7 +48,6 @@ def test_vector_field_equilibria():
     p = Params(0.5, 1.0, 0.25)
     assert vector_field(p, (0.0, 0.0)) == (0.0, 0.0)
     assert vector_field(p, (1.0, 0.0)) == (0.0, 0.0)
-    assert vector_field(p, Point2(1.0, 0.0)) == (0.0, 0.0)
 
 
 def test_vector_field_vanishes_at_p2_exactly():

@@ -2,6 +2,7 @@
 
 import importlib
 import io
+import math
 import random
 from dataclasses import replace
 
@@ -9,17 +10,18 @@ import numpy as np
 import pytest
 
 from kportrait import (
+    AnalysisError,
     GridSpec,
     IntegratorConfig,
     NoReturnError,
     Params,
-    StopEvent,
     compactify,
     conjecture_scan,
     cycle_amplitude,
     cycle_loop,
     detect_limit_cycle,
     family_system,
+    finite_singular_points,
     integrate,
     interior_point,
     polyline_hausdorff,
@@ -123,6 +125,32 @@ def test_integrate_rejects_bad_start():
         integrate(P_CYCLE, (-0.1, 0.5))
     with pytest.raises(ValueError):
         integrate(P_CYCLE, (0.1, 0.5), "sideways")
+    for start in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(P_CYCLE, start)
+
+
+def test_interior_point_follows_the_case2_sign_of_finite_singular_points():
+    # one ulp below the case-2 surface b*delta = c - delta: the float band reads P1 = P2
+    p = Params(math.nextafter(3.0, 0.0), 1.0, 0.25)
+    assert [(q.name, q.kind) for q in finite_singular_points(p)] == [("P0", "saddle"), ("P1", "saddle-node")]
+    with pytest.raises(AnalysisError):
+        interior_point(p)
+    rng = random.Random(11)
+    in_band = 0
+    for _ in range(400):
+        b, d = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-2, 1)
+        # c near the case-2 surface c = delta*(1 + b), inside and outside the band, or anywhere
+        near = d * (1.0 + b) * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -9))
+        p = Params(b, rng.choice((near, 10 ** rng.uniform(-2, 1))), d)
+        points = {q.name: q.location for q in finite_singular_points(p)}
+        if "P2" in points:
+            assert interior_point(p) == points["P2"]
+        else:
+            in_band += 0 < b * d < p.c - d
+            with pytest.raises(AnalysisError):
+                interior_point(p)
+    assert in_band > 0  # the sample reaches points that the raw inequality misreads
 
 
 def test_stop_event_transversality():
@@ -322,12 +350,12 @@ def test_scan_deterministic_across_workers():
 
 
 def test_custom_stop_event():
-    # terminate on a vertical line crossing
-    ev = StopEvent(fn=lambda x, y: x - 0.4, direction=-1, min_time=0.0)
-    orbit = integrate(P_CYCLE, (0.9, 0.6), "forward", IntegratorConfig(max_time=60.0), stop=ev)
+    # a section line of the caller's choosing, reached from below
+    orbit = integrate(P_CYCLE, (0.9, 0.3), "forward", IntegratorConfig(max_time=60.0), section=0.6)
     assert orbit.terminal == "hit-section"
-    _, _, (x, _) = orbit.samples[-1]
-    assert abs(x - 0.4) <= 1e-8
+    _, chart, (_, y) = orbit.samples[-1]
+    assert chart == "affine" and abs(y - 0.6) <= 1e-8
+    assert orbit.samples[-2][2][1] < 0.6
 
 
 def test_chart_fields_equal_the_compactify_reference():

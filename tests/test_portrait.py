@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from kportrait import (
-    DiscProjection,
     Params,
-    SvgStyle,
     build_portrait,
     render_svg,
     report_to_dict,
     write_report,
 )
+from kportrait.portrait import _project
 
 
 @pytest.fixture(scope="module")
@@ -34,22 +33,21 @@ def report_c():
 
 
 def test_disc_projection_properties():
-    proj = DiscProjection()
     rng = np.random.default_rng(71)
     for _ in range(100):
         x, y = rng.uniform(0.0, 50.0, 2)
-        px, py = proj.project(x, y)
+        px, py = _project(x, y)
         assert 0.0 <= px < 1.0 and 0.0 <= py < 1.0
     # strictly increasing projected radius along rays, bounded by 1
     direction = np.array([0.6, 0.8])
-    radii = [math.hypot(*proj.project(*(direction * r))) for r in np.linspace(0.1, 200, 50)]
+    radii = [math.hypot(*_project(*(direction * r))) for r in np.linspace(0.1, 200, 50)]
     assert all(r1 > r0 for r0, r1 in zip(radii, radii[1:]))
     assert radii[-1] < 1.0
 
 
 def test_portrait_a_limits(report_a):
-    assert report_a.portrait_letter == "A"
-    assert report_a.status == "proven"
+    assert report_a.label.portrait == "A"
+    assert report_a.label.status == "proven"
     assert report_a.cycle is None
     for tr in report_a.representatives:
         assert tr.alpha_limit == "O1"
@@ -58,7 +56,7 @@ def test_portrait_a_limits(report_a):
 
 
 def test_portrait_b_limits(report_b):
-    assert report_b.portrait_letter == "B"
+    assert report_b.label.portrait == "B"
     assert report_b.cycle is not None and report_b.cycle.found
     assert report_b.cycle_points is not None
     for tr in report_b.representatives:
@@ -69,17 +67,22 @@ def test_portrait_b_limits(report_b):
 
 
 def test_portrait_c_limits(report_c):
-    assert report_c.portrait_letter == "C"
-    assert report_c.status == "proven"
+    assert report_c.label.portrait == "C"
+    assert report_c.label.status == "proven"
     for tr in report_c.representatives:
         assert tr.omega_limit == "P2"
     assert not any("mismatch" in w for w in report_c.warnings)
 
 
 def test_portrait_letter_matches_classification(report_a, report_b, report_c):
+    # the JSON report and the SVG caption carry the letter and status of the label
     for rep in (report_a, report_b, report_c):
-        assert rep.portrait_letter == rep.label.portrait
-        assert rep.status == rep.label.status
+        d = report_to_dict(rep)
+        assert (d["portrait"], d["status"]) == (rep.label.portrait, rep.label.status)
+        assert (d["case"]["portrait"], d["case"]["status"]) == (rep.label.portrait, rep.label.status)
+        doc = render_svg(rep)
+        assert f"portrait {rep.label.portrait}</text>" in doc
+        assert f"{rep.label.status.upper()}</text>" in doc
 
 
 def test_separatrix_bookkeeping(report_a, report_b):
@@ -96,8 +99,8 @@ def test_separatrix_bookkeeping(report_a, report_b):
 
 def test_conjectured_zone_report():
     rep = build_portrait(Params(0.1, 0.1, 0.09))
-    assert rep.portrait_letter == "C"
-    assert rep.status == "conjectured"
+    assert rep.label.portrait == "C"
+    assert rep.label.status == "conjectured"
     assert any("classification-sources-conflict" in w for w in rep.warnings)
 
 
@@ -138,11 +141,6 @@ def test_render_svg_conjectured_banner():
     doc = render_svg(rep)
     assert "CONJECTURED" in doc
     assert 'class="status-conjectured"' in doc
-
-
-def test_render_svg_custom_style(report_c):
-    doc = render_svg(report_c, SvgStyle(size=400, cycle_color="#00ff00"))
-    assert 'width="400"' in doc
 
 
 def test_report_schema_totality(report_a, report_b):
