@@ -113,14 +113,19 @@ def _cmd_classify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> in
     p = _params(parser, ns, exact=ns.exact)
     label = classify_case(p)
     disc = discriminants(p)
+    points = finite_singular_points(p)
+    try:  # the float image of an exact A or B may leave the range of doubles
+        a, b = float(disc.A), float(disc.B)
+    except OverflowError:
+        raise AnalysisError("the float image of A or B leaves the range of doubles") from None
     print(
         f"case {label.case} (region {label.region}): portrait {label.portrait} [{label.status}]"
     )
     if label.boundary:
         print("boundary: " + ", ".join(label.boundary))
-    print(f"A = {disc.A} ({float(disc.A)!r})")
-    print(f"B = {disc.B} ({float(disc.B)!r})")
-    for q in finite_singular_points(p):
+    print(f"A = {disc.A} ({a!r})")
+    print(f"B = {disc.B} ({b!r})")
+    for q in points:
         x, y = q.location
         print(f"{q.name}: {q.kind} at ({float(x)!r}, {float(y)!r})")
     return 0

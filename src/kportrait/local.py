@@ -24,7 +24,7 @@ from typing import Callable
 
 from .compactify import PolySystem, family_system
 from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
-from .model import _p2_location, _signs, _sorted_eig
+from .model import _sorted_eig
 
 __all__ = [
     "NonHyperbolicError",
@@ -197,7 +197,8 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     if not c > delta:
         raise AnalysisError("hopf analysis requires c > delta")
     if _is_exact(c, delta):
-        b0: Number = (Fraction(c) - Fraction(delta)) / (Fraction(c) + Fraction(delta))
+        cn, dn = int(c.numerator) * int(delta.denominator), int(delta.numerator) * int(c.denominator)
+        b0: Number = Fraction(cn - dn, cn + dn)
     else:
         b0 = (c - delta) / (c + delta)
     cf, df = float(c), float(delta)
@@ -346,7 +347,8 @@ def dulac_check(p: Params) -> DulacReport:
     """The verdict follows the S2 sign of ``classify_case``: exact for rational
     parameters, banded in floats, so a margin within the band of 0 is never
     read as applicable."""
-    margin = 1 + p.c - p.delta - p.b - p.b * p.delta
+    # int / int is correctly rounded, so exact input gives float() of the rational margin
+    margin = p._case_values[3] / p._lifted[3] ** 2
     b, c, d = float(p.b), float(p.c), float(p.delta)
 
     def delta_at(x: float, y: float) -> float:
@@ -354,7 +356,7 @@ def dulac_check(p: Params) -> DulacReport:
             raise ValueError("the multiplier 1/x needs x > 0")
         return 1 + c - d - 2 * x - b * (d + x) / x
 
-    applicable = _signs(p)[3] < 0
+    applicable = p._case_signs[3] < 0
     return DulacReport(
         applicable=applicable,
         margin=float(margin),
@@ -384,17 +386,17 @@ class UniquenessReport:
 
 
 def uniqueness_check(p: Params) -> UniquenessReport:
-    """Check conditions (i)-(iv) under the precondition 0 < b*d < c - d.
+    """Check conditions (i)-(iv) under the precondition 0 < b*d < c - d (the
+    case-2 sign of ``classify_case``, as for the interior point).
 
     All four hold whenever additionally A > 0; condition (iii) x* < a is
     exactly equivalent to A > 0.
     """
-    b, c, d = p.b, p.c, p.delta
-    if not (0 < b * d < c - d):
-        raise ValueError("uniqueness analysis needs 0 < b*delta < c - delta")
-    a = (1 - b) / 2 if not p.is_exact else (1 - Fraction(b)) / 2
-    lam = b * d
-    x_star, _ = _in_range(_p2_location, b, c, d, p.is_exact)
+    if p._case_signs[0] >= 0:
+        raise AnalysisError("uniqueness analysis needs 0 < b*delta < c - delta")
+    b, c, d, L, div = p._lifted
+    g, a, lam = div(c - d, L), div(L - b, 2 * L), div(b * d, L * L)
+    x_star = p._p2[0]
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,
     # negative for all x > 0 exactly when b <= 1 (no positive root).
@@ -402,10 +404,10 @@ def uniqueness_check(p: Params) -> UniquenessReport:
         "i": c > d,
         "ii": a > 0,
         "iii": x_star < a,
-        "iv": c > d and b <= 1,
+        "iv": c > d and b <= L,
     }
     return UniquenessReport(
-        g_slope=c - d,
+        g_slope=g,
         a=a,
         lam=lam,
         x_star=x_star,

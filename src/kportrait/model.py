@@ -6,12 +6,12 @@ The family under study is the cubic Kolmogorov predator-prey system
     y' = y((c - delta)x - delta*b),
 
 with positive parameters (b, c, delta), analysed on the closed positive
-quadrant.  Classification runs in exact rational arithmetic whenever the
-parameters are rational (int / Fraction) and in double precision with a
-relative epsilon band otherwise; the band keeps measure-zero boundary
-surfaces from being misread as open-region cases.  Eigenvalues of 2x2
-Jacobians come from one closed form, :func:`_sorted_eig`, so the analysis
-runs on the standard library alone.
+quadrant.  Rational parameters (int / Fraction) are analysed exactly, on
+integer numerators over one common denominator that each :class:`Params`
+lifts once and caches with its case signs; others in double precision with a
+relative epsilon band, which keeps measure-zero boundary surfaces from being
+misread as open-region cases.  Eigenvalues of 2x2 Jacobians come from one
+closed form, :func:`_sorted_eig`, so the analysis needs only the standard library.
 
 This bottom layer, which every path loads, also declares the errors that the
 CLI maps to exit 1: :class:`AnalysisError`, and the ``IllConditionedError``,
@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 if TYPE_CHECKING:
     from .numerics import Orbit
@@ -98,13 +100,36 @@ class Params:
         for name in ("b", "c", "delta"):
             _check_parameter(name, getattr(self, name))
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         """True when every parameter is rational, enabling exact classification."""
         return _is_exact(self.b, self.c, self.delta)
 
+    @cached_property
+    def _lifted(self) -> tuple[Number, Number, Number, int, Callable]:
+        """(b, c, delta, L, div): if exact, numerators over the lcm L of the denominators."""
+        vals = (self.b, self.c, self.delta)
+        if not self.is_exact:
+            return (*vals, 1, operator.truediv)
+        L = math.lcm(*(int(v.denominator) for v in vals))
+        return (*(int(v.numerator) * (L // int(v.denominator)) for v in vals), L, Fraction)
+
+    @cached_property
+    def _case_values(self) -> tuple[Number, Number, Number, Number]:
+        """The quantities of :func:`_signs` on ``_lifted``; times L^2, L^3, L^5, L^2 if exact."""
+        b, c, d, L, _ = self._lifted
+        return (b * d - L * (c - d), *_ab(b, c, d, L), L * (L + c - d - b) - b * d)
+
+    _case_signs = cached_property(lambda self: _signs(self))
+
+    @cached_property
+    def _p2(self) -> tuple[Number, Number]:
+        """:func:`_p2_location` on ``_lifted``; P2 need not lie in the quadrant."""
+        return _in_range(_p2_location, *self._lifted)
+
     def as_float(self) -> "Params":
-        return Params(float(self.b), float(self.c), float(self.delta))
+        """The triple in doubles; an AnalysisError when a value overflows or underflows to 0."""
+        return Params(*_in_range(lambda *v: [float(x) or math.inf for x in v], self.b, self.c, self.delta))
 
     def exact_triple(self) -> tuple[Fraction, Fraction, Fraction]:
         if not self.is_exact:
@@ -187,7 +212,8 @@ def discriminants(p: Params) -> Discriminants:
     so eigenvalues at P2 are non-real exactly when B < 0.  At A = 0 this
     reduces to B = -4 c^2 (c-delta)^3 / (c+delta).
     """
-    return Discriminants(*_ab(p.b, p.c, p.delta))
+    (_, A, B, _), (*_, L, div) = p._case_values, p._lifted
+    return Discriminants(div(A, L**3), div(B, L**5))
 
 
 def _ab(b: Number, c: Number, d: Number, scale: Number = 1) -> tuple[Number, Number]:
@@ -202,19 +228,14 @@ def _ab(b: Number, c: Number, d: Number, scale: Number = 1) -> tuple[Number, Num
 def _signs(p: Params) -> tuple[int, int, int, int]:
     """Signs of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta).
 
-    Exact mode takes them on integer numerators over the common denominator L
-    of b, c and delta; in float mode a value within ZERO_BAND of the magnitude
-    of its terms counts as zero, and an overflow is an AnalysisError.
+    Exact mode takes them on the integer numerators of ``p._case_values``; in
+    float mode a value within ZERO_BAND of the magnitude of its terms counts as
+    zero, and an overflow is an AnalysisError.  Callers read ``p._case_signs``.
     """
-    b, c, d = p.b, p.c, p.delta
-    exact, L = p.is_exact, 1
-    if exact:
-        L = math.lcm(b.denominator, c.denominator, d.denominator)
-        b, c, d = (int(v.numerator) * (L // int(v.denominator)) for v in (b, c, d))
+    b, c, d, _, _ = p._lifted
     try:
-        A, B = _ab(b, c, d, L)
-        vals = (b * d - L * (c - d), A, B, L * (L + c - d - b) - b * d)
-        if exact:
+        vals = p._case_values
+        if p.is_exact:
             return tuple((v > 0) - (v < 0) for v in vals)
         S = d * (b + 1) + c * (b - 1)
         scales = (
@@ -245,12 +266,10 @@ def _in_range(fn, *args):
     return vals
 
 
-def _p2_location(b: Number, c: Number, d: Number, exact: bool) -> tuple[Number, Number]:
-    if exact:
-        b, c, d = Fraction(b), Fraction(c), Fraction(d)
-    x2 = b * d / (c - d)
-    y2 = b * c * (c - d - b * d) / (c - d) ** 2
-    return x2, y2
+def _p2_location(b: Number, c: Number, d: Number, scale: Number = 1, div=operator.truediv) -> tuple[Number, Number]:
+    """P2 = (b d/(c-d), b c (c-d-b d)/(c-d)^2), or on numerators over ``scale`` as in :func:`_ab`."""
+    e = scale * (c - d)
+    return div(b * d, e), div(b * c * (e - b * d), e**2)
 
 
 def _sorted_eig(j) -> tuple[complex, complex]:
@@ -276,9 +295,8 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
     when it lies strictly inside the open quadrant.  When b*delta = c - delta
     the collision P1 = P2 is reported once, as a saddle-node at (1,0).
     """
-    b, c, d = p.b, p.c, p.delta
-    exact = p.is_exact
-    bf, cf, df = float(b), float(c), float(d)
+    pf = p.as_float()
+    bf, cf, df = pf.b, pf.c, pf.delta
 
     pts = [
         SingularPoint(
@@ -286,7 +304,7 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
         )
     ]
 
-    s_q1, s_A, s_B, _ = _signs(p)
+    s_q1, s_A, s_B, _ = p._case_signs
     lam1 = complex(-bf - 1.0)
     lam2 = complex(cf - df - bf * df)
     if s_q1 > 0:
@@ -298,13 +316,13 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
 
     pts.append(SingularPoint("P1", "affine", (1, 0), "saddle", (lam1, lam2)))
 
-    loc = _in_range(_p2_location, b, c, d, exact)
+    loc = p._p2
     if s_B < 0:
         kind = {1: "unstable-focus", -1: "stable-focus", 0: "weak-stable-focus"}[s_A]
     else:
         # B >= 0 with A = 0 cannot happen: A = 0 forces B < 0.
         kind = "unstable-node" if s_A > 0 else "stable-node"
-    jac = jacobian(p.as_float(), (float(loc[0]), float(loc[1])))
+    jac = jacobian(pf, (float(loc[0]), float(loc[1])))
     pts.append(SingularPoint("P2", "affine", loc, kind, _sorted_eig(jac)))
     return pts
 
@@ -317,7 +335,7 @@ def classify_case(p: Params) -> CaseLabel:
     ``case2-boundary`` for b*delta = c - delta, ``A-zero`` for A = 0 and
     ``B-zero`` for B = 0.
     """
-    s_q1, s_A, s_B, s_s2 = _signs(p)
+    s_q1, s_A, s_B, s_s2 = p._case_signs
 
     boundary: list[str] = []
     if s_q1 == 0:

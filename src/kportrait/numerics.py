@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .compactify import chart_transition
 from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, _in_range
-from .model import _p2_location, _signs, classify_case, finite_singular_points
+from .model import _p2_location, classify_case, finite_singular_points
 
 if TYPE_CHECKING:
     import numpy as np
@@ -358,9 +358,9 @@ def integrate(
 def interior_point(p: Params) -> tuple[float, float]:
     """Float coordinates of the interior equilibrium; AnalysisError when absent."""
     # the case-2 sign of finite_singular_points, so both agree inside its zero band
-    if _signs(p)[0] >= 0:
+    if p._case_signs[0] >= 0:
         raise AnalysisError("no interior equilibrium for these parameters")
-    return _in_range(_p2_location, float(p.b), float(p.c), float(p.delta), False)
+    return _in_range(_p2_location, float(p.b), float(p.c), float(p.delta))
 
 
 def return_map(

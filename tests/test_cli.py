@@ -135,6 +135,23 @@ def test_float_range_errors_are_exit_1(capsys, args):
     assert err.startswith("error:") and "range of doubles" in err
 
 
+# exact rationals whose float images, or those of A and B, leave the range of doubles
+@pytest.mark.parametrize(
+    "b, c, delta",
+    [
+        ("1/1" + "0" * 400, "1", "1/4"),  # b underflows to 0.0
+        ("3/10", "1" + "0" * 400, "1/4"),  # c overflows
+        ("1", "1" + "0" * 300, "1"),  # c fits a double, but B ~ c^4 does not
+    ],
+    ids=["b-underflows", "c-overflows", "B-overflows"],
+)
+def test_exact_classify_out_of_float_range_is_exit_1(capsys, b, c, delta):
+    code, out, err = run(capsys, "classify", "--exact", "--b", b, "--c", c, "--delta", delta)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "range of doubles" in err
+
+
 def test_programming_errors_raise(monkeypatch):
     import kportrait.cli as cli
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kportrait import (
+    AnalysisError,
     NeedsHigherOrderError,
     NonHyperbolicError,
     Params,
@@ -20,6 +21,7 @@ from kportrait import (
     discriminants,
     dulac_check,
     family_system,
+    finite_singular_points,
     hopf_analysis,
     lyapunov_procedural,
     uniqueness_check,
@@ -289,6 +291,16 @@ def test_uniqueness_fails_outside():
     assert not rep.all_hold
     with pytest.raises(ValueError):
         uniqueness_check(Params(2, 1, 1))  # precondition 0 < b*d < c-d violated
+
+
+def test_uniqueness_precondition_is_the_banded_case2_sign():
+    # b*delta is one ulp below c - delta: inside the zero band, so case 2 with no P2
+    p = Params(math.nextafter(3.0, 0), 1.0, 0.25)
+    assert p.b * p.delta < p.c - p.delta
+    assert classify_case(p).case == 2
+    assert [q.name for q in finite_singular_points(p)] == ["P0", "P1"]
+    with pytest.raises(AnalysisError, match="b\\*delta < c - delta"):
+        uniqueness_check(p)
 
 
 def test_procedural_ell1_does_not_use_the_closed_forms(monkeypatch):

@@ -1,5 +1,6 @@
 """Field, Jacobian, discriminants and case classification."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -11,10 +12,12 @@ from kportrait import (
     Params,
     classify_case,
     discriminants,
+    dulac_check,
     finite_singular_points,
     hopf_analysis,
     interior_point,
     jacobian,
+    uniqueness_check,
     vector_field,
 )
 from kportrait.model import _signs, _sorted_eig
@@ -340,27 +343,119 @@ def _fraction_signs(b, c, d):
     return tuple((v > 0) - (v < 0) for v in vals)
 
 
-def test_integer_signs_match_fraction_evaluation():
+BOUNDARY_TRIPLES = [
+    (F(1, 2), F(3, 2), F(1)),  # case 2: b*delta = c - delta
+    (F(3, 5), F(1), F(1, 4)),  # A = 0
+    (F(7, 5), F(1), F(1, 4)),  # on S2: 1 + c - delta - b - b*delta = 0
+    (F(7, 9), 2, 1),  # B = 0, with integer c and delta
+]
+
+
+def rational_triples(n=170):
+    """Three families of rational triples, then the four boundary triples."""
     rng = random.Random(61)
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
     triples = []
-    for _ in range(170):  # large, unrelated denominators
+    for _ in range(n):  # large, unrelated denominators
         triples.append(tuple(F(rng.randint(1, 10**15), rng.randint(1, 10**12)) for _ in range(3)))
-    for _ in range(170):  # pairwise coprime denominators
+    for _ in range(n):  # pairwise coprime denominators
         dens = rng.sample(primes, 3)
         triples.append(tuple(F(rng.randint(1, 6 * q), q) for q in dens))
-    for _ in range(170):  # one shared denominator
+    for _ in range(n):  # one shared denominator
         q = rng.randint(1, 10**9)
         triples.append(tuple(F(rng.randint(1, 6 * q), q) for _ in range(3)))
-    triples += [
-        (F(1, 2), F(3, 2), F(1)),  # case 2: b*delta = c - delta
-        (F(3, 5), F(1), F(1, 4)),  # A = 0
-        (F(7, 5), F(1), F(1, 4)),  # on S2: 1 + c - delta - b - b*delta = 0
-        (F(7, 9), 2, 1),  # B = 0, with integer c and delta
-    ]
+    return triples + BOUNDARY_TRIPLES
+
+
+def test_integer_signs_match_fraction_evaluation():
     seen = set()
-    for b, c, d in triples:
+    for b, c, d in rational_triples():
         want = _fraction_signs(b, c, d)
         assert _signs(Params(b, c, d)) == want, (b, c, d)
         seen.add(want)
     assert {(0, -1, 1, 1), (-1, 0, -1, 1), (-1, -1, -1, 0), (-1, -1, 0, 1)} <= seen
+
+
+def test_lifted_exact_values_match_fraction_formulas():
+    mixed = [(2, F(7, 3), 1), (1, 3, F(1, 2)), (F(1, 3), 5, 2), (1, 4, 1), (F(9, 7), F(13, 4), 3)]
+    for b, c, d in rational_triples(60) + mixed:
+        p = Params(b, c, d)
+        b, c, d = F(b), F(c), F(d)
+        s = d * (b + 1) + c * (b - 1)
+        disc = discriminants(p)
+        assert disc.A == d * (c - d) - b * d * (c + d) and type(disc.A) is F
+        assert disc.B == d * s * s - 4 * c * (c - d) ** 2 * (c - d * (b + 1)) and type(disc.B) is F
+        assert dulac_check(p).margin == float(1 + c - d - b - b * d)
+        if c > d:
+            assert hopf_analysis(p.c, p.delta).b0 == (c - d) / (c + d)
+        if not b * d < c - d:
+            with pytest.raises(AnalysisError):
+                uniqueness_check(p)
+            continue
+        x2, y2 = b * d / (c - d), b * c * (c - d - b * d) / (c - d) ** 2
+        assert finite_singular_points(p)[2].location == (x2, y2)
+        rep = uniqueness_check(p)
+        a = (1 - b) / 2
+        assert (rep.g_slope, rep.a, rep.lam, rep.x_star, rep.K) == (c - d, a, b * d, x2, 1)
+        assert rep.conditions_hold == {"i": True, "ii": a > 0, "iii": x2 < a, "iv": b <= 1}
+
+
+def test_float_values_keep_their_float_formulas():
+    rng = random.Random(67)
+    triples = [tuple(float(v) for v in t) for t in BOUNDARY_TRIPLES]
+    triples += [tuple(10 ** rng.uniform(-2, 1) for _ in range(3)) for _ in range(400)]
+    for b, c, d in triples:
+        p = Params(b, c, d)
+        s = d * (b + 1) + c * (b - 1)
+        disc = discriminants(p)
+        assert disc.A == d * (c - d) - b * d * (c + d)
+        assert disc.B == d * s * s - 4 * c * (c - d) ** 2 * (c - d * (b + 1))
+        assert dulac_check(p).margin == 1 + c - d - b - b * d
+        if c > d:
+            assert hopf_analysis(c, d).b0 == (c - d) / (c + d)
+        if classify_case(p).case < 3:
+            continue
+        x2, y2 = b * d / (c - d), b * c * (c - d - b * d) / (c - d) ** 2
+        assert finite_singular_points(p)[2].location == (x2, y2)
+        rep = uniqueness_check(p)
+        assert (rep.g_slope, rep.a, rep.lam, rep.x_star) == (c - d, (1 - b) / 2, b * d, x2)
+        assert all(type(v) is float for v in (rep.g_slope, rep.a, rep.lam, rep.x_star, disc.A, disc.B))
+
+
+def test_case_signs_are_computed_once_per_params(monkeypatch):
+    import kportrait.model as model
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return signs(p)
+
+    signs = model._signs
+    monkeypatch.setattr(model, "_signs", counting)
+    for p in (Params(F(1, 2), 1, F(1, 4)), Params(0.5, 1.0, 0.25)):
+        for _ in range(2):
+            classify_case(p)
+            finite_singular_points(p)
+            discriminants(p)
+            dulac_check(p)
+        assert [q is p for q in calls].count(True) == 1  # by identity: the two compare equal
+    assert len(calls) == 2
+
+    # b*delta exceeds c - delta by 2^-45: a zero in the float band, positive exactly.
+    # The two triples compare and hash equal, so no cache may be keyed on equality.
+    floats, rationals = (0.5 + 2.0**-45, 1.5, 1.0), (F(0.5 + 2.0**-45), F(3, 2), 1)
+    pf, pe = Params(*floats), Params(*rationals)
+    assert pf == pe and len({pf, pe}) == 1
+    assert (classify_case(pf).case, classify_case(pe).case) == (2, 1)
+    pe2, pf2 = Params(*rationals), Params(*floats)  # the exact twin read first
+    assert (classify_case(pe2).case, classify_case(pf2).case) == (1, 2)
+    assert not pf.is_exact and pe.is_exact
+
+    # a Params crosses process boundaries (scan --jobs) by pickle, cached or not
+    for p in (Params(F(3, 10), 1, F(1, 4)), pf, pe):
+        for q in (p, pickle.loads(pickle.dumps(p))):
+            back = pickle.loads(pickle.dumps(q))
+            assert back == p and back.is_exact == p.is_exact
+            assert classify_case(back) == classify_case(p)
+            assert discriminants(back) == discriminants(p)
