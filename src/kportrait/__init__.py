@@ -1,33 +1,30 @@
 """Global phase portraits of a cubic predator-prey Kolmogorov system.
 
-Classification of the parameter space, Poincare compactification and
-blow-up of the points at infinity, Hopf analysis with the first Lyapunov
-coefficient, return-map limit-cycle detection, and SVG/JSON portrait
-output on the positive quarter of the Poincare disc.
+Classification of the parameter space, the Poincare charts and the points at
+infinity, Hopf analysis with the first Lyapunov coefficient, return-map
+limit-cycle detection, and SVG/JSON portrait output on the positive quarter
+of the Poincare disc.
 
 ``model`` and ``compactify``, which every path loads, are imported with the
 package.  The names of ``local``, ``numerics`` and ``portrait`` are imported
 on first use (PEP 562), so a command loads only the modules it calls.
 """
 
-# the star import binds the function compactify over the submodule's name
 from .compactify import *  # noqa: F403
 from .model import *  # noqa: F403
 
 # Every public name, by home module; each module's own __all__ lists the same.
 _EXPORTS = {
     "compactify": (
-        "BlowupSystem", "ChartDomainError", "ChartSystem", "InfinitePoint", "PolySystem", "SectorData",
-        "blowup_horizontal", "chart_transition", "classify_blowup_origin", "compactify",
-        "family_infinite_points", "family_system", "infinite_singular_points",
+        "ChartDomainError", "InfinitePoint", "PolySystem", "SectorData", "chart_transition",
+        "family_infinite_points", "family_system",
     ),
     "model": (
         "AnalysisError", "CaseLabel", "Discriminants", "Params", "SingularPoint",
         "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",
     ),
     "local": (
-        "DulacReport", "HopfData", "IllConditionedError", "MultilinearForms", "NeedsHigherOrderError",
-        "NonHyperbolicError", "UniquenessReport", "classify_hyperbolic", "classify_semihyperbolic",
+        "DulacReport", "HopfData", "IllConditionedError", "MultilinearForms", "UniquenessReport",
         "dulac_check", "hopf_analysis", "lyapunov_procedural", "uniqueness_check",
     ),
     "numerics": (

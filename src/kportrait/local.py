@@ -1,18 +1,15 @@
-"""Local analysis at equilibria.
+"""Local analysis at the interior equilibrium.
 
-Hyperbolic and semi-hyperbolic classification, the Hopf pipeline for the
-interior point of the predator-prey family (critical parameter, frequency,
-transversality, quadratic/cubic multilinear forms, first Lyapunov
-coefficient), the Dulac-style non-existence test with multiplier 1/x, and
-the four cycle-uniqueness conditions.
+The Hopf pipeline for the interior point of the predator-prey family
+(critical parameter, frequency, transversality, quadratic/cubic multilinear
+forms, first Lyapunov coefficient), the Dulac-style non-existence test with
+multiplier 1/x, and the four cycle-uniqueness conditions.
 
 The first Lyapunov coefficient is computed twice, by independent routes:
 ``hopf_analysis`` evaluates closed forms, ``lyapunov_procedural`` rebuilds
 everything from the translated polynomial system and the eigenproblem.  The
 two must agree to high relative accuracy; that cross-check is the main
-safeguard of this module.  Eigenvalues come from the closed 2x2 form of
-``model._sorted_eig``, the package's one eigenvalue routine, and the centre
-directions of the semi-hyperbolic classifier from its kernel vectors.
+safeguard of this module.
 """
 
 from __future__ import annotations
@@ -24,100 +21,21 @@ from typing import Callable
 
 from .compactify import PolySystem, family_system
 from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
-from .model import _sorted_eig
 
 __all__ = [
-    "NonHyperbolicError",
-    "NeedsHigherOrderError",
     "IllConditionedError",
     "HopfData",
     "MultilinearForms",
     "DulacReport",
     "UniquenessReport",
-    "classify_hyperbolic",
-    "classify_semihyperbolic",
     "hopf_analysis",
     "lyapunov_procedural",
     "dulac_check",
     "uniqueness_check",
 ]
 
-# An eigenvalue (or its real part) within this relative band of zero makes
-# the equilibrium non-hyperbolic for classification purposes.
-HYPERBOLIC_BAND = 1e-10
-# A centre-manifold quadratic coefficient within this fraction of the
-# largest coefficient counts as vanishing.
-_COEFF_TOL = 1e-9
 # Largest relative residual accepted for the Hopf eigenvector at b0.
 _RESID_TOL = 1e-10
-
-
-class NonHyperbolicError(ValueError):
-    """Linearisation alone cannot classify this equilibrium."""
-
-
-class NeedsHigherOrderError(ValueError):
-    """The second-order centre-manifold reduction is degenerate."""
-
-
-def _eig_band(j) -> tuple[tuple[complex, complex], float]:
-    """Sorted eigenvalues of the 2x2 ``j`` and the zero band relative to its inf-norm."""
-    norm = max(abs(float(row[0])) + abs(float(row[1])) for row in j)
-    return _sorted_eig(j), HYPERBOLIC_BAND * max(1e-300, norm)
-
-
-def classify_hyperbolic(j) -> str:
-    """Kind of a hyperbolic equilibrium from its Jacobian.
-
-    Raises :class:`NonHyperbolicError` when an eigenvalue, or its real part,
-    falls inside the zero band relative to the matrix norm.
-    """
-    w, band = _eig_band(j)
-    if any(abs(z) <= band or abs(z.real) <= band for z in w):
-        raise NonHyperbolicError(f"eigenvalues {w} are inside the zero band")
-    if abs(w[0].imag) > band:
-        return "unstable-focus" if w[0].real > 0 else "stable-focus"
-    if w[0].real < 0 < w[1].real:
-        return "saddle"
-    return "unstable-node" if w[0].real > 0 else "stable-node"
-
-
-def classify_semihyperbolic(sys: PolySystem, pt) -> str:
-    """Classify an equilibrium with exactly one zero eigenvalue.
-
-    Moves to eigen-coordinates (centre direction first), approximates the
-    centre manifold to second order and reads the leading coefficient of the
-    reduced flow.  A nonzero quadratic coefficient gives a saddle-node; a
-    vanishing one raises :class:`NeedsHigherOrderError` rather than guessing.
-    """
-    x0, y0 = float(pt[0]), float(pt[1])
-    shifted = sys.translate(x0, y0)
-    f0 = shifted(0.0, 0.0)
-    if max(abs(float(f0[0])), abs(float(f0[1]))) > 1e-9:
-        raise ValueError(f"{pt} is not an equilibrium of the system")
-    (a, b), (c, d) = ((float(v) for v in row) for row in shifted.linear_part())
-    w, band = _eig_band(((a, b), (c, d)))
-    if [abs(z) <= band for z in w].count(True) != 1:
-        raise ValueError(f"expected exactly one zero eigenvalue, got {w}")
-    # unit kernel vectors of J - mu*I, centre first; the other eigenvalue is then real
-    cols = []
-    for mu in sorted((z.real for z in w), key=abs):
-        u, v = max(((b, mu - a), (mu - d, c)), key=lambda t: math.hypot(*t))
-        cols.append((u / math.hypot(u, v), v / math.hypot(u, v)))
-    local = shifted.linear_change(tuple(zip(*cols)))
-
-    # centre-component quadratic coefficient in the centre variable
-    a20 = float(local.coeff_p(2, 0))
-    scale = max(
-        [1.0]
-        + [abs(float(c)) for c in local.terms_p().values()]
-        + [abs(float(c)) for c in local.terms_q().values()]
-    )
-    if abs(a20) <= _COEFF_TOL * scale:
-        raise NeedsHigherOrderError(
-            "second-order centre-manifold term vanishes; higher order needed"
-        )
-    return "saddle-node"
 
 
 @dataclass(frozen=True)
@@ -201,8 +119,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         b0: Number = Fraction(cn - dn, cn + dn)
     else:
         b0 = (c - delta) / (c + delta)
-    cf, df = float(c), float(delta)
-    b0f = float(b0)
+    b0f, cf, df = _in_range(lambda *v: [float(x) for x in v], b0, c, delta)
 
     _, bb0 = _in_range(_ab, b0f, cf, df)
     if not bb0 < 0:
@@ -348,8 +265,9 @@ def dulac_check(p: Params) -> DulacReport:
     parameters, banded in floats, so a margin within the band of 0 is never
     read as applicable."""
     # int / int is correctly rounded, so exact input gives float() of the rational margin
-    margin = p._case_values[3] / p._lifted[3] ** 2
-    b, c, d = float(p.b), float(p.c), float(p.delta)
+    margin, b, c, d = _in_range(
+        lambda *v: [p._case_values[3] / p._lifted[3] ** 2, *map(float, v)], p.b, p.c, p.delta
+    )
 
     def delta_at(x: float, y: float) -> float:
         if x <= 0:

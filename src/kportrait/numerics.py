@@ -180,9 +180,12 @@ def _stops(b: float, c: float, d: float, sgn: float) -> tuple[tuple[str, float, 
 
 def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
     """The family field in ``chart`` ("affine", "U1" or "U2"), time-reversed
-    when ``sgn`` is -1.  The chart fields equal ``compactify(family_system(p),
-    chart)`` to the last bit: coefficients are grouped as that engine sums
-    them, terms follow its ascending (i, j) order and powers stay ``**``."""
+    when ``sgn`` is -1.  The U1 and U2 fields are the Poincare compactification
+    of the cubic field, v^2 times the affine field pushed forward, so they keep
+    its orientation off the equator; ``tests/test_compactify.py`` proves this
+    with sympy for all positive parameters.  The grouping of the coefficients
+    and the order of the terms fix the orbit bytes, which the byte golden in
+    ``tests/test_cli.py`` pins."""
     k, m = (b - 1.0) + (c - d), b + d * b
     if chart == "U1":
         def f_u1(u: float, v: float) -> tuple[float, float]:
@@ -360,7 +363,7 @@ def interior_point(p: Params) -> tuple[float, float]:
     # the case-2 sign of finite_singular_points, so both agree inside its zero band
     if p._case_signs[0] >= 0:
         raise AnalysisError("no interior equilibrium for these parameters")
-    return _in_range(_p2_location, float(p.b), float(p.c), float(p.delta))
+    return _in_range(lambda *v: _p2_location(*map(float, v)), p.b, p.c, p.delta)
 
 
 def return_map(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -211,6 +212,51 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert all(r[4] == "contraction-to-P2" for r in rows[1:])
 
 
+# sha256 of what `portrait` writes for portraits A, B and C and of what `scan`
+# writes for a 3x3x3 grid; a change that moves these bytes updates the digests
+# and names the change
+BYTE_GOLDEN = {
+    "portrait-A": (
+        ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
+        {
+            "svg": "ea756091613aff23c147425cb202110452e98a418dfbc76b9328718c968db49d",
+            "json": "7835ce73b684b7954edefae25b27107bf64124e4b71fbbf4f47aeaceb3525fe1",
+        },
+    ),
+    "portrait-B": (
+        ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
+        {
+            "svg": "1bda9ff9ff9d1cda7b7f3e96dc7f09586dd54d1e09eafa92c541490a53e62830",
+            "json": "ddc0ced99b07263fcb2afc5f0e93e43c82eef2d3bf9bc7f353b0e54e1e0b1289",
+        },
+    ),
+    "portrait-C": (
+        ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
+        {
+            "svg": "5fe9c1c6489114ad76efb6b58eb023a17ac6fcda646b6435f7edad8064941495",
+            "json": "4dd994c1f76cd2886ad22f73d3252882b4295fb7673002fc6b395e546f300499",
+        },
+    ),
+    **{
+        f"scan-jobs{jobs}": (
+            ["scan", "--grid", "0.65:1.3:3,0.9:1.5:3,0.15:0.4:3", "--jobs", jobs],
+            {"csv": "19d1ffc6d914501bd7e80a62665ac44fbeeeb0c90f0e9a40f7aead298c37aae6"},
+        )
+        for jobs in ("1", "2")
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BYTE_GOLDEN))
+def test_output_bytes_match_the_golden(name, tmp_path, capsys):
+    argv, digests = BYTE_GOLDEN[name]
+    flags = {"svg": "--out", "json": "--report", "csv": "--out"}
+    paths = {kind: tmp_path / f"output.{kind}" for kind in digests}
+    code, _, _ = run(capsys, *argv, *(a for kind, path in paths.items() for a in (flags[kind], str(path))))
+    assert code == 0
+    assert {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()} == digests
+
+
 def test_scan_bad_grid(capsys):
     for grid in ("1:2", "nan:1:2,1:1:1,1:1:1", "1:1e308:3,1:1:1,1:1:1"):
         code, _, err = run(capsys, "scan", "--grid", grid, "--out", "x.csv")
@@ -273,7 +319,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert loaded() == {"local"}, loaded()
 kportrait.build_portrait
 assert loaded() == {"local", "numerics", "portrait"}, loaded()
-assert kportrait.compactify is sys.modules["kportrait.compactify"].compactify
+assert kportrait.compactify is sys.modules["kportrait.compactify"]
 print("ok")
 """
 
@@ -294,7 +340,6 @@ def test_lazy_exports_resolve_to_their_home_objects():
         assert getattr(kportrait, name) is getattr(importlib.import_module(f"kportrait.{module}"), name), name
     assert set(kportrait.__all__) <= set(vars(kportrait)), "a resolved name was not cached"
     assert not hasattr(kportrait, "no_such_name")
-    # importing the submodules that import compactify leaves the package name
-    # compactify bound to the function, not to its submodule
+    # no public name shadows a submodule: the package attribute is the submodule
     importlib.import_module("kportrait.local"), importlib.import_module("kportrait.numerics")
-    assert kportrait.compactify is importlib.import_module("kportrait.compactify").compactify
+    assert kportrait.compactify is sys.modules["kportrait.compactify"]

@@ -9,20 +9,13 @@ import pytest
 
 from kportrait import (
     AnalysisError,
-    NeedsHigherOrderError,
-    NonHyperbolicError,
     Params,
-    PolySystem,
-    blowup_horizontal,
     classify_case,
-    classify_hyperbolic,
-    classify_semihyperbolic,
-    compactify,
     discriminants,
     dulac_check,
-    family_system,
     finite_singular_points,
     hopf_analysis,
+    interior_point,
     lyapunov_procedural,
     uniqueness_check,
 )
@@ -47,75 +40,6 @@ def cd_samples(rng, n):
     return out
 
 
-def test_classify_hyperbolic_kinds():
-    assert classify_hyperbolic([[0.5, 0.0], [0.0, -0.125]]) == "saddle"
-    assert classify_hyperbolic([[-1.0, 0.0], [0.0, -2.0]]) == "stable-node"
-    assert classify_hyperbolic([[1.0, 0.0], [0.0, 2.0]]) == "unstable-node"
-    assert classify_hyperbolic([[0.01, -0.5], [0.5, 0.01]]) == "unstable-focus"
-    assert classify_hyperbolic([[-0.01, -0.5], [0.5, -0.01]]) == "stable-focus"
-
-
-def numpy_kind(m):
-    """Reference classification from numpy's general eigenvalue solver."""
-    w = np.linalg.eigvals(np.asarray(m, dtype=float))
-    if abs(w[0].imag) > 0:
-        return "unstable-focus" if w[0].real > 0 else "stable-focus"
-    re = sorted(w.real)
-    if re[0] < 0 < re[1]:
-        return "saddle"
-    return "unstable-node" if re[0] > 0 else "stable-node"
-
-
-def test_classify_hyperbolic_matches_numpy_reference():
-    rng = np.random.default_rng(59)
-    checked = 0
-    while checked < 1000:
-        m = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-3, 3)
-        w = np.linalg.eigvals(m)
-        gap = 1e-6 * np.linalg.norm(m, np.inf)
-        # well outside the zero band and off the real/complex boundary
-        if any(abs(z) <= gap or abs(z.real) <= gap or 0 < abs(z.imag) <= gap for z in w):
-            continue
-        checked += 1
-        assert classify_hyperbolic(m.tolist()) == numpy_kind(m), m
-
-
-def test_classify_hyperbolic_rejects_zero_band():
-    with pytest.raises(NonHyperbolicError):
-        classify_hyperbolic([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(NonHyperbolicError):
-        classify_hyperbolic([[1.0, 0.0], [0.0, 1e-14]])
-
-
-def test_semihyperbolic_family_collision():
-    sys = family_system(Params(1.0, 3.0, 1.5))
-    assert classify_semihyperbolic(sys, (1.0, 0.0)) == "saddle-node"
-
-
-def test_semihyperbolic_blowup_origin_many_params():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        # parameters on the collision surface b*delta = c - delta
-        c = float(rng.uniform(0.3, 4.0))
-        d = float(rng.uniform(0.1, 0.9)) * c
-        b = (c - d) / d
-        if b <= 0:
-            continue
-        p = Params(b, c, d)
-        sys = family_system(p)
-        assert classify_semihyperbolic(sys, (1.0, 0.0)) == "saddle-node"
-        _, rescaled = blowup_horizontal(compactify(sys, "U2"))
-        assert classify_semihyperbolic(rescaled.system, (0.0, 0.0)) == "saddle-node"
-
-
-def test_semihyperbolic_canonical_and_degenerate():
-    toy = PolySystem({(2, 0): 1}, {(0, 1): -1})
-    assert classify_semihyperbolic(toy, (0.0, 0.0)) == "saddle-node"
-    cubic = PolySystem({(3, 0): 1}, {(0, 1): -1})
-    with pytest.raises(NeedsHigherOrderError):
-        classify_semihyperbolic(cubic, (0.0, 0.0))
-
-
 def test_hopf_spot_values():
     hd = hopf_analysis(1.0, 0.25)
     assert float(hd.b0) == pytest.approx(0.6, abs=1e-15)
@@ -130,6 +54,20 @@ def test_hopf_spot_values():
 def test_hopf_rejects_c_below_delta():
     with pytest.raises(ValueError):
         hopf_analysis(0.25, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hopf_analysis(F(10**400), 1),
+        lambda: interior_point(Params(F(1, 1000), F(10**400), 1)),
+        lambda: dulac_check(Params(F(3, 10), F(10**400), F(1, 4))),
+    ],
+    ids=["hopf_analysis", "interior_point", "dulac_check"],
+)
+def test_exact_input_whose_float_image_overflows_is_an_analysis_error(call):
+    with pytest.raises(AnalysisError):
+        call()
 
 
 def test_hopf_mu_zero_and_sign_change():

@@ -1,6 +1,5 @@
 """Integration, return maps, cycle detection, scanner."""
 
-import importlib
 import io
 import math
 import random
@@ -15,12 +14,10 @@ from kportrait import (
     IntegratorConfig,
     NoReturnError,
     Params,
-    compactify,
     conjecture_scan,
     cycle_amplitude,
     cycle_loop,
     detect_limit_cycle,
-    family_system,
     finite_singular_points,
     integrate,
     interior_point,
@@ -356,45 +353,6 @@ def test_custom_stop_event():
     _, chart, (_, y) = orbit.samples[-1]
     assert chart == "affine" and abs(y - 0.6) <= 1e-8
     assert orbit.samples[-2][2][1] < 0.6
-
-
-def test_chart_fields_equal_the_compactify_reference():
-    import kportrait.numerics as numerics
-
-    rng = random.Random(2024)
-    # b = 1 and c = delta give zero coefficients, which the engine drops from its sums
-    triples = [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5), (0.5, 0.7, 0.7)]
-    triples += [tuple(10 ** rng.uniform(-3, 3) for _ in range(3)) for _ in range(200)]
-    for b, c, d in triples:
-        for chart in ("U1", "U2"):
-            reference = compactify(family_system(Params(b, c, d)), chart).system
-            for sgn in (1.0, -1.0):
-                field = numerics._rhs(b, c, d, sgn, chart)
-                for _ in range(5):
-                    u, v = rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)
-                    du, dv = reference(u, v)
-                    assert field(u, v) == (sgn * du, sgn * dv), (b, c, d, chart, sgn, u, v)
-
-
-def test_orbits_through_the_charts_do_not_use_the_chart_engine(monkeypatch):
-    import kportrait.numerics as numerics
-
-    # the package re-exports the function compactify under the module's name
-    engine = importlib.import_module("kportrait.compactify")
-
-    def unavailable(*_args):
-        raise AssertionError("the integrator built a chart field from the generic engine")
-
-    # numerics binds neither name; patching it too catches an import coming back
-    for name in ("compactify", "family_system"):
-        monkeypatch.setattr(engine, name, unavailable)
-        monkeypatch.setattr(numerics, name, unavailable, raising=False)
-    # portrait A: a backward orbit escapes to O1 through U1
-    orbit = integrate(P_CASE1, (5.0, 5.0), "backward")
-    assert orbit.terminal == "escaped" and orbit.samples[-1][1] == "U1"
-    # portrait C: the stable axis separatrix of P0 loops at O2 in U2
-    orbit = integrate(Params(0.9, 1.2, 0.3), (0.0, 2.0), "backward")
-    assert orbit.terminal == "chart-boundary-loop" and orbit.samples[-1][1] == "U2"
 
 
 def test_step_error_overflow_rejects_the_step():
