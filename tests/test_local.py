@@ -10,9 +10,11 @@ import pytest
 from kportrait import (
     AnalysisError,
     Params,
+    PolySystem,
     classify_case,
     discriminants,
     dulac_check,
+    family_system,
     finite_singular_points,
     hopf_analysis,
     interior_point,
@@ -38,6 +40,61 @@ def cd_samples(rng, n):
             c, d = d, c
         out.append((c, d))
     return out
+
+
+def saddle_node_data(sys):
+    """(l11, a2) for a field whose linear part at the origin is [[l11, l12], [0, 0]]:
+    the centre direction is (s, 1) with s = -l12/l11, and on the centre manifold
+    x = s y + O(y^2) the flow is y' = a2 y^2 + O(y^3).  The origin is a
+    saddle-node when l11 != 0 and a2 != 0."""
+    (l11, l12), row2 = sys.linear_part()
+    assert row2 == (0, 0) and l11 != 0
+    s = F(-l12) / l11  # stays exact for int and Fraction coefficients
+    return l11, sys.coeff_q(2, 0) * s * s + sys.coeff_q(1, 1) * s + sys.coeff_q(0, 2)
+
+
+def blowup_of_o2(sys):
+    """The cubic ``sys`` in the chart U2 (x = u/v, y = 1/v, time rescaled by v^2),
+    then blown up by u = v w1 with v^2 divided out of w1' and v out of v'."""
+    du, dv = {}, {}
+    for (i, j), a in sys.terms_p().items():
+        du[(i, 3 - i - j)] = du.get((i, 3 - i - j), 0) + a
+    for (i, j), a in sys.terms_q().items():
+        du[(i + 1, 3 - i - j)] = du.get((i + 1, 3 - i - j), 0) - a
+        dv[(i, 4 - i - j)] = dv.get((i, 4 - i - j), 0) - a
+    # u^i v^k = w1^i v^(i+k); w1' = (u' - w1 v')/v
+    dw1 = {}
+    for (i, k), a in du.items():
+        dw1[(i, i + k)] = dw1.get((i, i + k), 0) + a
+    for (i, k), a in dv.items():
+        dw1[(i + 1, i + k)] = dw1.get((i + 1, i + k), 0) - a
+    assert all(k >= 2 for _, k in dw1) and all(i + k >= 1 for i, k in dv)
+    return PolySystem(
+        {(i, k - 2): a for (i, k), a in dw1.items()},
+        {(i, i + k - 1): a for (i, k), a in dv.items()},
+    )
+
+
+def test_semihyperbolic_family_collision():
+    # b delta = c - delta: P2 has merged with P1 = (1, 0)
+    p = Params(1.0, 3.0, 1.5)
+    assert saddle_node_data(family_system(p).translate(1.0, 0.0)) == (-2.0, -0.75)
+
+
+def test_semihyperbolic_blowup_origin_many_params():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        # parameters on the collision surface b*delta = c - delta, held exactly
+        c = F(float(rng.uniform(0.3, 4.0)))
+        d = F(float(rng.uniform(0.1, 0.9))) * c
+        b = (c - d) / d
+        p = Params(b, c, d)
+        sys = family_system(p)
+        l11, a2 = saddle_node_data(sys.translate(1, 0))
+        assert l11 == -(1 + b) and a2 == -b * d / (1 + b) and a2 != 0
+        rescaled = blowup_of_o2(sys)
+        assert rescaled.linear_part() == ((-1, 0), (0, 0))
+        assert saddle_node_data(rescaled) == (-1, b * d) and b * d > 0
 
 
 def test_hopf_spot_values():
