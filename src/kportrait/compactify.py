@@ -4,8 +4,9 @@ The cubic field extends to the closed Poincare disc, whose boundary circle
 collects the directions at infinity.  Three local charts cover it: U3 is the
 affine plane, U1 covers the x-directions at infinity and U2 the y-directions.
 This module provides the chart-to-chart coordinate maps, the family's equator
-points O1 and O2, and the sparse polynomial form of the affine field that the
-from-scratch Hopf cross-check of ``local`` translates to the interior point.
+points O1 and O2, and the sparse polynomial form of the affine field; its
+Taylor shift is the test reference for the Taylor coefficients of the Hopf
+cross-check in ``local``.
 The closed-form chart fields live in ``numerics``; ``tests/test_compactify.py``
 derives them, and the facts behind O1 and O2, from the Poincare formulas with
 sympy for all positive parameters.

@@ -7,9 +7,9 @@ multiplier 1/x, and the four cycle-uniqueness conditions.
 
 The first Lyapunov coefficient is computed twice, by independent routes:
 ``hopf_analysis`` evaluates closed forms, ``lyapunov_procedural`` rebuilds
-everything from the translated polynomial system and the eigenproblem.  The
-two must agree to high relative accuracy; that cross-check is the main
-safeguard of this module.
+everything from the field's Taylor coefficients at the interior point and
+the eigenproblem.  The two must agree to high relative accuracy; that
+cross-check is the main safeguard of this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .compactify import PolySystem, family_system
 from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
 
 __all__ = [
@@ -48,18 +47,6 @@ class MultilinearForms:
 
     quad: tuple[tuple[float, float, float], tuple[float, float, float]]
     cubic: tuple[tuple[float, float, float, float], tuple[float, float, float, float]]
-
-    @classmethod
-    def from_system(cls, sys: PolySystem) -> "MultilinearForms":
-        quad = tuple(
-            (float(get(2, 0)), float(get(1, 1)), float(get(0, 2)))
-            for get in (sys.coeff_p, sys.coeff_q)
-        )
-        cubic = tuple(
-            (float(get(3, 0)), float(get(2, 1)), float(get(1, 2)), float(get(0, 3)))
-            for get in (sys.coeff_p, sys.coeff_q)
-        )
-        return cls(quad, cubic)
 
     def bform(self, e, h) -> tuple:
         return tuple(
@@ -180,19 +167,31 @@ def _vdot(u, v) -> complex:
     return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
 
-def _kuznetsov_data(c: float, delta: float) -> dict:
-    """From-scratch normal-form data at b0: translated system, eigenvectors,
-    multilinear forms and the g coefficients."""
-    cf, df = float(c), float(delta)
+def _taylor_at(b, c, d, x0, y0):
+    """Jacobian, quadratic (u^2, uv, v^2) and cubic (u^3, u^2 v, u v^2, v^3)
+    coefficients of the family's (P, Q) at (x0, y0).
+
+    Each sum adds its terms in the order of the binomial shift of
+    ``PolySystem.translate``, so in floats the coefficients are those of
+    ``family_system(Params(b, c, d)).translate(x0, y0)`` to the bit."""
+    jacobian = (
+        (((b + -y0) + (1 - b) * 2 * x0) + -3 * x0**2, -x0),
+        ((c - d) * y0, -d * b + (c - d) * x0),
+    )
+    quad = (((1 - b) + -3 * x0, -1.0, 0.0), (0.0, c - d, 0.0))
+    cubic = ((-1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+    return jacobian, quad, cubic
+
+
+def _kuznetsov_data(c: Number, delta: Number) -> dict:
+    """From-scratch normal-form data at b0: the field's Taylor coefficients at
+    P2, the eigenproblem, the multilinear forms and the g coefficients."""
+    cf, df = _in_range(lambda *v: [float(x) for x in v], c, delta)
     if not cf > df:
         raise ValueError("requires c > delta")
-    b0 = (cf - df) / (cf + df)
-    sys = family_system(Params(b0, cf, df))
-    x2 = df / (cf + df)
-    y2 = cf * cf / (cf + df) ** 2
-    shifted = sys.translate(x2, y2)
-
-    (a11, a12), (a21, a22) = ((float(v) for v in row) for row in shifted.linear_part())
+    # |b0|, x2, y2 <= 1, so every Taylor coefficient below is bounded by c
+    b0, x2, y2 = _in_range(lambda c, d: [(c - d) / (c + d), d / (c + d), c * c / (c + d) ** 2], cf, df)
+    ((a11, a12), (a21, a22)), quad, cubic = _taylor_at(b0, cf, df, x2, y2)
     tr, det = a11 + a22, a11 * a22 - a12 * a21
     if not det > tr * tr / 4:
         raise IllConditionedError(f"no complex pair at b0; trace {tr}, determinant {det}")
@@ -214,35 +213,25 @@ def _kuznetsov_data(c: float, delta: float) -> dict:
         raise IllConditionedError("degenerate normalisation <p, q> = 0")
     p = tuple(v / ip.conjugate() for v in p0)
 
-    forms = MultilinearForms.from_system(shifted)
+    forms = MultilinearForms(quad, cubic)
     qbar = (q[0].conjugate(), q[1].conjugate())
     g20 = _vdot(p, forms.bform(q, q))
     g11 = _vdot(p, forms.bform(q, qbar))
     g21 = _vdot(p, forms.cform(q, q, qbar))
     ell1 = float((1j * g20 * g11 + omega * g21).real / (2 * omega * omega))
-    return {
-        "b0": b0,
-        "omega": omega,
-        "jacobian": ((a11, a12), (a21, a22)),
-        "forms": forms,
-        "p": p,
-        "q": q,
-        "g20": g20,
-        "g11": g11,
-        "g21": g21,
-        "ell1": ell1,
-    }
+    return dict(omega=omega, jacobian=((a11, a12), (a21, a22)), forms=forms, q=q, g20=g20, g11=g11, g21=g21, ell1=ell1)
 
 
 def lyapunov_procedural(c: Number, delta: Number) -> float:
     """First Lyapunov coefficient computed from scratch at b0.
 
-    Independent of :func:`hopf_analysis`: translates the interior point to
-    the origin, extracts the multilinear forms from the quadratic and cubic
-    terms, solves the eigenproblem for (q, p) with <p, q> = 1, and assembles
-    ell1 = Re(i g20 g11 + w g21) / (2 w^2).
+    Independent of :func:`hopf_analysis`: takes the field's Taylor
+    coefficients at the interior point, builds the multilinear forms from the
+    quadratic and cubic ones, solves the eigenproblem for (q, p) with
+    <p, q> = 1, and assembles ell1 = Re(i g20 g11 + w g21) / (2 w^2).  An
+    input whose arithmetic leaves the range of doubles is an AnalysisError.
     """
-    return _kuznetsov_data(float(c), float(delta))["ell1"]
+    return _kuznetsov_data(c, delta)["ell1"]
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,8 @@ def _in_range(fn, *args):
     except (OverflowError, ZeroDivisionError):
         vals = (math.inf,)
     if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
-        raise AnalysisError(f"float arithmetic leaves the range of doubles at (b, c, delta) = {args[:3]}")
+        names = "(b, c, delta)" if len(args) > 2 else "(c, delta)"
+        raise AnalysisError(f"float arithmetic leaves the range of doubles at {names} = {args[:3]}")
     return vals
 
 

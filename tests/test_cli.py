@@ -80,13 +80,15 @@ def test_hopf_analysis_failure_is_exit_1(capsys):
     assert "error:" in err
 
 
-def test_ill_conditioned_hopf_is_exit_1(capsys):
-    # trace^2 > 4 det at b0 in floats: the trace is rounding residue
+def test_ill_conditioned_cross_check_warns_and_exits_0(capsys):
+    # trace^2 > 4 det at b0 in floats (the trace is rounding residue), so the
+    # from-scratch route fails; the closed forms stand, as on a disagreement
     code, out, err = run(
         capsys, "hopf", "--c", "3.7802802784996394e+57", "--delta", "2.461851146874583e+47"
     )
-    assert code == 1
-    assert out == "" and err.startswith("error:") and "no complex pair" in err
+    assert code == 0
+    assert len(out.splitlines()) == 7 and "ell1 = -8.547609718335349e-45" in out and "cross-check" not in out
+    assert err.count("\n") == 1 and err.startswith("warning:") and "no complex pair" in err
 
 
 @pytest.mark.parametrize(
@@ -212,9 +214,9 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert all(r[4] == "contraction-to-P2" for r in rows[1:])
 
 
-# sha256 of what `portrait` writes for portraits A, B and C and of what `scan`
-# writes for a 3x3x3 grid; a change that moves these bytes updates the digests
-# and names the change
+# sha256 of what `portrait` writes for portraits A, B and C, of what `scan`
+# writes for a 3x3x3 grid and of what `hopf` prints; a change that moves these
+# bytes updates the digests and names the change
 BYTE_GOLDEN = {
     "portrait-A": (
         ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
@@ -244,6 +246,18 @@ BYTE_GOLDEN = {
         )
         for jobs in ("1", "2")
     },
+    # (1e60, 1) is the disagreement case; the last three are log-uniform draws
+    # of random.Random(13) over 1e-3 .. 1e3
+    **{
+        f"hopf-{c}-{delta}": (["hopf", "--c", c, "--delta", delta], {"stdout": digest})
+        for c, delta, digest in (
+            ("1", "0.25", "5398b1b6e97d13755bf6f0fa0f8f40f094945505dac1623181620b244b7eacb2"),
+            ("1e60", "1", "89281e2b9bfe7ab38e7567b57cc5694d3b0993d3864190bca18aee362d06ab53"),
+            ("12.92849458264166", "0.03581384505045391", "20ae743f2104c1464ce4ee72cfb4fa6250ed9fff61b87a6494294bfa5ae7e73b"),
+            ("124.74322517734318", "12.720128777549203", "fc778bffb5d317da8d2ab9255b4a9e8de80919b5d6b2ca210fdc5de127d07ace"),
+            ("0.024174174559989544", "0.013012029620689472", "2319d06b0e183ec1d4fa3b6dfe17ae815b481a3ba929f48ef9c12c3aebf5b71e"),
+        )
+    },
 }
 
 
@@ -251,10 +265,13 @@ BYTE_GOLDEN = {
 def test_output_bytes_match_the_golden(name, tmp_path, capsys):
     argv, digests = BYTE_GOLDEN[name]
     flags = {"svg": "--out", "json": "--report", "csv": "--out"}
-    paths = {kind: tmp_path / f"output.{kind}" for kind in digests}
-    code, _, _ = run(capsys, *argv, *(a for kind, path in paths.items() for a in (flags[kind], str(path))))
+    paths = {kind: tmp_path / f"output.{kind}" for kind in digests if kind in flags}
+    code, out, _ = run(capsys, *argv, *(a for kind, path in paths.items() for a in (flags[kind], str(path))))
     assert code == 0
-    assert {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()} == digests
+    outputs = {kind: path.read_bytes() for kind, path in paths.items()}
+    if "stdout" in digests:
+        outputs["stdout"] = out.encode()
+    assert {kind: hashlib.sha256(data).hexdigest() for kind, data in outputs.items()} == digests
 
 
 def test_scan_bad_grid(capsys):

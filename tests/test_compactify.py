@@ -12,7 +12,9 @@ for every positive parameter set and with no sampled triples:
     linear part 0;
 (d) the horizontal blow-up u = v w1 of O2, with one factor v divided out, has
     a saddle-node at its origin, which gives O2's one hyperbolic sector;
-(e) on the case-2 surface c - delta = b delta, P1 is a saddle-node.
+(e) on the case-2 surface c - delta = b delta, P1 is a saddle-node;
+(f) the Taylor coefficients that ``local._taylor_at`` writes out for the
+    from-scratch ell1 cross-check are those of the family at every point.
 
 The golden coefficient tables below are what the acceptance test reads.
 """
@@ -35,6 +37,7 @@ from kportrait import (
     family_system,
     vector_field,
 )
+from kportrait.local import _taylor_at
 
 B, C, D = sp.symbols("b c delta", positive=True)
 X, Y, U, V, W1 = sp.symbols("x y u v w1")
@@ -227,6 +230,19 @@ def test_p1_is_a_saddle_node_on_the_case2_surface():
     assert reduced.coeff(Y, 1) == 0
     a2 = reduced.coeff(Y, 2)
     assert sp.simplify(a2 + B * D / (1 + B)) == 0 and a2.is_negative
+
+
+def test_taylor_coefficients_are_the_taylor_expansion_of_the_field():
+    # (f): at every (x0, y0), the coefficients give (P, Q)(x0 + u, y0 + v) minus its value at (x0, y0)
+    x0, y0 = sp.symbols("x0 y0")
+    jacobian, quad, cubic = _taylor_at(B, C, D, x0, y0)
+    monomials = ([U, V], [U**2, U * V, V**2], [U**3, U**2 * V, U * V**2, V**3])
+    expansion = [
+        sum(a * m for coeffs, ms in zip(rows, monomials) for a, m in zip(coeffs, ms, strict=True))
+        for rows in zip(jacobian, quad, cubic)
+    ]
+    shifted = [f.subs({X: x0 + U, Y: y0 + V}, simultaneous=True) - f.subs({X: x0, Y: y0}) for f in (P, Q)]
+    assert same([sp.nsimplify(e) for e in expansion], shifted)
 
 
 def test_chart_transition_definitions():

@@ -21,7 +21,7 @@ from kportrait import (
     lyapunov_procedural,
     uniqueness_check,
 )
-from kportrait.local import _kuznetsov_data
+from kportrait.local import _kuznetsov_data, _taylor_at
 
 # frozen spot values at (c, delta) = (1, 1/4):
 # omega^2 = c^2 d (c-d)/(c+d)^3 = 0.096, ell1 = -d^2/(omega (c+d)^2)
@@ -127,6 +127,17 @@ def test_exact_input_whose_float_image_overflows_is_an_analysis_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "c, delta",
+    [(F(10**400), 1), (1e200, 1.0), (1e160, 1.0)],
+    ids=["float-image-overflows", "c+delta-squared-overflows-1e200", "c+delta-squared-overflows-1e160"],
+)
+def test_procedural_ell1_out_of_float_range_is_an_analysis_error(c, delta):
+    # hopf_analysis raises AnalysisError on the same input; the cross-check follows the same rule
+    with pytest.raises(AnalysisError, match="range of doubles"):
+        lyapunov_procedural(c, delta)
+
+
 def test_hopf_mu_zero_and_sign_change():
     rng = np.random.default_rng(37)
     for c, d in cd_samples(rng, 50):
@@ -183,6 +194,20 @@ def test_lyapunov_two_routes_agree_and_negative():
         assert abs(e_closed - e_proc) / abs(e_closed) <= 1e-8
     assert lyapunov_procedural(2.0, 0.5) < 0
     assert lyapunov_procedural(1.0, 0.25) == pytest.approx(ELL1_SPOT, rel=1e-8)
+
+
+def test_taylor_coefficients_at_p2_equal_the_sparse_shift_to_the_bit():
+    rng = random.Random(71)
+    for _ in range(500):
+        c, d = sorted((10 ** rng.uniform(-100, 100), 10 ** rng.uniform(-100, 100)), reverse=True)
+        b0, x2, y2 = (c - d) / (c + d), d / (c + d), c * c / (c + d) ** 2
+        shifted = family_system(Params(b0, c, d)).translate(x2, y2)
+        got = [v for rows in _taylor_at(b0, c, d, x2, y2) for row in rows for v in row]
+        want = [v for row in shifted.linear_part() for v in row] + [
+            get(i, k - i) for k in (2, 3) for get in (shifted.coeff_p, shifted.coeff_q) for i in range(k, -1, -1)
+        ]
+        # float.hex tells 0.0 from -0.0, which == does not
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (c, d)
 
 
 def test_hopf_forms_symmetry():
