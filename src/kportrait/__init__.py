@@ -31,8 +31,7 @@ _EXPORTS = {
         "CycleResult", "GridSpec", "IntegrationFailure", "IntegratorConfig", "NoReturnError", "Orbit",
         "ScanEvidence", "conjecture_scan", "cycle_amplitude", "cycle_loop",
         "detect_limit_cycle", "integrate", "interior_point", "point_polyline_distance",
-        "polyline_hausdorff", "return_iterates", "return_map", "scan_to_csv",
-        "separatrix_section_crossing",
+        "return_iterates", "return_map", "scan_to_csv", "separatrix_section_crossing",
     ),
     "portrait": (
         "HopfSummary", "OrbitTrace", "PortraitReport", "build_portrait", "render_svg", "report_to_dict",

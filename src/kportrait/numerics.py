@@ -12,7 +12,8 @@ of that horizontal line in the affine chart.  The crossing is located by
 bisection on controlled sub-steps, so the event state carries one local
 error, not an interpolation error.  The section for return maps is the
 horizontal ray right of the interior equilibrium, where upward crossings are
-provably transversal.
+provably transversal.  Orbits and cycle loops leave this module as plain
+lists of affine (x, y) tuples.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .compactify import chart_transition
 from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, _in_range
 from .model import _p2_location, classify_case, finite_singular_points
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "IntegratorConfig",
@@ -49,7 +47,6 @@ __all__ = [
     "cycle_amplitude",
     "conjecture_scan",
     "scan_to_csv",
-    "polyline_hausdorff",
     "point_polyline_distance",
 ]
 
@@ -114,11 +111,9 @@ class Orbit:
     terminal: str
     detail: str = ""
 
-    def affine_points(self) -> np.ndarray:
-        """Samples pushed to affine coordinates; chart samples map through
+    def affine_points(self) -> list[tuple[float, float]]:
+        """Samples pushed to affine (x, y) points; chart samples map through
         x = 1/v (U1) or y = 1/v (U2) with v clamped away from zero."""
-        import numpy as np
-
         pts = []
         for _, chart, (a, b) in self.samples:
             if chart == "affine":
@@ -131,7 +126,7 @@ class Orbit:
                 pts.append((1.0 / v, a / v))
             else:
                 pts.append((a / v, 1.0 / v))
-        return np.asarray(pts, dtype=float).reshape(-1, 2)
+        return pts
 
 
 def _dp_step(f, x, y, h, k1x, k1y):
@@ -532,8 +527,8 @@ def cycle_loop(
     p: Params,
     cycle: CycleResult,
     cfg: Optional[IntegratorConfig] = None,
-) -> np.ndarray:
-    """One period of the detected cycle, sampled densely in affine coords."""
+) -> list[tuple[float, float]]:
+    """One period of the detected cycle, sampled densely as affine (x, y) points."""
     if not cycle.found or cycle.section_x is None:
         raise ValueError("no cycle to sample")
     cfg = replace(cfg or IntegratorConfig(), max_step=_LOOP_MAX_STEP)
@@ -558,35 +553,17 @@ def cycle_amplitude(
     return max(math.hypot(x - x2, y - y2) for x, y in loop)
 
 
-def _min_dist_to_polyline(points, poly) -> np.ndarray:
-    """Distance from each point to the polyline; both are (n, 2)-shaped point lists."""
-    import numpy as np
-
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
-    if len(poly) < 2:
-        return np.linalg.norm(points[:, None, :] - poly[None, :, :], axis=2).min(axis=1)
-    best = np.full(len(points), np.inf)
-    seg_a, seg_b = poly[:-1], poly[1:]
-    # chunk the segment axis to bound memory
-    for k in range(0, len(seg_a), 512):
-        a = seg_a[k : k + 512]
-        d = seg_b[k : k + 512] - a
-        denom = np.einsum("md,md->m", d, d)
-        denom = np.where(denom == 0.0, 1.0, denom)
-        tpar = np.clip(np.einsum("nmd,md->nm", points[:, None, :] - a[None, :, :], d) / denom, 0.0, 1.0)
-        proj = a[None, :, :] + tpar[..., None] * d[None, :, :]
-        best = np.minimum(best, np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1))
-    return best
-
-
-def polyline_hausdorff(a, b) -> float:
-    """Symmetric Hausdorff distance between two polylines."""
-    return float(max(_min_dist_to_polyline(a, b).max(), _min_dist_to_polyline(b, a).max()))
-
-
 def point_polyline_distance(pt, poly) -> float:
-    return float(_min_dist_to_polyline([pt], poly)[0])
+    """Distance from the point (x, y) to the polyline through the points of ``poly``."""
+    px, py = pt
+    best = math.inf
+    # a one-point polyline is the degenerate segment from that point to itself
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] or poly):
+        dx, dy = bx - ax, by - ay
+        denom = dx * dx + dy * dy or 1.0
+        t = min(max(((px - ax) * dx + (py - ay) * dy) / denom, 0.0), 1.0)
+        best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    return best
 
 
 @dataclass(frozen=True)

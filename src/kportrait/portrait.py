@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .compactify import InfinitePoint, family_infinite_points
 from .local import DulacReport, dulac_check, hopf_analysis
@@ -40,9 +40,6 @@ from .numerics import (
     interior_point,
     point_polyline_distance,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "OrbitTrace",
@@ -76,7 +73,7 @@ def _project(x: float, y: float) -> tuple[float, float]:
 class OrbitTrace:
     """An integrated curve with its limit-set bookkeeping.
 
-    ``points`` are affine coordinates ordered by increasing true time, so
+    ``points`` are affine (x, y) tuples ordered by increasing true time, so
     separately integrated backward halves are reversed before storage.
     """
 
@@ -85,7 +82,7 @@ class OrbitTrace:
     stability: Optional[str]
     alpha_limit: str
     omega_limit: str
-    points: np.ndarray
+    points: list[tuple[float, float]]
 
 
 @dataclass
@@ -108,18 +105,17 @@ class PortraitReport:
     dulac: DulacReport
     separatrices: list[OrbitTrace]
     representatives: list[OrbitTrace]
-    cycle_points: Optional[np.ndarray]
+    cycle_points: Optional[list[tuple[float, float]]]
     warnings: list[str]
 
 
-def _thin(points: np.ndarray, target: int) -> np.ndarray:
-    import numpy as np
-
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) <= target:
-        return pts
-    idx = np.linspace(0, len(pts) - 1, target).round().astype(int)
-    return pts[idx]
+def _thin(points: list[tuple[float, float]], target: int) -> list[tuple[float, float]]:
+    """At most ``target`` points, evenly spaced in index, keeping both ends."""
+    n = len(points)
+    if n <= target:
+        return points
+    step = (n - 1) / (target - 1)
+    return [points[round(k * step)] for k in range(target - 1)] + [points[-1]]
 
 
 def build_portrait(
@@ -134,8 +130,6 @@ def build_portrait(
     The representative seeds sit on a geometric ladder along the section ray
     when the interior point exists, on a diagonal ladder otherwise.
     """
-    import numpy as np
-
     cfg = cfg or IntegratorConfig()
     label = classify_case(p)
     pts = finite_singular_points(p)
@@ -152,7 +146,7 @@ def build_portrait(
         )
 
     hopf: Optional[HopfSummary] = None
-    if float(disc.B) < 0.0 and c > d:
+    if disc.B < 0 and c > d:
         try:
             hd = hopf_analysis(c, d)
             omega: Optional[float] = None
@@ -173,7 +167,7 @@ def build_portrait(
     dulac = dulac_check(p)
 
     cycle: Optional[CycleResult] = None
-    cycle_pts: Optional[np.ndarray] = None
+    cycle_pts: Optional[list[tuple[float, float]]] = None
     if label.case in (3, 5):
         try:
             cycle = detect_limit_cycle(p, cfg)
@@ -225,7 +219,7 @@ def build_portrait(
     def trace(role: str, origin: str, stability: Optional[str], start) -> OrbitTrace:
         fwd = run(start, "forward")
         bwd = run(start, "backward")
-        points = np.vstack([bwd.affine_points()[::-1], fwd.affine_points()])
+        points = bwd.affine_points()[::-1] + fwd.affine_points()
         return OrbitTrace(
             role=role,
             origin=origin,

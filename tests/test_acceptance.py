@@ -27,13 +27,13 @@ from kportrait import (
     integrate,
     interior_point,
     lyapunov_procedural,
-    polyline_hausdorff,
     return_iterates,
     return_map,
     scan_to_csv,
     separatrix_section_crossing,
 )
 from kportrait.model import ZERO_BAND, _signs
+from polyline_oracle import polyline_hausdorff
 from test_compactify import (
     SYMBOLIC,
     B,

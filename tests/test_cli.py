@@ -282,8 +282,10 @@ def test_scan_bad_grid(capsys):
 
 
 NUMPY_FREE_SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, os, sys, tempfile
 from fractions import Fraction as F
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import kportrait as k
 from kportrait.cli import main
 
@@ -300,9 +302,14 @@ for p in (k.Params(0.5, 1.0, 0.25), k.Params(F(3, 10), F(1), F(1, 4)), k.Params(
     k.classify_case(p), k.finite_singular_points(p), k.family_infinite_points(p)
     k.dulac_check(p), k.uniqueness_check(p)
     k.hopf_analysis(p.c, p.delta), k.lyapunov_procedural(p.c, p.delta)
-assert "numpy" not in sys.modules, "the analysis path loaded numpy"
-k.polyline_hausdorff([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)])
-assert "numpy" in sys.modules, "the control did not load numpy"
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    svg, report, csv = (os.path.join(tmp, name) for name in ("b.svg", "b.json", "scan.csv"))
+    assert main(["cycle", "--b", "0.5", "--c", "1", "--delta", "0.25"]) == 0
+    assert main(["scan", "--grid", "0.65:1.3:2,0.9:1.5:2,0.15:0.4:1", "--jobs", "1", "--out", csv]) == 0
+    assert main(["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25", "--out", svg, "--report", report]) == 0
+rep = k.build_portrait(k.Params(2.0, 1.0, 1.0))
+k.render_svg(rep), k.write_report(rep)
+assert sys.modules["numpy"] is None
 print("ok")
 """
 
@@ -315,7 +322,8 @@ def _run_fresh(script):
 
 
 def test_analysis_path_runs_without_numpy():
-    # pytest has imported numpy already, so the check needs a fresh interpreter
+    # pytest has imported numpy already, so the check needs a fresh interpreter;
+    # every command and the portrait calls run there with numpy blocked
     _run_fresh(NUMPY_FREE_SCRIPT)
 
 

@@ -11,6 +11,7 @@ from kportrait import (
     AnalysisError,
     Params,
     PolySystem,
+    build_portrait,
     classify_case,
     discriminants,
     dulac_check,
@@ -119,8 +120,10 @@ def test_hopf_rejects_c_below_delta():
         lambda: hopf_analysis(F(10**400), 1),
         lambda: interior_point(Params(F(1, 1000), F(10**400), 1)),
         lambda: dulac_check(Params(F(3, 10), F(10**400), F(1, 4))),
+        lambda: build_portrait(Params(F(3, 10), F(10**100), F(1, 4))),
+        lambda: build_portrait(Params(F(3, 10), F(10**300), F(1, 4))),
     ],
-    ids=["hopf_analysis", "interior_point", "dulac_check"],
+    ids=["hopf_analysis", "interior_point", "dulac_check", "build_portrait-c=1e100", "build_portrait-c=1e300"],
 )
 def test_exact_input_whose_float_image_overflows_is_an_analysis_error(call):
     with pytest.raises(AnalysisError):

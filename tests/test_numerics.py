@@ -21,13 +21,14 @@ from kportrait import (
     finite_singular_points,
     integrate,
     interior_point,
-    polyline_hausdorff,
+    point_polyline_distance,
     return_iterates,
     return_map,
     scan_to_csv,
     separatrix_section_crossing,
     vector_field,
 )
+from polyline_oracle import min_dist_to_polyline, polyline_hausdorff
 
 P_CASE1 = Params(2.0, 1.0, 1.0)
 P_CYCLE = Params(0.5, 1.0, 0.25)
@@ -266,7 +267,21 @@ def test_cycle_loop_closes():
     res = detect_limit_cycle(P_CYCLE)
     loop = cycle_loop(P_CYCLE, res)
     assert len(loop) > 50
-    assert np.hypot(*(loop[0] - loop[-1])) <= 1e-6
+    assert math.dist(loop[0], loop[-1]) <= 1e-6
+
+
+def test_point_polyline_distance_matches_the_numpy_oracle():
+    rng = random.Random(2024)
+    for trial in range(300):
+        n = 1 if trial % 10 == 0 else rng.randint(2, 40)
+        poly = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):  # repeated vertices make zero-length segments
+            k = rng.randrange(len(poly))
+            poly.insert(k, poly[k])
+        pts = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(5)] + poly[:2]
+        expected = min_dist_to_polyline(pts, poly)
+        for pt, want in zip(pts, expected):
+            assert abs(point_polyline_distance(pt, poly) - want) <= 1e-12 * want
 
 
 def test_grid_spec_cells():

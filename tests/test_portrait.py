@@ -14,7 +14,7 @@ from kportrait import (
     report_to_dict,
     write_report,
 )
-from kportrait.portrait import _project
+from kportrait.portrait import _project, _thin
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,14 @@ def test_disc_projection_properties():
     radii = [math.hypot(*_project(*(direction * r))) for r in np.linspace(0.1, 200, 50)]
     assert all(r1 > r0 for r0, r1 in zip(radii, radii[1:]))
     assert radii[-1] < 1.0
+
+
+def test_thin_takes_the_rounded_linspace_indices():
+    for n in range(601):
+        pts = list(range(n))
+        assert _thin(pts, 600) is pts
+    for n in range(601, 5001):
+        assert _thin(list(range(n)), 600) == np.linspace(0, n - 1, 600).round().astype(int).tolist()
 
 
 def test_portrait_a_limits(report_a):
