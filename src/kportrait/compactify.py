@@ -7,9 +7,9 @@ This module provides the chart-to-chart coordinate maps, the family's equator
 points O1 and O2, and the sparse polynomial form of the affine field; its
 Taylor shift is the test reference for the Taylor coefficients of the Hopf
 cross-check in ``local``.
-The closed-form chart fields live in ``numerics``; ``tests/test_compactify.py``
-derives them, and the facts behind O1 and O2, from the Poincare formulas with
-sympy for all positive parameters.
+The integrator does not use these charts: beyond radius 10 it runs in the
+barycentric chart (x, y)/(1 + x + y) of ``numerics``.  ``tests/test_compactify.py``
+proves that chart's field, and O1 and O2 from the Poincare formulas, with sympy.
 
 Polynomials are sparse maps from exponent pairs (i, j) to nonzero
 coefficients; arithmetic follows the input number types, so rational inputs

@@ -2,10 +2,12 @@
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
 control and FSAL.  When an orbit leaves the ball of radius 10 the state
-transfers to the compactification chart whose coordinate dominates (U1 for x,
-U2 for y) and integration continues on the family's closed-form field in
-that chart; in a chart the recorded ``time`` is the orbit parameter of the
-rescaled flow, which preserves orientation on v > 0.
+transfers to the barycentric chart "S", (X, Y) = (x, y)/(1 + x + y), which
+maps the whole closed quadrant, infinity included, onto the triangle
+X, Y >= 0, X + Y <= 1.  There the line at infinity is Z = 1 - X - Y = 0, the
+equator points are O1 = (1, 0) and O2 = (0, 1), and integration continues on
+the family's closed-form field in that chart; the recorded ``time`` is the
+orbit parameter of the rescaled flow, which preserves orientation on Z > 0.
 
 ``integrate(..., section=y)`` stops an orbit at its first upward crossing
 of that horizontal line in the affine chart.  The crossing is located by
@@ -25,7 +27,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
 
-from .compactify import chart_transition
 from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, _in_range
 from .model import _p2_location, classify_case, finite_singular_points
 
@@ -73,14 +74,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _CONVERGE_DIST2 = 1e-14  # squared distance to an equilibrium that ends an orbit
-_V_ESCAPE = 1e-9  # |v| below this in a chart counts as reaching infinity
-_O2_RADIUS2 = 1e-4  # ball around the degenerate U2 origin that is never entered
-_MAX_SWITCHES = 32
+_V_ESCAPE = 1e-9  # Z at or below this in the S chart counts as reaching infinity
+_O2_RADIUS2 = 1e-4  # squared S-chart radius around the degenerate O2 that is never entered
 _MAX_SAMPLES = 2_000_000
-_AFFINE_CLAMP = 1e12  # chart samples with |v| < 1/_AFFINE_CLAMP map as if at that |v|
+_AFFINE_CLAMP = 1e12  # S samples with Z < 1/_AFFINE_CLAMP map as if at that Z
 _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
 _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
-_CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to U1 or U2
+_CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to the S chart
 _EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
 _SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
 _SETUP_CACHE_SIZE = 32  # stop tables kept; a parameter set needs one per time direction
@@ -103,8 +103,10 @@ class IntegratorConfig:
 class Orbit:
     """Recorded trajectory: (time, chart, point) triples plus a terminal tag.
 
-    Terminal is one of max-time, converged-to-point, escaped, hit-section,
-    chart-boundary-loop.  ``detail`` names the limit point when known.
+    The chart of a sample is "affine" or "S".  Terminal is one of max-time,
+    converged-to-point, escaped, hit-section, chart-boundary-loop.  ``detail``
+    names the limit point when known: the equilibrium an orbit converged to,
+    "O1" or "infinity" for an escape, "O2" at the chart boundary.
     """
 
     samples: list[tuple[float, str, tuple[float, float]]]
@@ -112,20 +114,15 @@ class Orbit:
     detail: str = ""
 
     def affine_points(self) -> list[tuple[float, float]]:
-        """Samples pushed to affine (x, y) points; chart samples map through
-        x = 1/v (U1) or y = 1/v (U2) with v clamped away from zero."""
+        """Samples pushed to affine (x, y) points; S samples map through
+        (x, y) = (X, Y)/Z with Z = 1 - X - Y clamped away from zero."""
         pts = []
         for _, chart, (a, b) in self.samples:
             if chart == "affine":
                 pts.append((a, b))
-                continue
-            v = b
-            if abs(v) < 1.0 / _AFFINE_CLAMP:
-                v = 1.0 / _AFFINE_CLAMP if v >= 0 else -1.0 / _AFFINE_CLAMP
-            if chart == "U1":
-                pts.append((1.0 / v, a / v))
             else:
-                pts.append((a / v, 1.0 / v))
+                z = max(1.0 - a - b, 1.0 / _AFFINE_CLAMP)
+                pts.append((a / z, b / z))
         return pts
 
 
@@ -174,28 +171,24 @@ def _stops(b: float, c: float, d: float, sgn: float) -> tuple[tuple[str, float, 
 
 
 def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
-    """The family field in ``chart`` ("affine", "U1" or "U2"), time-reversed
-    when ``sgn`` is -1.  The U1 and U2 fields are the Poincare compactification
-    of the cubic field, v^2 times the affine field pushed forward, so they keep
-    its orientation off the equator; ``tests/test_compactify.py`` proves this
-    with sympy for all positive parameters.  The grouping of the coefficients
-    and the order of the terms fix the orbit bytes, which the byte golden in
+    """The family field in ``chart`` ("affine" or "S"), time-reversed when
+    ``sgn`` is -1.  The S field is Z^2 times the affine field pushed forward
+    by (x, y) -> (x, y)/(1 + x + y), with Z = 1 - X - Y, so it keeps the
+    orientation off the line at infinity Z = 0, which it leaves invariant
+    together with both axes; ``tests/test_compactify.py`` proves this with
+    sympy for all positive parameters.  The grouping of the coefficients and
+    the order of the terms fix the orbit bytes, which the byte golden in
     ``tests/test_cli.py`` pins."""
-    k, m = (b - 1.0) + (c - d), b + d * b
-    if chart == "U1":
-        def f_u1(u: float, v: float) -> tuple[float, float]:
+    if chart == "S":
+        def f_s(u: float, v: float) -> tuple[float, float]:
+            z = 1.0 - u - v
+            f = -u * u + (1.0 - b) * u * z - v * z + b * z * z
+            g = (c - d) * u - d * b * z
             return (
-                sgn * (u + k * u * v - m * u * v**2 + u**2 * v),
-                sgn * (v + (b - 1.0) * v**2 - b * v**3 + u * v**2),
+                sgn * (u * ((z + v) * f - z * v * g)),
+                sgn * (v * (z * (z + u) * g - u * f)),
             )
-        return f_u1
-    if chart == "U2":
-        def f_u2(u: float, v: float) -> tuple[float, float]:
-            return (
-                sgn * (-u * v + m * u * v**2 - k * u**2 * v - u**3),
-                sgn * (d * b * v**3 + (d - c) * u * v**2),
-            )
-        return f_u2
+        return f_s
 
     def f_affine(u: float, v: float) -> tuple[float, float]:
         return (
@@ -239,11 +232,12 @@ def integrate(
     """Adaptive trajectory of the family field from ``start``.
 
     ``start`` must be a finite point of the closed positive quadrant.  The
-    orbit record switches to the U1 or U2 chart beyond affine radius 10 and
-    terminates on max-time, convergence to an equilibrium, escape to
-    infinity, the located first upward crossing of the line y = ``section``
-    in the affine chart after time 1e-9 (hit-section), or the excluded
-    neighbourhood of the degenerate point at the top of the disc.
+    orbit record switches to the S chart beyond affine radius 10, and back
+    inside radius 9, and terminates on max-time, convergence to an
+    equilibrium, escape to infinity (Z <= 1e-9, at O1 when Y < X/2), the
+    located first upward crossing of the line y = ``section`` in the affine
+    chart after time 1e-9 (hit-section), or the excluded neighbourhood of the
+    degenerate point O2 at the top of the disc (chart-boundary-loop).
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
@@ -262,7 +256,6 @@ def integrate(
     samples: list[tuple[float, str, tuple[float, float]]] = [(0.0, "affine", (x, y))]
     k1x, k1y = rhs(x, y)
     h = max(1e-10, min(cfg.max_step, 0.01 * max(abs(x), abs(y), 1.0) / max(abs(k1x), abs(k1y), 1e-10)))
-    switches = 0
     terminal = ""
     detail = ""
     r2_out = _CHART_SWITCH_RADIUS**2
@@ -308,7 +301,6 @@ def integrate(
         h = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
         samples.append((t, chart, (x, y)))
 
-        target = None
         if chart == "affine":
             hit = ""
             for name, qx, qy, mode in equilibria:
@@ -322,33 +314,27 @@ def integrate(
                 terminal, detail = "converged-to-point", hit
                 break
             if x * x + y * y > r2_out:
-                target = "U1" if abs(x) >= abs(y) else "U2"
+                w = 1.0 + x + y
+                chart, x, y = "S", x / w, y / w
         else:
-            if abs(y) <= _V_ESCAPE:
-                terminal = "escaped"
+            z = 1.0 - x - y
+            if z <= _V_ESCAPE:
+                # u = Y/X is the U1 coordinate of the escape direction
+                terminal, detail = "escaped", "O1" if y < 0.5 * x else "infinity"
                 break
-            # u = 0 in U2 is the invariant x = 0 ray, a separatrix of the
-            # degenerate point at the top of the disc; the cubic-flat field
-            # there is never integrated through.
-            if chart == "U2" and (x == 0.0 or x * x + y * y <= _O2_RADIUS2):
-                terminal = "chart-boundary-loop"
+            # X = 0 is the invariant x = 0 ray, a separatrix of the degenerate
+            # point O2 = (0, 1); the cubic-flat field there is never integrated
+            # through
+            if x == 0.0 or x * x + z * z <= _O2_RADIUS2:
+                terminal, detail = "chart-boundary-loop", "O2"
                 break
-            if (1.0 + x * x) / (y * y) < r2_in:
-                target = "affine"
-            elif abs(x) > 1.25:
-                target = "U2" if chart == "U1" else "U1"
-        if target is not None:
-            u, v = chart_transition(chart, target, (x, y))
-            chart = target
-            x, y = float(u), float(v)
+            if (x * x + y * y) / (z * z) < r2_in:
+                chart, x, y = "affine", x / z, y / z
+        if chart != samples[-1][1]:
             samples[-1] = (t, chart, (x, y))
             rhs = _rhs(b, c, d, sgn, chart)
             k1x, k1y = rhs(x, y)
             h = min(h, 0.05)
-            switches += 1
-        if switches > _MAX_SWITCHES:
-            terminal = "chart-boundary-loop"
-            break
 
     return Orbit(samples=samples, terminal=terminal, detail=detail)
 

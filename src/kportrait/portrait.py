@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Optional
 
 from .compactify import InfinitePoint, family_infinite_points
@@ -34,6 +33,7 @@ from .numerics import (
     Orbit,
     _SEED_OFFSET,
     _p1_separatrix_start,
+    _stops,
     cycle_loop,
     detect_limit_cycle,
     integrate,
@@ -176,8 +176,6 @@ def build_portrait(
         except (NoReturnError, IntegrationFailure) as err:
             warnings.append(f"cycle-detection-failed: {err}")
 
-    names = {q.name: (float(q.location[0]), float(q.location[1])) for q in pts}
-
     def run(start, direction: str) -> Orbit:
         try:
             return integrate(p, start, direction, cfg)
@@ -185,33 +183,30 @@ def build_portrait(
             warnings.append(f"integration-failure: {direction} orbit from {start}")
             return err.orbit
 
-    def limit_of(orbit: Orbit) -> str:
-        if orbit.terminal == "converged-to-point":
+    def limit_of(orbit: Orbit, sgn: float) -> str:
+        if orbit.terminal in ("converged-to-point", "escaped", "chart-boundary-loop"):
             return orbit.detail
-        if orbit.terminal == "escaped":
-            _, ch, (u, _v) = orbit.samples[-1]
-            if ch == "U1" and abs(u) < 0.5:
-                return "O1"
-            if ch == "U2":
-                return "O2"
-            return "infinity"
-        if orbit.terminal == "chart-boundary-loop":
-            return "O2"
         _, ch, (ax, ay) = orbit.samples[-1]
         if ch == "affine":
             if cycle is not None and cycle.found and cycle_pts is not None:
                 if point_polyline_distance((ax, ay), cycle_pts) <= 0.02:
                     return "cycle"
-            for name, (qx, qy) in names.items():
-                if math.hypot(ax - qx, ay - qy) <= 1e-3:
+            affine = [s for s in orbit.samples if s[1] == "affine"]
+            mx, my = affine[(3 * len(affine)) // 4][2]
+            # only points that attract in this time direction, or an approach
+            # along an invariant axis, can be the limit
+            near = []
+            for name, qx, qy, mode in _stops(b, c, d, sgn):
+                d_end = math.hypot(ax - qx, ay - qy)
+                d_mid = math.hypot(mx - qx, my - qy)
+                if mode == "always" or ((ax == 0.0 or ay == 0.0) and d_end < d_mid):
+                    near.append((name, d_end, d_mid))
+            for name, d_end, _ in near:
+                if d_end <= 1e-3:
                     return name
             # still settling (slow foci, saddle-node centre directions):
             # accept a close and strictly shrinking approach
-            affine = [s for s in orbit.samples if s[1] == "affine"]
-            mid = affine[(3 * len(affine)) // 4][2]
-            for name, (qx, qy) in names.items():
-                d_end = math.hypot(ax - qx, ay - qy)
-                d_mid = math.hypot(mid[0] - qx, mid[1] - qy)
+            for name, d_end, d_mid in near:
                 if d_end <= 0.05 and d_end <= 0.9 * d_mid:
                     return name
         return "unresolved"
@@ -224,8 +219,8 @@ def build_portrait(
             role=role,
             origin=origin,
             stability=stability,
-            alpha_limit=limit_of(bwd),
-            omega_limit=limit_of(fwd),
+            alpha_limit=limit_of(bwd, -1.0),
+            omega_limit=limit_of(fwd, 1.0),
             points=_thin(points, _THIN_TO),
         )
 
@@ -239,7 +234,7 @@ def build_portrait(
         separatrices.append(trace("separatrix", "P1", stability, start))
 
     rep_traces: list[OrbitTrace] = []
-    if "P2" in names:
+    if any(q.name == "P2" for q in pts):
         x2, y2 = interior_point(p)
         x_hi = x2 + 0.8 * (1.0 - x2) if x2 < 1.0 else 2.0 * x2
         for k in range(representatives):
@@ -339,12 +334,6 @@ def render_svg(report: PortraitReport) -> str:
             extra = (
                 f'<circle cx="{_fmt_px(px)}" cy="{_fmt_px(py)}" r="{_fmt_px(r + 2.5)}" '
                 'fill="none" stroke-dasharray="2,2"/>'
-            )
-        if kind == "degenerate":
-            return (
-                f'<g class="pt degenerate" data-name="{name}" data-kind="{kind}">{title}'
-                f'<rect x="{_fmt_px(px - r)}" y="{_fmt_px(py - r)}" width="{_fmt_px(2 * r)}" height="{_fmt_px(2 * r)}" fill="#ffffff"/>'
-                "</g>"
             )
         return (
             f'<g class="pt" data-name="{name}" data-kind="{kind}">{title}'
@@ -446,7 +435,7 @@ def _trace_dict(tr: OrbitTrace) -> dict:
         "stability": tr.stability,
         "alpha_limit": tr.alpha_limit,
         "omega_limit": tr.omega_limit,
-        "points": [[float(x), float(y)] for x, y in tr.points],
+        "points": tr.points,
     }
 
 
@@ -529,9 +518,7 @@ def report_to_dict(report: PortraitReport) -> dict:
         },
         "separatrices": [_trace_dict(tr) for tr in report.separatrices],
         "representative_orbits": [_trace_dict(tr) for tr in report.representatives],
-        "cycle_points": None
-        if report.cycle_points is None
-        else [[float(x), float(y)] for x, y in report.cycle_points],
+        "cycle_points": report.cycle_points,
         "portrait": report.label.portrait,
         "status": report.label.status,
         "warnings": list(report.warnings),
@@ -546,13 +533,12 @@ def _emit_json(value, out: list[str], indent: int) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, Integral):
-        out.append(str(int(value)))
-    elif isinstance(value, Real):
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite number {v!r} in report")
-        out.append(format(v, ".17g"))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r} in report")
+        out.append(format(value, ".17g"))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, (list, tuple)):

@@ -221,22 +221,22 @@ BYTE_GOLDEN = {
     "portrait-A": (
         ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
         {
-            "svg": "ea756091613aff23c147425cb202110452e98a418dfbc76b9328718c968db49d",
-            "json": "7835ce73b684b7954edefae25b27107bf64124e4b71fbbf4f47aeaceb3525fe1",
+            "svg": "9c43d27740c969438086eea6cf6fc527725086ff919167fd8ac08999f9fc69e9",
+            "json": "853d4956a7f9271e72adea2a37b415da75cd002a865f6c9324e7cadab40fd565",
         },
     ),
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "1bda9ff9ff9d1cda7b7f3e96dc7f09586dd54d1e09eafa92c541490a53e62830",
-            "json": "ddc0ced99b07263fcb2afc5f0e93e43c82eef2d3bf9bc7f353b0e54e1e0b1289",
+            "svg": "fe22b7d4167dd88dc7ecc6924ad65064aca2dfee02829dfb888aac5910ecef43",
+            "json": "8ed0f118fb089d5266a0430183d2523b94fd90b7b75e83facde9a5ca1562dd76",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "5fe9c1c6489114ad76efb6b58eb023a17ac6fcda646b6435f7edad8064941495",
-            "json": "4dd994c1f76cd2886ad22f73d3252882b4295fb7673002fc6b395e546f300499",
+            "svg": "36a9003a4cea807b6e12dce4cb158fe6ed74eae3cd8b91fafb277a911480420c",
+            "json": "ddc326cee726c290fecbe908cbfa8b4585b2bb05c667733a0e73a3eccbde6b7d",
         },
     ),
     **{

@@ -1,13 +1,18 @@
 """Symbolic certificates for the charts, O1, O2 and P1; PolySystem and chart transitions.
 
 The U1 and U2 fields are built here from the affine family by the Poincare
-formulas, with sympy, for symbolic positive (b, c, delta).  The tests prove,
-for every positive parameter set and with no sampled triples:
+formulas, and the field of the barycentric chart (X, Y) = (x, y)/(1 + x + y)
+by pushing the affine field forward, with sympy, for symbolic positive
+(b, c, delta).  The tests prove, for every positive parameter set and with no
+sampled triples:
 
-(a) the integrator's closed-form chart fields ``numerics._rhs`` are those
-    fields, times the time direction;
-(b) each chart field is v^2 times the affine field pushed forward, so the
-    charts keep the orientation off the equator;
+(a) the integrator's closed-form outer-chart field ``numerics._rhs(..., "S")``
+    is Z^2 times the affine field pushed forward into the barycentric chart,
+    with Z = 1 - X - Y, times the time direction, so it keeps the orientation
+    off the line at infinity Z = 0; the lines X = 0, Y = 0 and Z = 0 are
+    invariant, and on Z = 0 the flow runs from O1 = (1, 0) to O2 = (0, 1);
+(b) each Poincare chart field is v^2 times the affine field pushed forward, so
+    the charts keep the orientation off the equator;
 (c) on the equator of U1 the flow is u' = u, O1 has linear part I and O2
     linear part 0;
 (d) the horizontal blow-up u = v w1 of O2, with one factor v divided out, has
@@ -41,6 +46,8 @@ from kportrait.local import _taylor_at
 
 B, C, D = sp.symbols("b c delta", positive=True)
 X, Y, U, V, W1 = sp.symbols("x y u v w1")
+XS, YS = sp.symbols("X Y")  # the barycentric chart
+ZS = 1 - XS - YS
 SYMBOLIC = Params(B, C, D)
 # the affine family, written out independently of the package
 P = X * (-X**2 + (1 - B) * X - Y + B)
@@ -71,6 +78,14 @@ def poincare_chart(chart):
     at = {X: U / V, Y: 1 / V}
     p, q = P.subs(at), Q.subs(at)
     return sp.expand(V**3 * (p - U * q)), sp.expand(-(V**4) * q)
+
+
+def barycentric_chart():
+    """Z^2 times the affine family pushed forward by (x, y) -> (x, y)/(1 + x + y),
+    at (x, y) = (X, Y)/Z with Z = 1 - X - Y."""
+    jacobian = sp.Matrix([X / (1 + X + Y), Y / (1 + X + Y)]).jacobian([X, Y])
+    pushed = (jacobian * sp.Matrix([P, Q])).subs({X: XS / ZS, Y: YS / ZS}, simultaneous=True)
+    return tuple(sp.expand(sp.cancel(ZS**2 * f)) for f in pushed)
 
 
 def horizontal_blowup():
@@ -143,12 +158,18 @@ def test_charted_systems_match_goldens_exactly():
         assert same(poincare_chart(chart), field(golden(SYMBOLIC), U, V))
 
 
-def test_closed_form_chart_fields_are_the_poincare_charts():
-    # (a): sgn = -1 is the time-reversed field
-    for chart in ("U1", "U2"):
-        for sgn in (1, -1):
-            closed_form = numerics._rhs(B, C, D, sgn, chart)(U, V)
-            assert same(closed_form, [sgn * f for f in poincare_chart(chart)]), (chart, sgn)
+def test_closed_form_chart_field_is_the_barycentric_chart():
+    # (a): sgn = -1 is the time-reversed field; Z^2 > 0 off the line at infinity
+    dx, dy = barycentric_chart()
+    for sgn in (1, -1):
+        closed_form = numerics._rhs(B, C, D, sgn, "S")(XS, YS)
+        assert same(closed_form, [sgn * dx, sgn * dy]), sgn
+    # X' vanishes on X = 0, Y' on Y = 0, and Z' = -(X' + Y') on Z = 0
+    assert dx.subs(XS, 0) == 0 and dy.subs(YS, 0) == 0
+    at_infinity = {YS: 1 - XS}
+    assert sp.expand((dx + dy).subs(at_infinity)) == 0
+    # X' = -X^3 Y there: from O1 = (1, 0) toward O2 = (0, 1), as u' = u in U1
+    assert sp.expand(dx.subs(at_infinity) + XS**3 * (1 - XS)) == 0
 
 
 def test_chart_consistency_with_affine_field():

@@ -1,5 +1,6 @@
 """Integration, return maps, cycle detection, scanner."""
 
+import csv
 import io
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from kportrait import (
     AnalysisError,
     GridSpec,
+    IntegrationFailure,
     IntegratorConfig,
     NoReturnError,
     Params,
@@ -105,17 +107,29 @@ def test_quadrant_is_invariant():
 
 def test_backward_orbit_escapes_to_o1():
     orbit = integrate(P_CYCLE, (5.0, 5.0), "backward")
-    assert orbit.terminal == "escaped"
-    _, chart, (u, v) = orbit.samples[-1]
-    assert chart == "U1"
-    assert abs(u) < 0.1 and abs(v) <= 1e-8  # the unstable node at infinity
+    assert (orbit.terminal, orbit.detail) == ("escaped", "O1")
+    _, chart, (x, y) = orbit.samples[-1]
+    assert chart == "S"
+    # the unstable node at infinity, O1 = (1, 0) on the line Z = 1 - X - Y = 0
+    assert y < 0.1 * x and 1.0 - x - y <= 1e-8
 
 
 def test_backward_y_axis_orbit_stops_before_degenerate_point():
     orbit = integrate(P_CYCLE, (0.0, 2.0), "backward", IntegratorConfig(max_time=100.0))
-    assert orbit.terminal == "chart-boundary-loop"
-    _, chart, _ = orbit.samples[-1]
-    assert chart == "U2"
+    assert (orbit.terminal, orbit.detail) == ("chart-boundary-loop", "O2")
+    _, chart, (x, _) = orbit.samples[-1]
+    assert chart == "S" and x == 0.0
+
+
+def test_orbit_reenters_the_affine_chart():
+    # from beyond radius 10 the orbit moves to the S chart, comes back inside
+    # radius 9 and settles at P1; the chart switches leave no gap in the curve
+    orbit = integrate(P_CASE1, (0.05, 11.0), "forward")
+    charts = [chart for _, chart, _ in orbit.samples]
+    assert [c for k, c in enumerate(charts) if k == 0 or c != charts[k - 1]] == ["affine", "S", "affine"]
+    assert (orbit.terminal, orbit.detail) == ("converged-to-point", "P1")
+    pts = orbit.affine_points()
+    assert max(math.dist(a, b) for a, b in zip(pts, pts[1:])) < 0.5
 
 
 def test_integrate_rejects_bad_start():
@@ -328,6 +342,40 @@ def test_scan_cell_lets_programming_errors_raise(monkeypatch):
     grid = GridSpec(b=(0.9, 0.9, 1), c=(1.2, 1.2, 1), delta=(0.3, 0.3, 1))
     with pytest.raises(ValueError, match="bug"):
         conjecture_scan(grid, jobs=1)
+
+
+def _csv_row(row):
+    buf = io.StringIO()
+    scan_to_csv([row], buf)
+    header, fields = csv.reader(io.StringIO(buf.getvalue()))
+    return dict(zip(header, fields))
+
+
+def test_scan_cell_reports_a_found_cycle():
+    import kportrait.numerics as numerics
+
+    cfg = IntegratorConfig()
+    row = numerics._scan_cell((0.5, 1.0, 0.25, 5, cfg))
+    res = detect_limit_cycle(P_CYCLE, cfg)
+    assert (row.verdict, row.section_x, row.multiplier) == ("cycle-found", res.section_x, res.multiplier)
+    fields = _csv_row(row)
+    assert fields["verdict"] == "cycle-found"
+    assert fields["section_x"] == format(res.section_x, ".17g")
+    assert fields["multiplier"] == format(res.multiplier, ".17g")
+
+
+def test_scan_cell_without_returns_is_inconclusive(monkeypatch):
+    import kportrait.numerics as numerics
+
+    def failing(*args, **kwargs):
+        raise IntegrationFailure("step size underflow", None)
+
+    monkeypatch.setattr(numerics, "return_iterates", failing)
+    row = numerics._scan_cell((0.9, 1.2, 0.3, 6, IntegratorConfig()))
+    assert row.verdict == "inconclusive"
+    fields = _csv_row(row)
+    assert fields["verdict"] == "inconclusive"
+    assert fields["section_x"] == fields["multiplier"] == fields["seeds"] == ""
 
 
 def test_cycle_search_builds_the_stop_table_once(monkeypatch):

@@ -14,6 +14,7 @@ from kportrait import (
     report_to_dict,
     write_report,
 )
+from kportrait.numerics import _stops
 from kportrait.portrait import _project, _thin
 
 
@@ -80,6 +81,28 @@ def test_portrait_c_limits(report_c):
     for tr in report_c.representatives:
         assert tr.omega_limit == "P2"
     assert not any("mismatch" in w for w in report_c.warnings)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (0.05683323644478372, 6.802847627867152, 1.0751050535137032),
+        (0.0123, 1.3174, 1.2244),  # case 3: P0 is a saddle, P2 an unstable node
+        (0.5, 1.0, 0.25),
+    ],
+)
+def test_reported_limits_attract_in_their_time_direction(triple):
+    # a saddle, or a node that repels in the orbit's time direction, is never
+    # the alpha- or omega-limit of an interior orbit
+    rep = build_portrait(Params(*triple))
+    interior = rep.representatives + [tr for tr in rep.separatrices if tr.origin == "P1"]
+    assert interior
+    for sgn in (1.0, -1.0):
+        modes = {name: mode for name, _, _, mode in _stops(*triple, sgn)}
+        for tr in interior:
+            limit = tr.omega_limit if sgn > 0 else tr.alpha_limit
+            if limit in modes:
+                assert modes[limit] == "always", (tr.origin, sgn, limit)
 
 
 def test_portrait_letter_matches_classification(report_a, report_b, report_c):
