@@ -1,7 +1,7 @@
 """Global phase portraits of a cubic predator-prey Kolmogorov system.
 
-Classification of the parameter space, the Poincare charts and the points at
-infinity, Hopf analysis with the first Lyapunov coefficient, return-map
+Classification of the parameter space, the points at infinity, Hopf
+analysis with the first Lyapunov coefficient, return-map
 limit-cycle detection, and SVG/JSON portrait output on the positive quarter
 of the Poincare disc.
 
@@ -15,10 +15,7 @@ from .model import *  # noqa: F403
 
 # Every public name, by home module; each module's own __all__ lists the same.
 _EXPORTS = {
-    "compactify": (
-        "ChartDomainError", "InfinitePoint", "PolySystem", "SectorData", "chart_transition",
-        "family_infinite_points", "family_system",
-    ),
+    "compactify": ("InfinitePoint", "SectorData", "family_infinite_points"),
     "model": (
         "AnalysisError", "CaseLabel", "Discriminants", "Params", "SingularPoint",
         "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",

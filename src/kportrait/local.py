@@ -15,9 +15,8 @@ cross-check is the main safeguard of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
 
@@ -37,8 +36,7 @@ __all__ = [
 _RESID_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MultilinearForms:
+class MultilinearForms(NamedTuple):
     """Symmetric bilinear and trilinear forms of a field's Taylor expansion.
 
     Built from the quadratic and cubic coefficients of the two components so
@@ -64,8 +62,7 @@ class MultilinearForms:
         )
 
 
-@dataclass(frozen=True)
-class HopfData:
+class HopfData(NamedTuple):
     """Closed-form data of the supercritical Hopf bifurcation in b.
 
     ``mu_at`` and ``omega_at`` evaluate the real and imaginary part of the
@@ -172,8 +169,9 @@ def _taylor_at(b, c, d, x0, y0):
     coefficients of the family's (P, Q) at (x0, y0).
 
     Each sum adds its terms in the order of the binomial shift of
-    ``PolySystem.translate``, so in floats the coefficients are those of
-    ``family_system(Params(b, c, d)).translate(x0, y0)`` to the bit."""
+    ``PolySystem.translate`` in ``tests/poincare_engine.py``, so in floats the
+    coefficients are those of ``family_system(Params(b, c, d)).translate(x0, y0)``
+    there to the bit."""
     jacobian = (
         (((b + -y0) + (1 - b) * 2 * x0) + -3 * x0**2, -x0),
         ((c - d) * y0, -d * b + (c - d) * x0),
@@ -234,8 +232,7 @@ def lyapunov_procedural(c: Number, delta: Number) -> float:
     return _kuznetsov_data(c, delta)["ell1"]
 
 
-@dataclass(frozen=True)
-class DulacReport:
+class DulacReport(NamedTuple):
     """Outcome of the divergence test with multiplier 1/x.
 
     The weighted divergence is Delta(x, y) = 1 + c - d - 2x - b(d + x)/x;
@@ -272,8 +269,7 @@ def dulac_check(p: Params) -> DulacReport:
     )
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Instantiation of the four uniqueness conditions for the cycle.
 
     The Kolmogorov factors are x' = x(f(x) - y) and y' = y(g(x) - lambda)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
     from .numerics import Orbit
@@ -88,6 +88,7 @@ def _check_parameter(name: str, v: Number) -> None:
         raise ValueError(f"{name} must be positive, got {v!r}")
 
 
+# a dataclass, not a NamedTuple: the cached_property caches need an instance __dict__
 @dataclass(frozen=True)
 class Params:
     """The positive triple (b, c, delta) driving the whole analysis."""
@@ -128,7 +129,10 @@ class Params:
         return _in_range(_p2_location, *self._lifted)
 
     def as_float(self) -> "Params":
-        """The triple in doubles; an AnalysisError when a value overflows or underflows to 0."""
+        """The triple in doubles, ``self`` if it is one already; an AnalysisError when a
+        value overflows or underflows to 0."""
+        if all(type(v) is float for v in (self.b, self.c, self.delta)):
+            return self
         return Params(*_in_range(lambda *v: [float(x) or math.inf for x in v], self.b, self.c, self.delta))
 
     def exact_triple(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -137,8 +141,7 @@ class Params:
         return Fraction(self.b), Fraction(self.c), Fraction(self.delta)
 
 
-@dataclass(frozen=True)
-class Discriminants:
+class Discriminants(NamedTuple):
     """The two polynomial discriminants controlling the interior point P2.
 
     A carries the sign of the trace of the Jacobian at P2, B the sign of its
@@ -150,8 +153,7 @@ class Discriminants:
     B: Number
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """A finite or infinite equilibrium with location, chart and local type."""
 
     name: str  # P0, P1, P2, O1, O2
@@ -161,6 +163,7 @@ class SingularPoint:
     eigenvalues: Optional[tuple[complex, complex]] = None
 
 
+# a dataclass, not a NamedTuple: callers rebuild a label with type(label)(**vars(label))
 @dataclass(frozen=True)
 class CaseLabel:
     """Case number, parameter-space region, portrait letter and proof status.

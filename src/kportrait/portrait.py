@@ -211,15 +211,20 @@ def build_portrait(
                     return name
         return "unresolved"
 
-    def trace(role: str, origin: str, stability: Optional[str], start) -> OrbitTrace:
+    def trace(role: str, origin: str, stability: Optional[str], start, alpha: Optional[str] = None) -> OrbitTrace:
+        """Both halves of the orbit through ``start``; the forward half alone when
+        its ``alpha`` limit is known."""
         fwd = run(start, "forward")
-        bwd = run(start, "backward")
-        points = bwd.affine_points()[::-1] + fwd.affine_points()
+        points = fwd.affine_points()
+        if alpha is None:
+            bwd = run(start, "backward")
+            alpha = limit_of(bwd, -1.0)
+            points = bwd.affine_points()[::-1] + points
         return OrbitTrace(
             role=role,
             origin=origin,
             stability=stability,
-            alpha_limit=limit_of(bwd, -1.0),
+            alpha_limit=alpha,
             omega_limit=limit_of(fwd, 1.0),
             points=_thin(points, _THIN_TO),
         )
@@ -228,10 +233,12 @@ def build_portrait(
         trace("axis", "P0", "unstable", (_SEED_OFFSET, 0.0)),
         trace("axis", "P0", "stable", (0.0, _SEED_OFFSET)),
     ]
-    if label.case >= 2:
-        stability = "center" if label.case == 2 else "unstable"
-        start = _p1_separatrix_start(p)
-        separatrices.append(trace("separatrix", "P1", stability, start))
+    if label.case == 2:
+        # the centre branch of the saddle-node comes from O1 and ends at P1
+        separatrices.append(trace("separatrix", "P1", "center", _p1_separatrix_start(p)))
+    elif label.case > 2:
+        # P1's branch into the quadrant is its unstable manifold: it leaves P1 forward in time
+        separatrices.append(trace("separatrix", "P1", "unstable", _p1_separatrix_start(p), alpha="P1"))
 
     rep_traces: list[OrbitTrace] = []
     if any(q.name == "P2" for q in pts):

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -228,15 +230,15 @@ BYTE_GOLDEN = {
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "fe22b7d4167dd88dc7ecc6924ad65064aca2dfee02829dfb888aac5910ecef43",
-            "json": "8ed0f118fb089d5266a0430183d2523b94fd90b7b75e83facde9a5ca1562dd76",
+            "svg": "ac5829a2b3ad2291c48f19c9e61dc1f43f5ac1952ecbb3cd34373cd198e1b8c2",
+            "json": "675f6526c2dbe98397d8d4a2463599b11c16abf88dd39cc9212e583282eb7348",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "36a9003a4cea807b6e12dce4cb158fe6ed74eae3cd8b91fafb277a911480420c",
-            "json": "ddc326cee726c290fecbe908cbfa8b4585b2bb05c667733a0e73a3eccbde6b7d",
+            "svg": "d12adb0ccefc1aece236477a01e389eaaacd15b99dea5487389821c67da51855",
+            "json": "56ab0202ffe3ec820c94452d49c6243f0c66bac1c8cc336fc1f3bc2b1b23bae6",
         },
     ),
     **{
@@ -353,6 +355,63 @@ def test_each_command_loads_only_the_modules_it_calls():
     _run_fresh(LAZY_LOAD_SCRIPT)
 
 
+COLD_PATH_SCRIPT = """
+import dataclasses, sys
+import kportrait, kportrait.local, kportrait.cli
+
+homes = [sys.modules["kportrait." + m] for m in ("model", "compactify", "local")]
+found = {v for mod in homes for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+assert found == {kportrait.Params, kportrait.CaseLabel}, found
+print("ok")
+"""
+
+
+def test_cold_path_builds_no_dataclass_but_params_and_caselabel():
+    # every other record of model, compactify and local is a NamedTuple, which
+    # generates no methods when its module loads
+    _run_fresh(COLD_PATH_SCRIPT)
+
+
+def _converted_records() -> list:
+    """One instance of each NamedTuple record; the callables of HopfData and
+    DulacReport are closures, so module-level functions stand in to pickle them."""
+    from kportrait.local import _kuznetsov_data
+
+    p = kportrait.Params(0.5, 1.0, 0.25)
+    return [
+        kportrait.discriminants(p),
+        kportrait.finite_singular_points(p)[2],
+        kportrait.family_infinite_points(p)[1].sector_data,
+        kportrait.family_infinite_points(p)[1],
+        _kuznetsov_data(1.0, 0.25)["forms"],
+        kportrait.hopf_analysis(1.0, 0.25)._replace(mu_at=math.sin, omega_at=math.cos),
+        kportrait.dulac_check(p)._replace(bound_expression_value_at=math.hypot),
+        kportrait.uniqueness_check(p),
+    ]
+
+
+def test_records_keep_the_dataclass_behaviour():
+    records = _converted_records()
+    assert sorted(type(r).__name__ for r in records) == sorted(
+        ["Discriminants", "SingularPoint", "SectorData", "InfinitePoint", "MultilinearForms", "HopfData",
+         "DulacReport", "UniquenessReport"]
+    )
+    assert repr(records[2]) == "SectorData(sector='hyperbolic', separatrices=('infinity-equator', 'x=0-axis'))"
+    for r in records:
+        # the text the frozen dataclass's __repr__ gave
+        fields = ", ".join(f"{name}={getattr(r, name)!r}" for name in r._fields)
+        assert repr(r) == f"{type(r).__name__}({fields})"
+        copy = pickle.loads(pickle.dumps(r))
+        assert type(copy) is type(r) and copy == r
+        if not isinstance(r, kportrait.UniquenessReport):  # its dict field was unhashable before too
+            assert hash(copy) == hash(r) == hash(tuple(getattr(r, name) for name in r._fields))
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], None)
+        with pytest.raises(AttributeError):
+            r.no_such_field = None
+    assert records[-1].all_hold
+
+
 def test_lazy_exports_resolve_to_their_home_objects():
     import importlib
 
@@ -365,6 +424,10 @@ def test_lazy_exports_resolve_to_their_home_objects():
         assert getattr(kportrait, name) is getattr(importlib.import_module(f"kportrait.{module}"), name), name
     assert set(kportrait.__all__) <= set(vars(kportrait)), "a resolved name was not cached"
     assert not hasattr(kportrait, "no_such_name")
+    # the sparse polynomial engine and the U1/U2 chart maps live in tests/poincare_engine.py
+    assert kportrait._EXPORTS["compactify"] == ("InfinitePoint", "SectorData", "family_infinite_points")
+    for name in ("PolySystem", "ChartDomainError", "chart_transition", "family_system"):
+        assert name not in kportrait.__all__ and not hasattr(kportrait.compactify, name), name
     # no public name shadows a submodule: the package attribute is the submodule
     importlib.import_module("kportrait.local"), importlib.import_module("kportrait.numerics")
     assert kportrait.compactify is sys.modules["kportrait.compactify"]

@@ -1,4 +1,4 @@
-"""Symbolic certificates for the charts, O1, O2 and P1; PolySystem and chart transitions.
+"""Symbolic certificates for the charts, O1, O2 and P1; PolySystem and chart transitions of ``poincare_engine``.
 
 The U1 and U2 fields are built here from the affine family by the Poincare
 formulas, and the field of the barycentric chart (X, Y) = (x, y)/(1 + x + y)
@@ -32,17 +32,9 @@ import pytest
 import sympy as sp
 
 import kportrait.numerics as numerics
-from kportrait import (
-    ChartDomainError,
-    Params,
-    PolySystem,
-    SectorData,
-    chart_transition,
-    family_infinite_points,
-    family_system,
-    vector_field,
-)
+from kportrait import Params, SectorData, family_infinite_points, vector_field
 from kportrait.local import _taylor_at
+from poincare_engine import ChartDomainError, PolySystem, chart_transition, family_system
 
 B, C, D = sp.symbols("b c delta", positive=True)
 X, Y, U, V, W1 = sp.symbols("x y u v w1")

@@ -10,12 +10,10 @@ import pytest
 from kportrait import (
     AnalysisError,
     Params,
-    PolySystem,
     build_portrait,
     classify_case,
     discriminants,
     dulac_check,
-    family_system,
     finite_singular_points,
     hopf_analysis,
     interior_point,
@@ -23,6 +21,7 @@ from kportrait import (
     uniqueness_check,
 )
 from kportrait.local import _kuznetsov_data, _taylor_at
+from poincare_engine import PolySystem, family_system
 
 # frozen spot values at (c, delta) = (1, 1/4):
 # omega^2 = c^2 d (c-d)/(c+d)^3 = 0.096, ell1 = -d^2/(omega (c+d)^2)

@@ -47,6 +47,16 @@ def test_params_validation():
     assert not Params(0.5, 1, 0.25).is_exact
 
 
+def test_as_float_returns_a_float_triple_itself():
+    p = Params(0.537, 1.213, 0.311)
+    assert p.as_float() is p
+    for q in (Params(F(1, 2), 1, F(1, 4)), Params(1, 2, 1), Params(0.5, 1, 0.25)):
+        qf = q.as_float()
+        assert qf is not q
+        assert [type(v) for v in (qf.b, qf.c, qf.delta)] == [float] * 3
+        assert (qf.b, qf.c, qf.delta) == (float(q.b), float(q.c), float(q.delta))
+
+
 def test_vector_field_equilibria():
     p = Params(0.5, 1.0, 0.25)
     assert vector_field(p, (0.0, 0.0)) == (0.0, 0.0)

@@ -101,8 +101,29 @@ def test_reported_limits_attract_in_their_time_direction(triple):
         modes = {name: mode for name, _, _, mode in _stops(*triple, sgn)}
         for tr in interior:
             limit = tr.omega_limit if sgn > 0 else tr.alpha_limit
-            if limit in modes:
+            if tr.origin == "P1" and sgn < 0:
+                # the separatrix is the unstable manifold of the saddle P1, which it leaves
+                assert limit == "P1", (tr.origin, sgn, limit)
+            elif limit in modes:
                 assert modes[limit] == "always", (tr.origin, sgn, limit)
+
+
+@pytest.mark.parametrize(
+    "triple, stability, alpha, omega",
+    [
+        ((0.5, 1.0, 0.25), "unstable", "P1", "cycle"),  # README B
+        ((0.9, 1.2, 0.3), "unstable", "P1", "P2"),  # README C
+        ((1.0, 3.0, 1.5), "center", "O1", "P1"),  # case 2: the centre branch has both halves
+    ],
+)
+def test_p1_separatrix_limits(triple, stability, alpha, omega):
+    # in cases 3-7 the separatrix is P1's unstable manifold, integrated forward
+    # from P1 only, so no backward half runs out along the x-axis to O1
+    rep = build_portrait(Params(*triple))
+    (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
+    assert (sep.stability, sep.alpha_limit, sep.omega_limit) == (stability, alpha, omega)
+    starts_at_p1 = math.dist(sep.points[0], (1.0, 0.0)) <= 1e-5
+    assert starts_at_p1 == (alpha == "P1"), sep.points[0]
 
 
 def test_portrait_letter_matches_classification(report_a, report_b, report_c):
