@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _in_range, _is_exact
+from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _is_exact, _range_error
 
 __all__ = [
     "IllConditionedError",
@@ -46,20 +46,23 @@ class MultilinearForms(NamedTuple):
     quad: tuple[tuple[float, float, float], tuple[float, float, float]]
     cubic: tuple[tuple[float, float, float, float], tuple[float, float, float, float]]
 
-    def bform(self, e, h) -> tuple:
-        return tuple(
-            2 * a20 * e[0] * h[0] + a11 * (e[0] * h[1] + e[1] * h[0]) + 2 * a02 * e[1] * h[1]
-            for a20, a11, a02 in self.quad
-        )
 
-    def cform(self, e, h, z) -> tuple:
-        return tuple(
-            6 * a30 * e[0] * h[0] * z[0]
-            + 2 * a21 * (e[0] * h[0] * z[1] + e[0] * h[1] * z[0] + e[1] * h[0] * z[0])
-            + 2 * a12 * (e[0] * h[1] * z[1] + e[1] * h[0] * z[1] + e[1] * h[1] * z[0])
-            + 6 * a03 * e[1] * h[1] * z[1]
-            for a30, a21, a12, a03 in self.cubic
-        )
+def _bform(quad, e, h) -> tuple:
+    """B(e, h) of the quadratic coefficients ``quad`` of :class:`MultilinearForms`."""
+    (e0, e1), (h0, h1) = e, h
+    return tuple(2 * a20 * e0 * h0 + a11 * (e0 * h1 + e1 * h0) + 2 * a02 * e1 * h1 for a20, a11, a02 in quad)
+
+
+def _cform(cubic, e, h, z) -> tuple:
+    """C(e, h, z) of the cubic coefficients ``cubic`` of :class:`MultilinearForms`."""
+    (e0, e1), (h0, h1), (z0, z1) = e, h, z
+    return tuple(
+        6 * a30 * e0 * h0 * z0
+        + 2 * a21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
+        + 2 * a12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
+        + 6 * a03 * e1 * h1 * z1
+        for a30, a21, a12, a03 in cubic
+    )
 
 
 class HopfData(NamedTuple):
@@ -103,11 +106,6 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         b0: Number = Fraction(cn - dn, cn + dn)
     else:
         b0 = (c - delta) / (c + delta)
-    b0f, cf, df = _in_range(lambda *v: [float(x) for x in v], b0, c, delta)
-
-    _, bb0 = _in_range(_ab, b0f, cf, df)
-    if not bb0 < 0:
-        raise AnalysisError("B(b0) must be negative for a complex pair at b0")
 
     def mu_at(b: float) -> float:
         a, _ = _ab(float(b), cf, df)
@@ -120,14 +118,19 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
             raise AnalysisError(f"eigenvalues at b={b} are not a complex pair")
         return float(b) * math.sqrt(val) / (2 * (cf - df) ** 2)
 
-    def scales(b: float, c: float, d: float) -> tuple[float, float, float, float]:
-        w = omega_at(b)
-        return w, -d / (2 * (c - d)), -(c + d) / (2 * d), 1.0 / (2.0 * w)
-
-    # w, dmu/db and p = (-(c+d)/(2d), i/(2w)) must be nonzero doubles for <p, q> = 1 to mean anything
-    w, dmu, p1, p2 = _in_range(scales, b0f, cf, df)
-    if not (w and dmu):
-        raise AnalysisError(f"float arithmetic leaves the range of doubles at (b, c, delta) = {(b0f, cf, df)}")
+    try:
+        b0f, cf, df = float(b0), float(c), float(delta)
+        a0, bb0 = _ab(b0f, cf, df)
+        if not bb0 < 0:
+            raise AnalysisError("B(b0) must be negative for a complex pair at b0")
+        w = omega_at(b0f)
+        # w, dmu/db and p = (-(c+d)/(2d), i/(2w)) must be nonzero doubles for <p, q> = 1 to mean anything
+        dmu, p1, p2 = -df / (2 * (cf - df)), -(cf + df) / (2 * df), 1.0 / (2.0 * w)
+        in_range = w and dmu and all(map(math.isfinite, (b0f, cf, df, a0, bb0, w, dmu, p1, p2)))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise _range_error("(b, c, delta)", (b0, c, delta))
     x2 = df / (cf + df)
     y2 = cf * cf / (cf + df) ** 2
 
@@ -145,17 +148,8 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         raise IllConditionedError(f"<p, q> = {ip} deviates from 1")
 
     return HopfData(
-        b0=b0,
-        mu_at=mu_at,
-        omega_at=omega_at,
-        dmu_db_at_b0=dmu,
-        equilibrium=(x2, y2),
-        g20=g20,
-        g11=g11,
-        g21=g21,
-        ell1=ell1,
-        p_vec=p,
-        q_vec=q,
+        b0=b0, mu_at=mu_at, omega_at=omega_at, dmu_db_at_b0=dmu, equilibrium=(x2, y2),
+        g20=g20, g11=g11, g21=g21, ell1=ell1, p_vec=p, q_vec=q,
     )
 
 
@@ -184,11 +178,17 @@ def _taylor_at(b, c, d, x0, y0):
 def _kuznetsov_data(c: Number, delta: Number) -> dict:
     """From-scratch normal-form data at b0: the field's Taylor coefficients at
     P2, the eigenproblem, the multilinear forms and the g coefficients."""
-    cf, df = _in_range(lambda *v: [float(x) for x in v], c, delta)
-    if not cf > df:
-        raise ValueError("requires c > delta")
-    # |b0|, x2, y2 <= 1, so every Taylor coefficient below is bounded by c
-    b0, x2, y2 = _in_range(lambda c, d: [(c - d) / (c + d), d / (c + d), c * c / (c + d) ** 2], cf, df)
+    try:
+        cf, df = float(c), float(delta)
+        if not cf > df:
+            raise AnalysisError("the from-scratch ell1 requires c > delta")
+        # |b0|, x2, y2 <= 1, so every Taylor coefficient below is bounded by c
+        b0, x2, y2 = (cf - df) / (cf + df), df / (cf + df), cf * cf / (cf + df) ** 2
+        in_range = all(map(math.isfinite, (cf, df, b0, x2, y2)))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise _range_error("(c, delta)", (c, delta))
     ((a11, a12), (a21, a22)), quad, cubic = _taylor_at(b0, cf, df, x2, y2)
     tr, det = a11 + a22, a11 * a22 - a12 * a21
     if not det > tr * tr / 4:
@@ -213,9 +213,9 @@ def _kuznetsov_data(c: Number, delta: Number) -> dict:
 
     forms = MultilinearForms(quad, cubic)
     qbar = (q[0].conjugate(), q[1].conjugate())
-    g20 = _vdot(p, forms.bform(q, q))
-    g11 = _vdot(p, forms.bform(q, qbar))
-    g21 = _vdot(p, forms.cform(q, q, qbar))
+    g20 = _vdot(p, _bform(quad, q, q))
+    g11 = _vdot(p, _bform(quad, q, qbar))
+    g21 = _vdot(p, _cform(cubic, q, q, qbar))
     ell1 = float((1j * g20 * g11 + omega * g21).real / (2 * omega * omega))
     return dict(omega=omega, jacobian=((a11, a12), (a21, a22)), forms=forms, q=q, g20=g20, g11=g11, g21=g21, ell1=ell1)
 
@@ -250,23 +250,22 @@ def dulac_check(p: Params) -> DulacReport:
     """The verdict follows the S2 sign of ``classify_case``: exact for rational
     parameters, banded in floats, so a margin within the band of 0 is never
     read as applicable."""
-    # int / int is correctly rounded, so exact input gives float() of the rational margin
-    margin, b, c, d = _in_range(
-        lambda *v: [p._case_values[3] / p._lifted[3] ** 2, *map(float, v)], p.b, p.c, p.delta
-    )
+    (*_, margin), (*_, s_s2) = p._case
+    b, c, d = p._float
+    try:
+        # int / int is correctly rounded, so exact input gives float() of the rational margin
+        margin = margin / p._lifted[3] ** 2
+    except OverflowError:
+        raise _range_error("(b, c, delta)", (p.b, p.c, p.delta)) from None
 
     def delta_at(x: float, y: float) -> float:
         if x <= 0:
             raise ValueError("the multiplier 1/x needs x > 0")
         return 1 + c - d - 2 * x - b * (d + x) / x
 
-    applicable = p._case_signs[3] < 0
-    return DulacReport(
-        applicable=applicable,
-        margin=float(margin),
-        bound_expression_value_at=delta_at,
-        conclusion="no-periodic-orbits" if applicable else "inconclusive",
-    )
+    applicable = s_s2 < 0
+    conclusion = "no-periodic-orbits" if applicable else "inconclusive"
+    return DulacReport(applicable=applicable, margin=float(margin), bound_expression_value_at=delta_at, conclusion=conclusion)
 
 
 class UniquenessReport(NamedTuple):
@@ -295,7 +294,7 @@ def uniqueness_check(p: Params) -> UniquenessReport:
     All four hold whenever additionally A > 0; condition (iii) x* < a is
     exactly equivalent to A > 0.
     """
-    if p._case_signs[0] >= 0:
+    if p._case[1][0] >= 0:
         raise AnalysisError("uniqueness analysis needs 0 < b*delta < c - delta")
     b, c, d, L, div = p._lifted
     g, a, lam = div(c - d, L), div(L - b, 2 * L), div(b * d, L * L)

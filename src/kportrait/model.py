@@ -7,11 +7,11 @@ The family under study is the cubic Kolmogorov predator-prey system
 
 with positive parameters (b, c, delta), analysed on the closed positive
 quadrant.  Rational parameters (int / Fraction) are analysed exactly, on
-integer numerators over one common denominator that each :class:`Params`
-lifts once and caches with its case signs; others in double precision with a
-relative epsilon band, which keeps measure-zero boundary surfaces from being
-misread as open-region cases.  Eigenvalues of 2x2 Jacobians come from one
-closed form, :func:`_sorted_eig`, so the analysis needs only the standard library.
+integer numerators over one common denominator; others in double precision
+with a relative epsilon band, which keeps measure-zero boundary surfaces from
+being misread as open-region cases.  Each :class:`Params` keeps what depends on
+the parameters alone.  Eigenvalues of 2x2 Jacobians come from one closed form,
+:func:`_sorted_eig`, so the analysis needs only the standard library.
 
 This bottom layer, which every path loads, also declares the errors that the
 CLI maps to exit 1: :class:`AnalysisError`, and the ``IllConditionedError``,
@@ -77,7 +77,8 @@ class NoReturnError(RuntimeError):
 
 
 def _is_exact(*vals: Number) -> bool:
-    return all(isinstance(v, Rational) for v in vals)
+    # a float is never rational, and it is the slow case of the ABC check
+    return float not in map(type, vals) and all(isinstance(v, Rational) for v in vals)
 
 
 def _check_parameter(name: str, v: Number) -> None:
@@ -88,52 +89,108 @@ def _check_parameter(name: str, v: Number) -> None:
         raise ValueError(f"{name} must be positive, got {v!r}")
 
 
-# a dataclass, not a NamedTuple: the cached_property caches need an instance __dict__
+def _range_error(names: str, vals: tuple) -> AnalysisError:
+    return AnalysisError(f"float arithmetic leaves the range of doubles at {names} = {vals}")
+
+
+def _lift(vals: tuple[Number, Number, Number], exact: bool) -> tuple[Number, Number, Number, int, Callable]:
+    """(b, c, delta, L, div): if exact, numerators over the lcm L of the denominators
+    with div = Fraction; otherwise the values themselves, L = 1 and div = /."""
+    if not exact:
+        return (*vals, 1, operator.truediv)
+    (bn, bd), (cn, cd), (dn, dd) = [(int(v.numerator), int(v.denominator)) for v in vals]
+    L = math.lcm(bd, cd, dd)
+    return bn * (L // bd), cn * (L // cd), dn * (L // dd), L, Fraction
+
+
+# a dataclass, not a NamedTuple: the per-instance state lives in the instance __dict__
 @dataclass(frozen=True)
 class Params:
-    """The positive triple (b, c, delta) driving the whole analysis."""
+    """The positive triple (b, c, delta) driving the whole analysis.
+
+    ``is_exact`` (every parameter rational) and the lift are set on construction; the
+    case values and signs, the float image, the float twin and P2 on first use, and the
+    integrator's stop tables (``numerics._stops``).  All live in the instance ``__dict__``,
+    where ``cached_property`` keeps its values, so equality, hash and pickling see the
+    three fields alone.
+    """
 
     b: Number
     c: Number
     delta: Number
 
     def __post_init__(self) -> None:
-        for name in ("b", "c", "delta"):
-            _check_parameter(name, getattr(self, name))
-
-    @cached_property
-    def is_exact(self) -> bool:
-        """True when every parameter is rational, enabling exact classification."""
-        return _is_exact(self.b, self.c, self.delta)
-
-    @cached_property
-    def _lifted(self) -> tuple[Number, Number, Number, int, Callable]:
-        """(b, c, delta, L, div): if exact, numerators over the lcm L of the denominators."""
         vals = (self.b, self.c, self.delta)
-        if not self.is_exact:
-            return (*vals, 1, operator.truediv)
-        L = math.lcm(*(int(v.denominator) for v in vals))
-        return (*(int(v.numerator) * (L // int(v.denominator)) for v in vals), L, Fraction)
+        for name, v in zip(("b", "c", "delta"), vals):
+            _check_parameter(name, v)
+        exact = _is_exact(*vals)
+        self.__dict__.update(is_exact=exact, _lifted=_lift(vals, exact))
 
     @cached_property
-    def _case_values(self) -> tuple[Number, Number, Number, Number]:
-        """The quantities of :func:`_signs` on ``_lifted``; times L^2, L^3, L^5, L^2 if exact."""
-        b, c, d, L, _ = self._lifted
-        return (b * d - L * (c - d), *_ab(b, c, d, L), L * (L + c - d - b) - b * d)
+    def _case(self) -> tuple[tuple[Number, Number, Number, Number], tuple[int, int, int, int]]:
+        """The values of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta) on ``_lifted``,
+        times L^2, L^3, L^5, L^2 if exact, and their signs.
 
-    _case_signs = cached_property(lambda self: _signs(self))
+        Exact mode takes the signs on the integer numerators; in float mode a value
+        within ZERO_BAND of the magnitude of its terms counts as zero, and an
+        overflow is an AnalysisError.
+        """
+        b, c, d, L, _ = self._lifted
+        try:
+            vals = (b * d - L * (c - d), *_ab(b, c, d, L), L * (L + c - d - b) - b * d)
+            if self.is_exact:
+                q1, A, B, s2 = vals
+                return vals, ((q1 > 0) - (q1 < 0), (A > 0) - (A < 0), (B > 0) - (B < 0), (s2 > 0) - (s2 < 0))
+            S = d * (b + 1) + c * (b - 1)
+            scales = (
+                b * d + abs(c - d),
+                d * abs(c - d) + b * d * (c + d),
+                d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1)),
+                1 + c + d + b + b * d,
+            )
+        except OverflowError:  # float arithmetic out of range
+            vals = scales = (math.inf,)
+        # an overflow passes every band test and would read as a boundary case
+        if not all(map(math.isfinite, vals + scales)):
+            raise AnalysisError(f"float arithmetic leaves the range of doubles for {self}; classify it exactly (--exact)")
+        return vals, tuple(
+            0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
+            for v, s in zip(vals, scales)
+        )
+
+    @cached_property
+    def _float(self) -> tuple[float, float, float]:
+        """(b, c, delta) in doubles, each equal to its float(): int / int on the lift is
+        correctly rounded.  A value that overflows or underflows to 0 is an AnalysisError."""
+        b, c, d, L, _ = self._lifted
+        try:
+            vals = (b / L, c / L, d / L) if self.is_exact else (float(b), float(c), float(d))
+            if 0.0 not in vals:
+                return vals
+        except OverflowError:
+            pass
+        raise _range_error("(b, c, delta)", (self.b, self.c, self.delta))
+
+    _twin = cached_property(lambda self: Params(*self._float))
 
     @cached_property
     def _p2(self) -> tuple[Number, Number]:
-        """:func:`_p2_location` on ``_lifted``; P2 need not lie in the quadrant."""
-        return _in_range(_p2_location, *self._lifted)
+        """:func:`_p2_location` on ``_lifted``; P2 need not lie in the quadrant.  A float
+        overflow, or an underflow to a zero divisor, is an AnalysisError."""
+        try:
+            x, y = _p2_location(*self._lifted)
+            if self.is_exact or (math.isfinite(x) and math.isfinite(y)):
+                return x, y
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise _range_error("(b, c, delta)", (self.b, self.c, self.delta))
 
     def as_float(self) -> "Params":
-        """The triple in doubles, ``self`` if it is one already; an AnalysisError when a
-        value overflows or underflows to 0."""
-        if all(type(v) is float for v in (self.b, self.c, self.delta)):
+        """The triple in doubles: ``self`` if it is one already, else a twin built once.
+        An AnalysisError when a value overflows or underflows to 0."""
+        if type(self.b) is type(self.c) is type(self.delta) is float:
             return self
-        return Params(*_in_range(lambda *v: [float(x) or math.inf for x in v], self.b, self.c, self.delta))
+        return self._twin
 
     def exact_triple(self) -> tuple[Fraction, Fraction, Fraction]:
         if not self.is_exact:
@@ -195,13 +252,15 @@ def jacobian(p: Params, pt) -> tuple[tuple[Number, Number], tuple[Number, Number
     """
     x, y = pt
     b, c, d = p.b, p.c, p.delta
-    j11 = -3 * x * x + 2 * (1 - b) * x - y + b
-    j12 = -x
-    j21 = (c - d) * y
-    j22 = (c - d) * x - d * b
+    (j11, j12), (j21, j22) = j = _jacobian_at(b, c, d, x, y)
     if _is_exact(b, c, d, x, y):
-        return (j11, j12), (j21, j22)
+        return j
     return (float(j11), float(j12)), (float(j21), float(j22))
+
+
+def _jacobian_at(b: Number, c: Number, d: Number, x: Number, y: Number) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
+    """The entries of :func:`jacobian` at (x, y), in the arithmetic of the arguments."""
+    return (-3 * x * x + 2 * (1 - b) * x - y + b, -x), ((c - d) * y, (c - d) * x - d * b)
 
 
 def discriminants(p: Params) -> Discriminants:
@@ -215,7 +274,7 @@ def discriminants(p: Params) -> Discriminants:
     so eigenvalues at P2 are non-real exactly when B < 0.  At A = 0 this
     reduces to B = -4 c^2 (c-delta)^3 / (c+delta).
     """
-    (_, A, B, _), (*_, L, div) = p._case_values, p._lifted
+    ((_, A, B, _), _), (*_, L, div) = p._case, p._lifted
     return Discriminants(div(A, L**3), div(B, L**5))
 
 
@@ -228,62 +287,20 @@ def _ab(b: Number, c: Number, d: Number, scale: Number = 1) -> tuple[Number, Num
     return A, B
 
 
-def _signs(p: Params) -> tuple[int, int, int, int]:
-    """Signs of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta).
-
-    Exact mode takes them on the integer numerators of ``p._case_values``; in
-    float mode a value within ZERO_BAND of the magnitude of its terms counts as
-    zero, and an overflow is an AnalysisError.  Callers read ``p._case_signs``.
-    """
-    b, c, d, _, _ = p._lifted
-    try:
-        vals = p._case_values
-        if p.is_exact:
-            return tuple((v > 0) - (v < 0) for v in vals)
-        S = d * (b + 1) + c * (b - 1)
-        scales = (
-            b * d + abs(c - d),
-            d * abs(c - d) + b * d * (c + d),
-            d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1)),
-            1 + c + d + b + b * d,
-        )
-    except OverflowError:  # float arithmetic out of range
-        vals = scales = (math.inf,)
-    # an overflow passes every band test and would read as a boundary case
-    if not all(math.isfinite(v) for v in vals + scales):
-        raise AnalysisError(f"float arithmetic leaves the range of doubles for {p}; classify it exactly (--exact)")
-    return tuple(
-        0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
-        for v, s in zip(vals, scales)
-    )
-
-
-def _in_range(fn, *args):
-    """``fn(*args)``; a float overflow, or underflow to a zero divisor, is an AnalysisError."""
-    try:
-        vals = fn(*args)
-    except (OverflowError, ZeroDivisionError):
-        vals = (math.inf,)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
-        names = "(b, c, delta)" if len(args) > 2 else "(c, delta)"
-        raise AnalysisError(f"float arithmetic leaves the range of doubles at {names} = {args[:3]}")
-    return vals
-
-
 def _p2_location(b: Number, c: Number, d: Number, scale: Number = 1, div=operator.truediv) -> tuple[Number, Number]:
     """P2 = (b d/(c-d), b c (c-d-b d)/(c-d)^2), or on numerators over ``scale`` as in :func:`_ab`."""
     e = scale * (c - d)
     return div(b * d, e), div(b * c * (e - b * d), e**2)
 
 
-def _sorted_eig(j) -> tuple[complex, complex]:
-    """Eigenvalues (tr -+ sqrt((a-d)^2 + 4bc))/2 of the 2x2 matrix [[a, b], [c, d]] in
-    float, sorted by (real, imag); the package's one eigenvalue routine.  A real pair
+def _sorted_eig(j: tuple[tuple[float, float], tuple[float, float]]) -> tuple[complex, complex]:
+    """Eigenvalues (tr -+ sqrt((a-d)^2 + 4bc))/2 of the float 2x2 matrix [[a, b], [c, d]],
+    sorted by (real, imag); the package's one eigenvalue routine.  A real pair
     takes its smaller root as det over the larger, so no sign is lost to cancellation."""
-    (a, b), (c, d) = ((float(v) for v in row) for row in j)
+    (a, b), (c, d) = j
     # scaling by a power of two keeps the squares in range and changes no bit
     e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-    a, b, c, d = (math.ldexp(v, -e) for v in (a, b, c, d))
+    a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
     tr, root, half = a + d, cmath.sqrt((a - d) * (a - d) + 4 * b * c), 2.0 ** (e - 1)
     if root.imag or not (tr or root):
         return (tr - root) * half, (tr + root) * half
@@ -299,18 +316,11 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
     when it lies strictly inside the open quadrant.  When b*delta = c - delta
     the collision P1 = P2 is reported once, as a saddle-node at (1,0).
     """
-    pf = p.as_float()
-    bf, cf, df = pf.b, pf.c, pf.delta
+    bf, cf, df = p._float
+    pts = [SingularPoint("P0", "affine", (0, 0), "saddle", (complex(bf), complex(-df * bf)))]
 
-    pts = [
-        SingularPoint(
-            "P0", "affine", (0, 0), "saddle", (complex(bf), complex(-df * bf))
-        )
-    ]
-
-    s_q1, s_A, s_B, _ = p._case_signs
-    lam1 = complex(-bf - 1.0)
-    lam2 = complex(cf - df - bf * df)
+    _, (s_q1, s_A, s_B, _) = p._case
+    lam1, lam2 = complex(-bf - 1.0), complex(cf - df - bf * df)
     if s_q1 > 0:
         pts.append(SingularPoint("P1", "affine", (1, 0), "stable-node", (lam1, lam2)))
         return pts
@@ -326,8 +336,9 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
     else:
         # B >= 0 with A = 0 cannot happen: A = 0 forces B < 0.
         kind = "unstable-node" if s_A > 0 else "stable-node"
-    jac = jacobian(pf, (float(loc[0]), float(loc[1])))
-    pts.append(SingularPoint("P2", "affine", loc, kind, _sorted_eig(jac)))
+    # the Jacobian on the float image, as jacobian() gives it on the float twin
+    eig = _sorted_eig(_jacobian_at(bf, cf, df, float(loc[0]), float(loc[1])))
+    pts.append(SingularPoint("P2", "affine", loc, kind, eig))
     return pts
 
 
@@ -339,7 +350,7 @@ def classify_case(p: Params) -> CaseLabel:
     ``case2-boundary`` for b*delta = c - delta, ``A-zero`` for A = 0 and
     ``B-zero`` for B = 0.
     """
-    s_q1, s_A, s_B, s_s2 = p._case_signs
+    _, (s_q1, s_A, s_B, s_s2) = p._case
 
     boundary: list[str] = []
     if s_q1 == 0:

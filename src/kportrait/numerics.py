@@ -21,14 +21,12 @@ lists of affine (x, y) tuples.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Optional
 
-from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, _in_range
-from .model import _p2_location, classify_case, finite_singular_points
+from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, classify_case, finite_singular_points
 
 __all__ = [
     "IntegratorConfig",
@@ -83,7 +81,6 @@ _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
 _CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to the S chart
 _EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
 _SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
-_SETUP_CACHE_SIZE = 32  # stop tables kept; a parameter set needs one per time direction
 
 
 @dataclass(frozen=True)
@@ -150,24 +147,28 @@ def _dp_step(f, x, y, h, k1x, k1y):
     return xn, yn, ex, ey, k7x, k7y
 
 
-@functools.lru_cache(maxsize=_SETUP_CACHE_SIZE)
-def _stops(b: float, c: float, d: float, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
-    """Equilibria of the float parameters with the mode that stops an orbit
-    near each in the time direction ``sgn``."""
-    # an orbit may pass arbitrarily close to a saddle, so proximity alone
-    # must not stop it: stop at points attracting in this time direction,
-    # or on an invariant axis while moving toward the point
-    equilibria = []
-    for q in finite_singular_points(Params(b, c, d)):
-        re_parts = [z.real for z in q.eigenvalues] if q.eigenvalues else []
-        if q.kind == "saddle-node":
-            mode = "always" if sgn > 0 else "axis-only"
-        elif re_parts and all(sgn * r < 0 for r in re_parts):
-            mode = "always"
-        else:
-            mode = "axis-only"
-        equilibria.append((q.name, float(q.location[0]), float(q.location[1]), mode))
-    return tuple(equilibria)
+def _stops(p: Params, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
+    """Equilibria of the float twin of ``p`` with the mode that stops an orbit near each in the
+    time direction ``sgn``.  The tables of both directions come from one classification
+    and are kept in the instance ``__dict__`` of ``p``."""
+    tables = vars(p).get("_stops")
+    if tables is None:
+        tables = {1.0: [], -1.0: []}
+        for q in finite_singular_points(p.as_float()):
+            re_parts = [z.real for z in q.eigenvalues] if q.eigenvalues else []
+            for s, table in tables.items():
+                # an orbit may pass arbitrarily close to a saddle, so proximity alone
+                # must not stop it: stop at points attracting in this time direction,
+                # or on an invariant axis while moving toward the point
+                if q.kind == "saddle-node":
+                    mode = "always" if s > 0 else "axis-only"
+                elif re_parts and all(s * r < 0 for r in re_parts):
+                    mode = "always"
+                else:
+                    mode = "axis-only"
+                table.append((q.name, float(q.location[0]), float(q.location[1]), mode))
+        tables = vars(p)["_stops"] = {s: tuple(table) for s, table in tables.items()}
+    return tables[sgn]
 
 
 def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
@@ -247,8 +248,8 @@ def integrate(
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
         raise ValueError(f"start {start} is not a finite point of the closed positive quadrant")
     sgn = 1.0 if direction == "forward" else -1.0
-    b, c, d = float(p.b), float(p.c), float(p.delta)
-    equilibria = _stops(b, c, d, sgn)
+    b, c, d = p._float
+    equilibria = _stops(p, sgn)
 
     chart = "affine"
     rhs = _rhs(b, c, d, sgn, chart)
@@ -342,9 +343,9 @@ def integrate(
 def interior_point(p: Params) -> tuple[float, float]:
     """Float coordinates of the interior equilibrium; AnalysisError when absent."""
     # the case-2 sign of finite_singular_points, so both agree inside its zero band
-    if p._case_signs[0] >= 0:
+    if p._case[1][0] >= 0:
         raise AnalysisError("no interior equilibrium for these parameters")
-    return _in_range(lambda *v: _p2_location(*map(float, v)), p.b, p.c, p.delta)
+    return p.as_float()._p2
 
 
 def return_map(
@@ -408,7 +409,7 @@ def _p1_separatrix_start(p: Params) -> tuple[float, float]:
     """Point at distance ``_SEED_OFFSET`` from P1 = (1, 0) along the
     eigenvector that leaves it into the open quadrant; the eigenvalue is
     clamped at 0 so the case-2 saddle-node gets its centre direction."""
-    b, c, d = float(p.b), float(p.c), float(p.delta)
+    b, c, d = p._float
     vx, vy = -1.0, b + 1.0 + max(c - d - b * d, 0.0)
     nrm = math.hypot(vx, vy)
     return 1.0 + _SEED_OFFSET * vx / nrm, _SEED_OFFSET * vy / nrm

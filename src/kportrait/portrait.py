@@ -135,7 +135,7 @@ def build_portrait(
     pts = finite_singular_points(p)
     inf_pts = family_infinite_points(p)
     warnings: list[str] = []
-    b, c, d = float(p.b), float(p.c), float(p.delta)
+    b, c, d = p._float
 
     disc = discriminants(p)
     if label.case == 4:
@@ -196,7 +196,7 @@ def build_portrait(
             # only points that attract in this time direction, or an approach
             # along an invariant axis, can be the limit
             near = []
-            for name, qx, qy, mode in _stops(b, c, d, sgn):
+            for name, qx, qy, mode in _stops(p, sgn):
                 d_end = math.hypot(ax - qx, ay - qy)
                 d_mid = math.hypot(mx - qx, my - qy)
                 if mode == "always" or ((ax == 0.0 or ay == 0.0) and d_end < d_mid):

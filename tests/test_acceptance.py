@@ -32,7 +32,7 @@ from kportrait import (
     scan_to_csv,
     separatrix_section_crossing,
 )
-from kportrait.model import ZERO_BAND, _signs
+from kportrait.model import ZERO_BAND
 from polyline_oracle import polyline_hausdorff
 from test_compactify import (
     SYMBOLIC,

@@ -16,11 +16,12 @@ from kportrait import (
     dulac_check,
     finite_singular_points,
     hopf_analysis,
+    integrate,
     interior_point,
     lyapunov_procedural,
     uniqueness_check,
 )
-from kportrait.local import _kuznetsov_data, _taylor_at
+from kportrait.local import _bform, _cform, _kuznetsov_data, _taylor_at
 from poincare_engine import PolySystem, family_system
 
 # frozen spot values at (c, delta) = (1, 1/4):
@@ -113,16 +114,37 @@ def test_hopf_rejects_c_below_delta():
         hopf_analysis(0.25, 1.0)
 
 
+def test_procedural_ell1_rejects_c_below_delta():
+    # the same verdict, and the same error type, as hopf_analysis on the same input
+    for c, delta in ((0.25, 1.0), (1.0, 1.0), (F(1, 4), F(1))):
+        with pytest.raises(AnalysisError, match="requires c > delta"):
+            lyapunov_procedural(c, delta)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: hopf_analysis(F(10**400), 1),
         lambda: interior_point(Params(F(1, 1000), F(10**400), 1)),
         lambda: dulac_check(Params(F(3, 10), F(10**400), F(1, 4))),
+        lambda: Params(F(3, 10), F(10**400), F(1, 4)).as_float(),
+        lambda: Params(F(1, 10**400), 1, F(1, 4)).as_float(),
+        lambda: integrate(Params(F(3, 10), F(10**400), F(1, 4)), (0.5, 0.5)),
+        lambda: integrate(Params(F(1, 10**400), 1, F(1, 4)), (0.5, 0.5)),
         lambda: build_portrait(Params(F(3, 10), F(10**100), F(1, 4))),
         lambda: build_portrait(Params(F(3, 10), F(10**300), F(1, 4))),
     ],
-    ids=["hopf_analysis", "interior_point", "dulac_check", "build_portrait-c=1e100", "build_portrait-c=1e300"],
+    ids=[
+        "hopf_analysis",
+        "interior_point",
+        "dulac_check",
+        "as_float-c-overflows",
+        "as_float-b-underflows",
+        "integrate-c-overflows",
+        "integrate-b-underflows",
+        "build_portrait-c=1e100",
+        "build_portrait-c=1e300",
+    ],
 )
 def test_exact_input_whose_float_image_overflows_is_an_analysis_error(call):
     with pytest.raises(AnalysisError):
@@ -218,9 +240,9 @@ def test_hopf_forms_symmetry():
     rng = np.random.default_rng(53)
     for _ in range(10):
         e, h, z = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3))
-        assert np.allclose(forms.bform(e, h), forms.bform(h, e))
-        assert np.allclose(forms.cform(e, h, z), forms.cform(h, e, z))
-        assert np.allclose(forms.cform(e, h, z), forms.cform(z, h, e))
+        assert np.allclose(_bform(forms.quad, e, h), _bform(forms.quad, h, e))
+        assert np.allclose(_cform(forms.cubic, e, h, z), _cform(forms.cubic, h, e, z))
+        assert np.allclose(_cform(forms.cubic, e, h, z), _cform(forms.cubic, z, h, e))
 
 
 def test_weak_focus_on_a_zero_boundary():

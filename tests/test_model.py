@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,7 +21,7 @@ from kportrait import (
     uniqueness_check,
     vector_field,
 )
-from kportrait.model import _signs, _sorted_eig
+from kportrait.model import _sorted_eig
 
 
 def random_params(rng, lo=0.05, hi=5.0):
@@ -55,6 +56,36 @@ def test_as_float_returns_a_float_triple_itself():
         assert qf is not q
         assert [type(v) for v in (qf.b, qf.c, qf.delta)] == [float] * 3
         assert (qf.b, qf.c, qf.delta) == (float(q.b), float(q.c), float(q.delta))
+
+
+def test_float_image_is_float_of_each_value_to_the_bit():
+    # the image comes from the lift as int / int; float() of a Fraction is its own
+    # int / int, so both must round the same rational the same way
+    rng = random.Random(83)
+    triples = rational_triples(40) + [tuple(rng.randint(1, 10 ** rng.randint(1, 320)) for _ in range(3)) for _ in range(60)]
+
+    def near_1e300():  # a numerator or a denominator near 10^300, the other below 10^15
+        big, small = 10 ** rng.randint(290, 345) + rng.randint(1, 10**280), rng.randint(1, 10 ** rng.randint(0, 15))
+        return F(*rng.choice([(big, small), (small, big)]))
+
+    triples += [(near_1e300(), near_1e300(), near_1e300()) for _ in range(300)]
+    seen = {"image": 0, "overflow": 0, "underflow": 0, "subnormal": 0}
+    for vals in triples:
+        p = Params(*vals)
+        try:
+            want = [float(v) for v in vals]
+        except OverflowError:
+            want = None
+        if want is None or 0.0 in want:
+            seen["overflow" if want is None else "underflow"] += 1
+            with pytest.raises(AnalysisError, match="range of doubles"):
+                p.as_float()
+            continue
+        seen["image"] += 1
+        seen["subnormal"] += any(v < sys.float_info.min for v in want)
+        got = p.as_float()
+        assert [v.hex() for v in (got.b, got.c, got.delta)] == [v.hex() for v in want], vals
+    assert min(seen.values()) >= 5, seen
 
 
 def test_vector_field_equilibria():
@@ -118,6 +149,16 @@ def test_closed_form_eigenvalues_match_numpy_at_p2():
             assert abs(g - w) <= 1e-12 * norm, (m, got, want)
             assert (g.real > 0) - (g.real < 0) == (w.real > 0) - (w.real < 0), (m, got, want)
             assert (g.imag == 0) == (w.imag == 0), (m, got, want)
+
+
+def test_p2_eigenvalues_are_those_of_the_float_twins_jacobian():
+    # finite_singular_points takes the Jacobian on the float image, not on a twin it builds
+    for vals in rational_triples(60) + [tuple(map(float, t)) for t in rational_triples(60)]:
+        p = Params(*vals)
+        for q in finite_singular_points(p):
+            if q.name == "P2":
+                m = jacobian(p.as_float(), tuple(float(v) for v in q.location))
+                assert q.eigenvalues == _sorted_eig(m), vals
 
 
 def test_jacobian_matches_finite_differences():
@@ -381,7 +422,7 @@ def test_integer_signs_match_fraction_evaluation():
     seen = set()
     for b, c, d in rational_triples():
         want = _fraction_signs(b, c, d)
-        assert _signs(Params(b, c, d)) == want, (b, c, d)
+        assert Params(b, c, d)._case[1] == want, (b, c, d)
         seen.add(want)
     assert {(0, -1, 1, 1), (-1, 0, -1, 1), (-1, -1, -1, 0), (-1, -1, 0, 1)} <= seen
 
@@ -434,23 +475,53 @@ def test_float_values_keep_their_float_formulas():
 
 def test_case_signs_are_computed_once_per_params(monkeypatch):
     import kportrait.model as model
+    import kportrait.numerics as numerics
 
-    calls = []
+    calls = {"_case": [], "_float": [], "stops": [], "lift": []}
 
-    def counting(p):
-        calls.append(p)
-        return signs(p)
+    def counting(key, fn):
+        def counted(first, *args):
+            calls[key].append(first)
+            return fn(first, *args)
 
-    signs = model._signs
-    monkeypatch.setattr(model, "_signs", counting)
-    for p in (Params(F(1, 2), 1, F(1, 4)), Params(0.5, 1.0, 0.25)):
+        return counted
+
+    for name in ("_case", "_float"):
+        prop = vars(Params)[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    # the stop tables are the one use numerics makes of finite_singular_points
+    monkeypatch.setattr(numerics, "finite_singular_points", counting("stops", numerics.finite_singular_points))
+    monkeypatch.setattr(model, "_lift", counting("lift", model._lift))
+    cfg = numerics.IntegratorConfig(max_time=1.0)
+    for vals in ((F(1, 2), 1, F(1, 4)), (0.5, 1.0, 0.25)):
+        p = Params(*vals)
+        assert calls["lift"] == [vals]  # on construction, before any use
         for _ in range(2):
             classify_case(p)
             finite_singular_points(p)
             discriminants(p)
             dulac_check(p)
-        assert [q is p for q in calls].count(True) == 1  # by identity: the two compare equal
-    assert len(calls) == 2
+            interior_point(p)
+            for direction in ("forward", "backward"):
+                numerics.integrate(p, (0.3, 0.3), direction, cfg)
+        for key in ("_case", "_float"):
+            # by identity: p and its float twin compare equal
+            assert [q is p for q in calls[key]].count(True) == 1, key
+        # one float twin, lifted once, for an exact p; a float p is its own
+        twin = p.as_float()
+        assert twin is p.as_float() and (twin is p) == (not p.is_exact)
+        assert [q is twin for q in calls["stops"]] == [True]  # one classification for both time directions
+        assert calls["lift"] == [vals] + ([] if twin is p else [(twin.b, twin.c, twin.delta)])
+        assert (twin.b, twin.c, twin.delta) == tuple(float(v) for v in vals)
+        # a Params carrying every cache still pickles, and its copy gives the same answers
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.is_exact == p.is_exact
+        assert classify_case(back) == classify_case(p)
+        assert finite_singular_points(back) == finite_singular_points(p)
+        assert dulac_check(back)[:2] == dulac_check(p)[:2]
+        assert numerics.integrate(back, (0.3, 0.3), "forward", cfg) == numerics.integrate(p, (0.3, 0.3), "forward", cfg)
+        for key in calls:
+            calls[key].clear()
 
     # b*delta exceeds c - delta by 2^-45: a zero in the float band, positive exactly.
     # The two triples compare and hash equal, so no cache may be keyed on equality.
@@ -461,6 +532,7 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
     pe2, pf2 = Params(*rationals), Params(*floats)  # the exact twin read first
     assert (classify_case(pe2).case, classify_case(pf2).case) == (1, 2)
     assert not pf.is_exact and pe.is_exact
+    assert len(calls["_case"]) == 4
 
     # a Params crosses process boundaries (scan --jobs) by pickle, cached or not
     for p in (Params(F(3, 10), 1, F(1, 4)), pf, pe):

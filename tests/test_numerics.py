@@ -380,8 +380,8 @@ def test_scan_cell_without_returns_is_inconclusive(monkeypatch):
 
 def test_cycle_search_builds_the_stop_table_once(monkeypatch):
     # the equilibria and their stop modes depend only on the parameters, so
-    # the dozen or more orbits of one cycle search share one classification;
-    # no other test uses this triple, so no earlier test has built it
+    # the dozen or more orbits of one cycle search share one classification,
+    # kept on the Params instance
     import kportrait.numerics as numerics
 
     calls = []

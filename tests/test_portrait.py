@@ -98,7 +98,7 @@ def test_reported_limits_attract_in_their_time_direction(triple):
     interior = rep.representatives + [tr for tr in rep.separatrices if tr.origin == "P1"]
     assert interior
     for sgn in (1.0, -1.0):
-        modes = {name: mode for name, _, _, mode in _stops(*triple, sgn)}
+        modes = {name: mode for name, _, _, mode in _stops(Params(*triple), sgn)}
         for tr in interior:
             limit = tr.omega_limit if sgn > 0 else tr.alpha_limit
             if tr.origin == "P1" and sgn < 0:
