@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _is_exact, _range_error
+from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _is_exact, _range_error, _to_float
 
 __all__ = [
     "IllConditionedError",
@@ -119,7 +119,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         return float(b) * math.sqrt(val) / (2 * (cf - df) ** 2)
 
     try:
-        b0f, cf, df = float(b0), float(c), float(delta)
+        b0f, cf, df = _to_float(b0), _to_float(c), _to_float(delta)
         a0, bb0 = _ab(b0f, cf, df)
         if not bb0 < 0:
             raise AnalysisError("B(b0) must be negative for a complex pair at b0")
@@ -179,7 +179,7 @@ def _kuznetsov_data(c: Number, delta: Number) -> dict:
     """From-scratch normal-form data at b0: the field's Taylor coefficients at
     P2, the eigenproblem, the multilinear forms and the g coefficients."""
     try:
-        cf, df = float(c), float(delta)
+        cf, df = _to_float(c), _to_float(delta)
         if not cf > df:
             raise AnalysisError("the from-scratch ell1 requires c > delta")
         # |b0|, x2, y2 <= 1, so every Taylor coefficient below is bounded by c

@@ -89,8 +89,28 @@ def _check_parameter(name: str, v: Number) -> None:
         raise ValueError(f"{name} must be positive, got {v!r}")
 
 
+def _to_float(v: Number) -> float:
+    """float(v) to the bit, with the same OverflowError: a Fraction as the int / int of
+    its numerator and denominator that Rational.__float__ computes, without the call."""
+    return v.numerator / v.denominator if type(v) is Fraction else float(v)
+
+
 def _range_error(names: str, vals: tuple) -> AnalysisError:
-    return AnalysisError(f"float arithmetic leaves the range of doubles at {names} = {vals}")
+    """A rational is named by its float repr when that is a finite nonzero double, else
+    by its order of magnitude, so the message never spells out hundreds of digits."""
+
+    def name(v) -> str:
+        if isinstance(v, float) or not v:
+            return repr(v)
+        try:
+            f = _to_float(v)
+        except OverflowError:
+            f = 0.0
+        if f:
+            return repr(f)
+        return f"{'-' * (v < 0)}~1e{round(math.log10(abs(v.numerator)) - math.log10(v.denominator)):+d}"
+
+    return AnalysisError(f"float arithmetic leaves the range of doubles at {names} = ({', '.join(map(name, vals))})")
 
 
 def _lift(vals: tuple[Number, Number, Number], exact: bool) -> tuple[Number, Number, Number, int, Callable]:
@@ -337,7 +357,7 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
         # B >= 0 with A = 0 cannot happen: A = 0 forces B < 0.
         kind = "unstable-node" if s_A > 0 else "stable-node"
     # the Jacobian on the float image, as jacobian() gives it on the float twin
-    eig = _sorted_eig(_jacobian_at(bf, cf, df, float(loc[0]), float(loc[1])))
+    eig = _sorted_eig(_jacobian_at(bf, cf, df, _to_float(loc[0]), _to_float(loc[1])))
     pts.append(SingularPoint("P2", "affine", loc, kind, eig))
     return pts
 

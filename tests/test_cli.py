@@ -283,6 +283,94 @@ def test_scan_bad_grid(capsys):
         assert "usage" in err
 
 
+README_ARGVS = [
+    line.split()[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("kportrait ")
+]
+FLOATS = ["--b", "0.5", "--c", "1", "--delta", "0.25"]
+# argv that reach a command; portrait and scan name files, which the recorder below never writes
+VALID_ARGVS = README_ARGVS + [
+    ["classify", "--del", "0.25", "--b", "0.5", "--c", "1"],
+    ["classify", "--ex", "--b", "3/10", "--c", "1", "--delta", "1/4"],
+    ["classify", "--b=0.5", "--c", "1", "--delta", "0.25"],
+    ["classify", "--b", "7", *FLOATS],
+    ["classify", *FLOATS, "--exact", "--exact"],
+    ["hopf", "--c", "-1", "--delta", "1"],
+    ["scan", "--grid=1:2:1,1:2:1,1:2:1", "--out", "s.csv", "--jobs", "-3"],
+]
+# help and usage errors: argv with "--", abbreviated help, unknown commands and flags
+OTHER_ARGVS = [
+    [], ["-h"], ["--h"], ["--help"], ["bogus"], ["--frob"], ["--", "classify", *FLOATS], ["-h", "classify"],
+    *([cmd, "-h"] for cmd in ("classify", "hopf", "cycle", "portrait", "scan")),
+    *([cmd, "--h"] for cmd in ("classify", "hopf", "cycle", "portrait", "scan")),
+    ["classify", *FLOATS, "--frob"], ["classify", *FLOATS, "x"], ["classify", *FLOATS, "--"],
+    ["classify", "--", *FLOATS], ["classify", "-x", *FLOATS], ["classify", "--b", "1"],
+    ["hopf", "--c", "1", "--delta", "0.25", "--b", "1"], ["scan", "--grid", "1:2:1,1:2:1,1:2:1", "--out", "s.csv", "--jobs", "x"],
+]
+
+
+def _full_tree_main(argv) -> int:
+    """main as one parse_args of the whole tree, the reference for its dispatch."""
+    from kportrait.cli import _build_parser
+
+    parser, _ = _build_parser()
+    try:
+        ns = parser.parse_args(argv)
+        return ns.func(parser, ns)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
+
+
+def test_dispatch_parses_as_the_full_tree(monkeypatch, capsys):
+    from kportrait.cli import _build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    parser, commands = _build_parser()
+    calls = []
+
+    def record(got_parser, ns):
+        calls.append((got_parser is parser, {k: v for k, v in vars(ns).items() if k != "command"}))
+        return 0
+
+    for sub in commands.values():  # the tree is built once per process: restore each func
+        monkeypatch.setitem(sub._defaults, "func", record)
+    assert len(README_ARGVS) == 6
+    for argv in VALID_ARGVS + OTHER_ARGVS:
+        results = []
+        for entry in (main, _full_tree_main):
+            calls.clear()
+            code = entry(list(argv))
+            results.append((code, *capsys.readouterr(), list(calls)))
+        assert results[0] == results[1], argv
+        # a valid argv reaches its command once, with the top-level parser for usage errors
+        got = results[0][3]
+        assert [top for top, _ in got] == ([True] if argv in VALID_ARGVS else []), argv
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify", "--b", "zebra", "--c", "1", "--delta", "1"], "argument --b: invalid number 'zebra'"),
+        (["classify", *FLOATS, "--frob"], "unrecognized arguments: --frob"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'classify', 'hopf', 'cycle', 'portrait', 'scan')"),
+    ],
+)
+def test_usage_errors_are_pinned(monkeypatch, capsys, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = "usage: kportrait [-h] {classify,hopf,cycle,portrait,scan} ...\n"
+    assert run(capsys, *argv) == (2, "", f"{usage}kportrait: error: {err}\n")
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    want = run(capsys, "classify", *FLOATS)
+    monkeypatch.setattr(sys, "argv", ["kportrait", "classify", *FLOATS])
+    assert main() == 0
+    assert (0, *capsys.readouterr()) == want
+    monkeypatch.setattr(sys, "argv", ["kportrait", "classify", *FLOATS, "x"])
+    assert main() == 2 and capsys.readouterr().err.endswith("error: unrecognized arguments: x\n")
+
+
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, os, sys, tempfile
 from fractions import Fraction as F

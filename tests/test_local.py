@@ -9,6 +9,7 @@ import pytest
 
 from kportrait import (
     AnalysisError,
+    IllConditionedError,
     Params,
     build_portrait,
     classify_case,
@@ -160,6 +161,55 @@ def test_procedural_ell1_out_of_float_range_is_an_analysis_error(c, delta):
     # hopf_analysis raises AnalysisError on the same input; the cross-check follows the same rule
     with pytest.raises(AnalysisError, match="range of doubles"):
         lyapunov_procedural(c, delta)
+
+
+def test_exact_input_gives_what_float_images_give(monkeypatch):
+    # hopf_analysis, the from-scratch ell1 and the P2 eigenvalues take the float image of a
+    # rational as int / int; with float() in its place every result and error is the same
+    import kportrait.local
+    import kportrait.model
+
+    rng = random.Random(89)
+
+    def rational():  # 17 significant digits at 10^e, e near 0 or near +-300
+        e = rng.choice([rng.randint(-3, 3), rng.randint(-330, -290), rng.randint(290, 330)])
+        return F(rng.randint(10**16, 10**17), 10**17) * F(10) ** e
+
+    def outcome(call, *args):
+        try:
+            r = call(*args)
+        except (AnalysisError, IllConditionedError) as err:
+            return type(err).__name__, str(err)
+        return repr([v for v in r if not callable(v)] if isinstance(r, tuple) else r)
+
+    pairs = [sorted((rational(), rational()), reverse=True) for _ in range(150)]
+    calls = [(f, c, d) for c, d in pairs for f in (hopf_analysis, lyapunov_procedural)]
+    calls += [(lambda *v: finite_singular_points(Params(*v)), rational(), c, d) for c, d in pairs]
+    got = [outcome(*call) for call in calls]
+    for module in (kportrait.local, kportrait.model):
+        monkeypatch.setattr(module, "_to_float", float)
+    assert got == [outcome(*call) for call in calls]
+    kinds = [g[0] if isinstance(g, tuple) else "P2" if "P2" in g else "ok" for g in got]
+    assert min(kinds.count(k) for k in ("AnalysisError", "P2", "ok")) >= 10, kinds
+
+
+@pytest.mark.parametrize(
+    "call, at",
+    [
+        (lambda: hopf_analysis(F(10**400), 1), "(b, c, delta) = (1.0, ~1e+400, 1.0)"),
+        (lambda: lyapunov_procedural(F(10**400), F(1, 10**400)), "(c, delta) = (~1e+400, ~1e-400)"),
+        (lambda: Params(F(1, 10**400), F(3, 10), 1).as_float(), "(b, c, delta) = (~1e-400, 0.3, 1.0)"),
+        (lambda: Params(F(3, 10**330), F(10**400, 7), F(1, 4)).as_float(), "(b, c, delta) = (~1e-330, ~1e+399, 0.25)"),
+        (lambda: hopf_analysis(1e200, 1.0), "(b, c, delta) = (1.0, 1e+200, 1.0)"),  # float input, as before
+    ],
+)
+def test_range_errors_name_each_value_in_one_short_line(call, at):
+    # a rational by its float repr when that is finite and nonzero, else by its order of magnitude
+    with pytest.raises(AnalysisError) as info:
+        call()
+    msg = str(info.value)
+    assert msg == f"float arithmetic leaves the range of doubles at {at}"
+    assert "\n" not in msg and len(msg) < 200
 
 
 def test_hopf_mu_zero_and_sign_change():

@@ -21,7 +21,7 @@ from kportrait import (
     uniqueness_check,
     vector_field,
 )
-from kportrait.model import _sorted_eig
+from kportrait.model import _sorted_eig, _to_float
 
 
 def random_params(rng, lo=0.05, hi=5.0):
@@ -58,6 +58,13 @@ def test_as_float_returns_a_float_triple_itself():
         assert (qf.b, qf.c, qf.delta) == (float(q.b), float(q.c), float(q.delta))
 
 
+def hex_or_overflow(to_float, v) -> str:
+    try:
+        return to_float(v).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
 def test_float_image_is_float_of_each_value_to_the_bit():
     # the image comes from the lift as int / int; float() of a Fraction is its own
     # int / int, so both must round the same rational the same way
@@ -72,6 +79,8 @@ def test_float_image_is_float_of_each_value_to_the_bit():
     seen = {"image": 0, "overflow": 0, "underflow": 0, "subnormal": 0}
     for vals in triples:
         p = Params(*vals)
+        # _to_float, the image local and finite_singular_points take, is float() too
+        assert [hex_or_overflow(_to_float, v) for v in vals] == [hex_or_overflow(float, v) for v in vals], vals
         try:
             want = [float(v) for v in vals]
         except OverflowError:
