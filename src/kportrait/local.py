@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _is_exact, _range_error, _to_float
+from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _check_parameter, _is_exact, _range_error, _to_float
 
 __all__ = [
     "IllConditionedError",
@@ -99,6 +99,8 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     negative for every admissible pair, so the bifurcation is always
     supercritical.
     """
+    _check_parameter("c", c)
+    _check_parameter("delta", delta)
     if not c > delta:
         raise AnalysisError("hopf analysis requires c > delta")
     if _is_exact(c, delta):
@@ -178,6 +180,8 @@ def _taylor_at(b, c, d, x0, y0):
 def _kuznetsov_data(c: Number, delta: Number) -> dict:
     """From-scratch normal-form data at b0: the field's Taylor coefficients at
     P2, the eigenproblem, the multilinear forms and the g coefficients."""
+    _check_parameter("c", c)
+    _check_parameter("delta", delta)
     try:
         cf, df = _to_float(c), _to_float(delta)
         if not cf > df:

@@ -636,7 +636,8 @@ def conjecture_scan(
         return [_scan_cell(args) for args in work]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method launches every worker at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
         return list(pool.map(_scan_cell, work, chunksize=1))
 
 

@@ -31,7 +31,7 @@ from .numerics import (
     IntegratorConfig,
     NoReturnError,
     Orbit,
-    _SEED_OFFSET,
+    _CHART_SWITCH_RADIUS,
     _p1_separatrix_start,
     _stops,
     cycle_loop,
@@ -188,19 +188,16 @@ def build_portrait(
             return orbit.detail
         _, ch, (ax, ay) = orbit.samples[-1]
         if ch == "affine":
-            if cycle is not None and cycle.found and cycle_pts is not None:
-                if point_polyline_distance((ax, ay), cycle_pts) <= 0.02:
-                    return "cycle"
+            # a limit attracts in the orbit's time direction: the found cycle is stable, an omega-limit alone
+            if sgn > 0 and cycle_pts is not None and point_polyline_distance((ax, ay), cycle_pts) <= 0.02:
+                return "cycle"
             affine = [s for s in orbit.samples if s[1] == "affine"]
             mx, my = affine[(3 * len(affine)) // 4][2]
-            # only points that attract in this time direction, or an approach
-            # along an invariant axis, can be the limit
-            near = []
-            for name, qx, qy, mode in _stops(p, sgn):
-                d_end = math.hypot(ax - qx, ay - qy)
-                d_mid = math.hypot(mx - qx, my - qy)
-                if mode == "always" or ((ax == 0.0 or ay == 0.0) and d_end < d_mid):
-                    near.append((name, d_end, d_mid))
+            near = [
+                (name, math.hypot(ax - qx, ay - qy), math.hypot(mx - qx, my - qy))
+                for name, qx, qy, mode in _stops(p, sgn)
+                if mode == "always"
+            ]
             for name, d_end, _ in near:
                 if d_end <= 1e-3:
                     return name
@@ -229,9 +226,12 @@ def build_portrait(
             points=_thin(points, _THIN_TO),
         )
 
+    # P0's separatrices are the invariant axes: x' = -x(x - 1)(x + b) on y = 0 and y' = -delta*b*y on x = 0
+    # give P0 -> P1 and O2 -> P0 for all parameters, drawn through 16 even steps on the disc from y = 10 down
+    steps = [t / math.sqrt(1.0 - t * t) for t in (_project(0.0, _CHART_SWITCH_RADIUS)[1] * k / 16 for k in range(16, 0, -1))]
     separatrices: list[OrbitTrace] = [
-        trace("axis", "P0", "unstable", (_SEED_OFFSET, 0.0)),
-        trace("axis", "P0", "stable", (0.0, _SEED_OFFSET)),
+        OrbitTrace("axis", "P0", "unstable", "P0", "P1", [(v, 0.0) for v in steps[::-1] if v < 1.0]),
+        OrbitTrace("axis", "P0", "stable", "O2", "P0", [(0.0, v) for v in steps]),
     ]
     if label.case == 2:
         # the centre branch of the saddle-node comes from O1 and ends at P1

@@ -223,22 +223,22 @@ BYTE_GOLDEN = {
     "portrait-A": (
         ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
         {
-            "svg": "9c43d27740c969438086eea6cf6fc527725086ff919167fd8ac08999f9fc69e9",
-            "json": "853d4956a7f9271e72adea2a37b415da75cd002a865f6c9324e7cadab40fd565",
+            "svg": "c8e9d1b141b3f27d850e47922834ad378ae07186ccd59fa92aff9a886f2b19c1",
+            "json": "c04ab035564dcacd3c4d0dc16c362e541ce504904aa216fcbb562f7c9509ed28",
         },
     ),
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "ac5829a2b3ad2291c48f19c9e61dc1f43f5ac1952ecbb3cd34373cd198e1b8c2",
-            "json": "675f6526c2dbe98397d8d4a2463599b11c16abf88dd39cc9212e583282eb7348",
+            "svg": "313fc0806440e9ceeb596fc9f6342f22809de7f2f6eeca0061562bdf751ce0a8",
+            "json": "0da304d10df293551affe92ca4d194fadea22eacdf9b93084e8bbc8ca535ec62",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "d12adb0ccefc1aece236477a01e389eaaacd15b99dea5487389821c67da51855",
-            "json": "56ab0202ffe3ec820c94452d49c6243f0c66bac1c8cc336fc1f3bc2b1b23bae6",
+            "svg": "fc11c65f8638ae933d72c6884171f8a31baa473e544e80638fb3be2b5d40ba1a",
+            "json": "6df58293f8bf0dcc882368584994ffff0b0b22ca60f95666def93b3f102d2e29",
         },
     ),
     **{

@@ -377,6 +377,23 @@ def test_uniqueness_random_cycle_zone():
         assert rep.conditions_hold["iii"] == (discriminants(p).A > 0)
 
 
+def test_uniqueness_holds_in_cases_3_and_5():
+    # A > 0 forces b < (c - delta)/(c + delta) < 1, so the Kuang-Freedman conditions all
+    # hold and the found cycle is the only one: the cases where the portrait reads "cycle"
+    rng = random.Random(19)
+    seen = 0
+    while seen < 200:
+        p = Params(10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1.5, 0.5))
+        label = classify_case(p)
+        if label.case in (3, 5) and not label.boundary:
+            seen += 1
+            assert uniqueness_check(p).all_hold, p
+    for triple in ((F(1, 2), 1, F(1, 4)), (F(123, 10000), F(13174, 10000), F(12244, 10000)), (F(1, 100), 2, F(1, 2))):
+        p = Params(*triple)
+        assert classify_case(p).case in (3, 5)
+        assert uniqueness_check(p).all_hold
+
+
 def test_uniqueness_fails_outside():
     rep = uniqueness_check(Params(2, 1, F(1, 5)))
     assert not rep.conditions_hold["ii"]
@@ -395,6 +412,19 @@ def test_uniqueness_precondition_is_the_banded_case2_sign():
     assert [q.name for q in finite_singular_points(p)] == ["P0", "P1"]
     with pytest.raises(AnalysisError, match="b\\*delta < c - delta"):
         uniqueness_check(p)
+
+
+@pytest.mark.parametrize("route", [hopf_analysis, lyapunov_procedural])
+@pytest.mark.parametrize(
+    "c, delta", [(-1.0, -2.0), (1.0, 0.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf), (F(-1), 1)]
+)
+def test_hopf_routes_hold_c_and_delta_to_the_params_rule(route, c, delta):
+    # outside the family's domain both routes fail as Params does, before any arithmetic
+    with pytest.raises(ValueError) as want:
+        Params(1.0, c, delta)
+    with pytest.raises(ValueError) as got:
+        route(c, delta)
+    assert (type(got.value), str(got.value)) == (ValueError, str(want.value))
 
 
 def test_procedural_ell1_does_not_use_the_closed_forms(monkeypatch):

@@ -409,6 +409,34 @@ def test_scan_deterministic_across_workers():
     assert b1.getvalue().endswith("\r\n") or b1.getvalue().endswith("\n")
 
 
+def test_scan_starts_no_more_workers_than_cells(monkeypatch):
+    # the fork start method launches every worker at the first submit, so the pool
+    # is sized to the cells; a stand-in pool records the size and maps serially
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    grid = GridSpec(b=(0.7, 1.2, 2), c=(0.9, 1.4, 2), delta=(0.2, 0.35, 2))
+    rows = conjecture_scan(grid, jobs=16)
+    assert 1 < len(rows) < 16
+    assert sizes == [len(rows)]
+    assert rows == conjecture_scan(grid, jobs=1)
+
+
 def test_custom_stop_event():
     # a section line of the caller's choosing, reached from below
     orbit = integrate(P_CYCLE, (0.9, 0.3), "forward", IntegratorConfig(max_time=60.0), section=0.6)

@@ -3,6 +3,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -89,11 +90,13 @@ def test_portrait_c_limits(report_c):
         (0.05683323644478372, 6.802847627867152, 1.0751050535137032),
         (0.0123, 1.3174, 1.2244),  # case 3: P0 is a saddle, P2 an unstable node
         (0.5, 1.0, 0.25),
+        (0.599, 1.0, 0.25),  # case 5 just below the Hopf point b0 = 0.6
+        (0.3158298635186272, 6.95340195203038, 0.1949516018567411),
     ],
 )
 def test_reported_limits_attract_in_their_time_direction(triple):
     # a saddle, or a node that repels in the orbit's time direction, is never
-    # the alpha- or omega-limit of an interior orbit
+    # the alpha- or omega-limit of an interior orbit, nor the stable cycle an alpha-limit
     rep = build_portrait(Params(*triple))
     interior = rep.representatives + [tr for tr in rep.separatrices if tr.origin == "P1"]
     assert interior
@@ -104,8 +107,50 @@ def test_reported_limits_attract_in_their_time_direction(triple):
             if tr.origin == "P1" and sgn < 0:
                 # the separatrix is the unstable manifold of the saddle P1, which it leaves
                 assert limit == "P1", (tr.origin, sgn, limit)
+            elif limit == "cycle":
+                assert sgn > 0, (tr.origin, sgn, limit)
             elif limit in modes:
                 assert modes[limit] == "always", (tr.origin, sgn, limit)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (2.0, 1.0, 1.0),  # README A
+        (0.5, 1.0, 0.25),  # README B
+        (0.9, 1.2, 0.3),  # README C
+        (0.00337, 1.861, 1.722),  # small b: the flow near P0 along the axes is slow
+        (0.0068, 1.226, 0.174),
+        (0.0123, 1.3174, 1.2244),
+        (F(3, 5), 1, F(1, 4)),  # case 7
+    ],
+)
+def test_axis_traces_come_from_the_closed_form(triple, monkeypatch):
+    # on y = 0 the field is x' = -x(x - 1)(x + b), on x = 0 it is y' = -delta*b*y, so
+    # P0's separatrices are P0 -> P1 and O2 -> P0 and no orbit is integrated on an axis
+    import kportrait.portrait as portrait
+
+    starts = []
+    real = portrait.integrate
+
+    def recorded(p, start, *args, **kwargs):
+        starts.append(start)
+        return real(p, start, *args, **kwargs)
+
+    monkeypatch.setattr(portrait, "integrate", recorded)
+    unstable, stable = build_portrait(Params(*triple)).separatrices[:2]
+    assert (unstable.role, unstable.origin, unstable.stability) == ("axis", "P0", "unstable")
+    assert (unstable.alpha_limit, unstable.omega_limit) == ("P0", "P1")
+    assert (stable.role, stable.origin, stable.stability) == ("axis", "P0", "stable")
+    assert (stable.alpha_limit, stable.omega_limit) == ("O2", "P0")
+    # ordered by time: along the open segment toward P1, and down the y-axis toward P0
+    xs = [x for x, y in unstable.points if y == 0.0]
+    assert len(xs) == len(unstable.points) and 0.0 < xs[0] and xs[-1] < 1.0
+    assert all(u < v for u, v in zip(xs, xs[1:]))
+    ys = [y for x, y in stable.points if x == 0.0]
+    assert len(ys) == len(stable.points) and ys[-1] > 0.0
+    assert all(u > v for u, v in zip(ys, ys[1:]))
+    assert starts and all(x > 0.0 and y > 0.0 for x, y in starts)
 
 
 @pytest.mark.parametrize(
