@@ -21,7 +21,7 @@ _EXPORTS = {
         "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",
     ),
     "local": (
-        "DulacReport", "HopfData", "IllConditionedError", "MultilinearForms", "UniquenessReport",
+        "DulacReport", "HopfData", "IllConditionedError", "UniquenessReport",
         "dulac_check", "hopf_analysis", "lyapunov_procedural", "uniqueness_check",
     ),
     "numerics": (

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .model import AnalysisError, IllConditionedError, IntegrationFailure, NoReturnError
-from .model import Params, _check_parameter, classify_case, discriminants, finite_singular_points
+from .model import Params, _check_parameter, _to_float, classify_case, discriminants, finite_singular_points
 
 # The names the commands take from local, numerics and portrait.  They stay
 # attributes of this module, which tests and the bench tracer replace, but are
@@ -122,7 +122,7 @@ def _cmd_classify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> in
     disc = discriminants(p)
     points = finite_singular_points(p)
     try:  # the float image of an exact A or B may leave the range of doubles
-        a, b = float(disc.A), float(disc.B)
+        a, b = _to_float(disc.A), _to_float(disc.B)
     except OverflowError:
         raise AnalysisError("the float image of A or B leaves the range of doubles") from None
     print(
@@ -134,7 +134,7 @@ def _cmd_classify(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> in
     print(f"B = {disc.B} ({b!r})")
     for q in points:
         x, y = q.location
-        print(f"{q.name}: {q.kind} at ({float(x)!r}, {float(y)!r})")
+        print(f"{q.name}: {q.kind} at ({_to_float(x)!r}, {_to_float(y)!r})")
     return 0
 
 

@@ -23,7 +23,6 @@ from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _che
 __all__ = [
     "IllConditionedError",
     "HopfData",
-    "MultilinearForms",
     "DulacReport",
     "UniquenessReport",
     "hopf_analysis",
@@ -36,32 +35,31 @@ __all__ = [
 _RESID_TOL = 1e-10
 
 
-class MultilinearForms(NamedTuple):
-    """Symmetric bilinear and trilinear forms of a field's Taylor expansion.
-
-    Built from the quadratic and cubic coefficients of the two components so
-    that F(z) = J z + B(z, z)/2 + C(z, z, z)/6.
-    """
-
-    quad: tuple[tuple[float, float, float], tuple[float, float, float]]
-    cubic: tuple[tuple[float, float, float, float], tuple[float, float, float, float]]
-
-
 def _bform(quad, e, h) -> tuple:
-    """B(e, h) of the quadratic coefficients ``quad`` of :class:`MultilinearForms`."""
+    """B(e, h) of F(z) = J z + B(z, z)/2 + C(z, z, z)/6, one component per row of
+    ``quad`` = ((a20, a11, a02) of P, the same of Q), the coefficients of u^2, uv, v^2."""
     (e0, e1), (h0, h1) = e, h
-    return tuple(2 * a20 * e0 * h0 + a11 * (e0 * h1 + e1 * h0) + 2 * a02 * e1 * h1 for a20, a11, a02 in quad)
+    (p20, p11, p02), (q20, q11, q02) = quad
+    return (
+        2 * p20 * e0 * h0 + p11 * (e0 * h1 + e1 * h0) + 2 * p02 * e1 * h1,
+        2 * q20 * e0 * h0 + q11 * (e0 * h1 + e1 * h0) + 2 * q02 * e1 * h1,
+    )
 
 
 def _cform(cubic, e, h, z) -> tuple:
-    """C(e, h, z) of the cubic coefficients ``cubic`` of :class:`MultilinearForms`."""
+    """C(e, h, z) of the same expansion, one component per row of ``cubic`` =
+    ((a30, a21, a12, a03) of P, the same of Q), the coefficients of u^3, u^2 v, u v^2, v^3."""
     (e0, e1), (h0, h1), (z0, z1) = e, h, z
-    return tuple(
-        6 * a30 * e0 * h0 * z0
-        + 2 * a21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
-        + 2 * a12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
-        + 6 * a03 * e1 * h1 * z1
-        for a30, a21, a12, a03 in cubic
+    (p30, p21, p12, p03), (q30, q21, q12, q03) = cubic
+    return (
+        6 * p30 * e0 * h0 * z0
+        + 2 * p21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
+        + 2 * p12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
+        + 6 * p03 * e1 * h1 * z1,
+        6 * q30 * e0 * h0 * z0
+        + 2 * q21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
+        + 2 * q12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
+        + 6 * q03 * e1 * h1 * z1,
     )
 
 
@@ -101,13 +99,13 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     """
     _check_parameter("c", c)
     _check_parameter("delta", delta)
-    if not c > delta:
-        raise AnalysisError("hopf analysis requires c > delta")
-    if _is_exact(c, delta):
+    exact = _is_exact(c, delta)
+    if exact:
         cn, dn = int(c.numerator) * int(delta.denominator), int(delta.numerator) * int(c.denominator)
-        b0: Number = Fraction(cn - dn, cn + dn)
-    else:
-        b0 = (c - delta) / (c + delta)
+    # exact c > delta is decided on the cross-multiplied integers
+    if not (cn > dn if exact else c > delta):
+        raise AnalysisError("hopf analysis requires c > delta")
+    b0: Number = Fraction(cn - dn, cn + dn) if exact else (c - delta) / (c + delta)
 
     def mu_at(b: float) -> float:
         a, _ = _ab(float(b), cf, df)
@@ -178,8 +176,9 @@ def _taylor_at(b, c, d, x0, y0):
 
 
 def _kuznetsov_data(c: Number, delta: Number) -> dict:
-    """From-scratch normal-form data at b0: the field's Taylor coefficients at
-    P2, the eigenproblem, the multilinear forms and the g coefficients."""
+    """From-scratch normal-form data at b0: the field's Taylor coefficients at P2, with
+    ``quad`` and ``cubic`` laid out as :func:`_bform` and :func:`_cform` read them, the
+    eigenproblem and the g coefficients."""
     _check_parameter("c", c)
     _check_parameter("delta", delta)
     try:
@@ -213,15 +212,15 @@ def _kuznetsov_data(c: Number, delta: Number) -> dict:
     ip = _vdot(p0, q)
     if ip == 0:
         raise IllConditionedError("degenerate normalisation <p, q> = 0")
-    p = tuple(v / ip.conjugate() for v in p0)
+    ipc = ip.conjugate()
+    p = (p0[0] / ipc, p0[1] / ipc)
 
-    forms = MultilinearForms(quad, cubic)
     qbar = (q[0].conjugate(), q[1].conjugate())
     g20 = _vdot(p, _bform(quad, q, q))
     g11 = _vdot(p, _bform(quad, q, qbar))
     g21 = _vdot(p, _cform(cubic, q, q, qbar))
     ell1 = float((1j * g20 * g11 + omega * g21).real / (2 * omega * omega))
-    return dict(omega=omega, jacobian=((a11, a12), (a21, a22)), forms=forms, q=q, g20=g20, g11=g11, g21=g21, ell1=ell1)
+    return dict(omega=omega, jacobian=((a11, a12), (a21, a22)), quad=quad, cubic=cubic, q=q, g20=g20, g11=g11, g21=g21, ell1=ell1)
 
 
 def lyapunov_procedural(c: Number, delta: Number) -> float:

@@ -26,7 +26,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from numbers import Rational
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
@@ -85,7 +84,8 @@ def _check_parameter(name: str, v: Number) -> None:
     """The rule every parameter obeys: finite and strictly positive."""
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
-    if not v > 0:
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    if not (v.numerator > 0 if type(v) is Fraction else v > 0):
         raise ValueError(f"{name} must be positive, got {v!r}")
 
 
@@ -123,6 +123,25 @@ def _lift(vals: tuple[Number, Number, Number], exact: bool) -> tuple[Number, Num
     return bn * (L // bd), cn * (L // cd), dn * (L // dd), L, Fraction
 
 
+# not functools.cached_property, which on Python 3.10 and 3.11 takes a class-wide lock on
+# every miss: the values are pure functions of a frozen triple, so a race needs no lock
+class _cached:
+    """A value computed on first use and stored in the instance ``__dict__``, where it
+    shadows this non-data descriptor."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.func(obj)
+        return value
+
+
 # a dataclass, not a NamedTuple: the per-instance state lives in the instance __dict__
 @dataclass(frozen=True)
 class Params:
@@ -130,9 +149,9 @@ class Params:
 
     ``is_exact`` (every parameter rational) and the lift are set on construction; the
     case values and signs, the float image, the float twin and P2 on first use, and the
-    integrator's stop tables (``numerics._stops``).  All live in the instance ``__dict__``,
-    where ``cached_property`` keeps its values, so equality, hash and pickling see the
-    three fields alone.
+    integrator's stop tables (``numerics._stops``).  Each is computed once, on first
+    use and without a lock, and all live in the instance ``__dict__``, so equality,
+    hash and pickling see the three fields alone.
     """
 
     b: Number
@@ -146,7 +165,7 @@ class Params:
         exact = _is_exact(*vals)
         self.__dict__.update(is_exact=exact, _lifted=_lift(vals, exact))
 
-    @cached_property
+    @_cached
     def _case(self) -> tuple[tuple[Number, Number, Number, Number], tuple[int, int, int, int]]:
         """The values of (b*delta - (c-delta), A, B, 1+c-delta-b-b*delta) on ``_lifted``,
         times L^2, L^3, L^5, L^2 if exact, and their signs.
@@ -173,12 +192,14 @@ class Params:
         # an overflow passes every band test and would read as a boundary case
         if not all(map(math.isfinite, vals + scales)):
             raise AnalysisError(f"float arithmetic leaves the range of doubles for {self}; classify it exactly (--exact)")
-        return vals, tuple(
-            0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
-            for v, s in zip(vals, scales)
-        )
 
-    @cached_property
+        def sign(v, s) -> int:
+            return 0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
+
+        (q1, A, B, s2), (t1, tA, tB, t2) = vals, scales
+        return vals, (sign(q1, t1), sign(A, tA), sign(B, tB), sign(s2, t2))
+
+    @_cached
     def _float(self) -> tuple[float, float, float]:
         """(b, c, delta) in doubles, each equal to its float(): int / int on the lift is
         correctly rounded.  A value that overflows or underflows to 0 is an AnalysisError."""
@@ -191,9 +212,9 @@ class Params:
             pass
         raise _range_error("(b, c, delta)", (self.b, self.c, self.delta))
 
-    _twin = cached_property(lambda self: Params(*self._float))
+    _twin = _cached(lambda self: Params(*self._float))
 
-    @cached_property
+    @_cached
     def _p2(self) -> tuple[Number, Number]:
         """:func:`_p2_location` on ``_lifted``; P2 need not lie in the quadrant.  A float
         overflow, or an underflow to a zero divisor, is an AnalysisError."""

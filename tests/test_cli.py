@@ -463,15 +463,12 @@ def test_cold_path_builds_no_dataclass_but_params_and_caselabel():
 def _converted_records() -> list:
     """One instance of each NamedTuple record; the callables of HopfData and
     DulacReport are closures, so module-level functions stand in to pickle them."""
-    from kportrait.local import _kuznetsov_data
-
     p = kportrait.Params(0.5, 1.0, 0.25)
     return [
         kportrait.discriminants(p),
         kportrait.finite_singular_points(p)[2],
         kportrait.family_infinite_points(p)[1].sector_data,
         kportrait.family_infinite_points(p)[1],
-        _kuznetsov_data(1.0, 0.25)["forms"],
         kportrait.hopf_analysis(1.0, 0.25)._replace(mu_at=math.sin, omega_at=math.cos),
         kportrait.dulac_check(p)._replace(bound_expression_value_at=math.hypot),
         kportrait.uniqueness_check(p),
@@ -481,8 +478,8 @@ def _converted_records() -> list:
 def test_records_keep_the_dataclass_behaviour():
     records = _converted_records()
     assert sorted(type(r).__name__ for r in records) == sorted(
-        ["Discriminants", "SingularPoint", "SectorData", "InfinitePoint", "MultilinearForms", "HopfData",
-         "DulacReport", "UniquenessReport"]
+        ["Discriminants", "SingularPoint", "SectorData", "InfinitePoint", "HopfData", "DulacReport",
+         "UniquenessReport"]
     )
     assert repr(records[2]) == "SectorData(sector='hyperbolic', separatrices=('infinity-equator', 'x=0-axis'))"
     for r in records:
@@ -516,6 +513,8 @@ def test_lazy_exports_resolve_to_their_home_objects():
     assert kportrait._EXPORTS["compactify"] == ("InfinitePoint", "SectorData", "family_infinite_points")
     for name in ("PolySystem", "ChartDomainError", "chart_transition", "family_system"):
         assert name not in kportrait.__all__ and not hasattr(kportrait.compactify, name), name
+    # the from-scratch Hopf route keeps its coefficient tuples in a private dict
+    assert "MultilinearForms" not in kportrait.__all__ and not hasattr(kportrait.local, "MultilinearForms")
     # no public name shadows a submodule: the package attribute is the submodule
     importlib.import_module("kportrait.local"), importlib.import_module("kportrait.numerics")
     assert kportrait.compactify is sys.modules["kportrait.compactify"]

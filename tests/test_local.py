@@ -286,13 +286,55 @@ def test_taylor_coefficients_at_p2_equal_the_sparse_shift_to_the_bit():
 
 def test_hopf_forms_symmetry():
     kd = _kuznetsov_data(1.3, 0.4)
-    forms = kd["forms"]
+    quad, cubic = kd["quad"], kd["cubic"]
     rng = np.random.default_rng(53)
     for _ in range(10):
         e, h, z = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3))
-        assert np.allclose(_bform(forms.quad, e, h), _bform(forms.quad, h, e))
-        assert np.allclose(_cform(forms.cubic, e, h, z), _cform(forms.cubic, h, e, z))
-        assert np.allclose(_cform(forms.cubic, e, h, z), _cform(forms.cubic, z, h, e))
+        assert np.allclose(_bform(quad, e, h), _bform(quad, h, e))
+        assert np.allclose(_cform(cubic, e, h, z), _cform(cubic, h, e, z))
+        assert np.allclose(_cform(cubic, e, h, z), _cform(cubic, z, h, e))
+
+
+def bform_reference(quad, e, h):
+    """B(e, h), one generic row expression for every component of ``quad``."""
+    (e0, e1), (h0, h1) = e, h
+    return tuple(2 * a20 * e0 * h0 + a11 * (e0 * h1 + e1 * h0) + 2 * a02 * e1 * h1 for a20, a11, a02 in quad)
+
+
+def cform_reference(cubic, e, h, z):
+    """C(e, h, z), one generic row expression for every component of ``cubic``."""
+    (e0, e1), (h0, h1), (z0, z1) = e, h, z
+    return tuple(
+        6 * a30 * e0 * h0 * z0
+        + 2 * a21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
+        + 2 * a12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
+        + 6 * a03 * e1 * h1 * z1
+        for a30, a21, a12, a03 in cubic
+    )
+
+
+def test_straight_line_forms_equal_the_generic_rows_to_the_bit():
+    # the family's cubic is almost all zeros, so dense random tables are needed
+    # to tell one coefficient from another; repr tells -0.0 from 0.0, and magnitudes
+    # up to 1e60 keep every product finite, so == can see each bit
+    rng = random.Random(59)
+
+    def num():
+        return rng.choice([0.0, -0.0, 1.0, rng.uniform(-3, 3), 10 ** rng.uniform(-60, 60)])
+
+    def vec():
+        return tuple(complex(num(), num()) for _ in range(2))
+
+    kd = _kuznetsov_data(1.3, 0.4)
+    tables = [(kd["quad"], kd["cubic"])] + [
+        (tuple(tuple(num() for _ in range(3)) for _ in range(2)), tuple(tuple(num() for _ in range(4)) for _ in range(2)))
+        for _ in range(300)
+    ]
+    for quad, cubic in tables:
+        for _ in range(5):
+            e, h, z = vec(), vec(), vec()
+            for got, want in ((_bform(quad, e, h), bform_reference(quad, e, h)), (_cform(cubic, e, h, z), cform_reference(cubic, e, h, z))):
+                assert got == want and repr(got) == repr(want), (quad, cubic, e, h, z)
 
 
 def test_weak_focus_on_a_zero_boundary():

@@ -1,5 +1,6 @@
 """Field, Jacobian, discriminants and case classification."""
 
+import hashlib
 import pickle
 import random
 import sys
@@ -550,3 +551,100 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
             assert back == p and back.is_exact == p.is_exact
             assert classify_case(back) == classify_case(p)
             assert discriminants(back) == discriminants(p)
+
+
+def test_params_caches_fill_once_into_the_instance_dict():
+    import kportrait.model as model
+
+    assert isinstance(Params._case, model._cached) and Params._case is vars(Params)["_case"]
+    p = Params(F(1, 2), 1, F(1, 4))
+    for name in ("_case", "_float", "_p2", "_twin"):
+        assert name not in vars(p)
+        value = getattr(p, name)
+        assert vars(p)[name] is value and getattr(p, name) is value, name
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p) and back._case == p._case
+    # equal and equally hashed, yet each keeps the case of its own arithmetic
+    pf, pe = Params(0.5, 1, 0.25), Params(F(1, 2), 1, F(1, 4))
+    assert pf == pe and hash(pf) == hash(pe)
+    assert pe._case[0] == (-10, 2, -1436, 18) and pf._case[0] == (-0.625, 0.03125, -1.40234375, 1.125)
+
+
+class _FractionSubclass(F):
+    pass
+
+
+@pytest.mark.parametrize("v", [F(0), F(-1, 3), F(10**400, 3), _FractionSubclass(-2, 7), _FractionSubclass(2, 7)])
+def test_parameter_rule_reads_a_fractions_sign_as_v_above_zero_does(v):
+    from kportrait.model import _check_parameter
+
+    if v > 0:
+        assert _check_parameter("c", v) is None
+    else:
+        with pytest.raises(ValueError) as err:
+            _check_parameter("c", v)
+        assert str(err.value) == f"c must be positive, got {v!r}"
+
+
+def _draw_triple(rng):
+    """One seeded (b, c, delta): doubles across 10^+-3 or 10^+-300, rationals with
+    denominators up to 10^12, exact and float boundary triples, and a few invalid values."""
+    kind = rng.random()
+    if kind < 0.4:
+        e = 300 if rng.random() < 0.3 else 3
+        vals = [10 ** rng.uniform(-e, e) for _ in range(3)]
+    elif kind < 0.8:
+        vals = [F(rng.randint(1, 10 ** rng.randint(1, 13)), rng.randint(1, 10 ** rng.randint(0, 12))) for _ in range(3)]
+    else:  # case-2 boundary c = delta(1 + b), A = 0 at b = (c-delta)/(c+delta), and S2 = 0
+        b, c, d = (F(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(3))
+        c, d = max(c, d) + 1, min(c, d)
+        vals = rng.choice([(b, d * (1 + b), d), ((c - d) / (c + d), c, d), ((c - d + 1) / (1 + d), c, d)])
+        if rng.random() < 0.5:
+            vals = [float(v) for v in vals]
+    vals = list(vals)
+    if rng.random() < 0.05:
+        vals[rng.randrange(3)] = rng.choice([-vals[0], 0, F(0), float("nan"), float("inf"), -1])
+    return tuple(vals)
+
+
+def _analysis_digest(n):
+    """sha256 over the repr of every analysis result, or the type and message of the
+    error raised, for ``n`` seeded triples; closures are replaced by a value."""
+    from kportrait import lyapunov_procedural
+    from kportrait.model import _check_parameter
+
+    h = hashlib.sha256()
+
+    def record(f, *args):
+        try:
+            out = f(*args)
+        except Exception as exc:  # the error is part of the result
+            out = (type(exc).__name__, str(exc))
+        h.update(repr(out).encode() + b"\n")
+        return out
+
+    def hopf(c, d):
+        hd = hopf_analysis(c, d)
+        return hd._replace(mu_at=None, omega_at=hd.omega_at(float(hd.b0)))
+
+    def dulac(p):
+        return dulac_check(p)._replace(bound_expression_value_at=None)
+
+    rng = random.Random(2020)
+    for _ in range(n):
+        b, c, d = _draw_triple(rng)
+        for name, v in zip(("b", "c", "delta"), (b, c, d)):
+            record(_check_parameter, name, v)
+        record(hopf, c, d)
+        record(lyapunov_procedural, c, d)
+        p = record(Params, b, c, d)
+        if isinstance(p, Params):
+            for f in (classify_case, finite_singular_points, discriminants, dulac, uniqueness_check):
+                record(f, p)
+    return h.hexdigest()
+
+
+def test_analysis_results_and_errors_match_the_recorded_digest():
+    # recorded before the straight-line forms, the lock-free caches and the integer
+    # sign tests: each must leave every bit, error type and message as it was
+    assert _analysis_digest(2400) == "4e7dbe13f1a121d3aa21d445b7d26e610ba851a819815778b91e9f3c8e6c2b3e"
