@@ -14,8 +14,8 @@ of that horizontal line in the affine chart.  The crossing is located by
 bisection on controlled sub-steps, so the event state carries one local
 error, not an interpolation error.  The section for return maps is the
 horizontal ray right of the interior equilibrium, where upward crossings are
-provably transversal.  Orbits and cycle loops leave this module as plain
-lists of affine (x, y) tuples.
+provably transversal; a walk repeats such turns until the crossings settle.
+Orbits and cycle loops leave this module as plain lists of affine (x, y) tuples.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "cycle_amplitude",
     "conjecture_scan",
     "scan_to_csv",
-    "point_polyline_distance",
 ]
 
 # Dormand-Prince 5(4) tableau (autonomous form; no time arguments needed).
@@ -81,6 +80,7 @@ _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
 _CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to the S chart
 _EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
 _SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
+_SETTLED = 1e-3  # successive crossings this close end a walk: the disc projection draws them within a pixel
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,9 @@ def _stops(p: Params, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
                 # an orbit may pass arbitrarily close to a saddle, so proximity alone
                 # must not stop it: stop at points attracting in this time direction,
                 # or on an invariant axis while moving toward the point
-                if q.kind == "saddle-node":
+                # the case-2 saddle-node (through its centre direction) and the case-7
+                # weak focus (through ell1 < 0) attract forward with zero real parts
+                if q.kind in ("saddle-node", "weak-stable-focus"):
                     mode = "always" if s > 0 else "axis-only"
                 elif re_parts and all(s * r < 0 for r in re_parts):
                     mode = "always"
@@ -348,26 +350,55 @@ def interior_point(p: Params) -> tuple[float, float]:
     return p.as_float()._p2
 
 
-def return_map(
-    p: Params, x: float, cfg: Optional[IntegratorConfig] = None
-) -> tuple[float, float]:
+def return_map(p: Params, x: float, cfg: Optional[IntegratorConfig] = None) -> tuple[float, float]:
     """First-return abscissa and time of flight on the ray right of P2.
 
     On the ray y = y2, x > x2 the flow satisfies y' > 0, so upward crossings
     are transversal and automatically land right of x2.
     """
-    cfg = cfg or IntegratorConfig()
     x2, y2 = interior_point(p)
     if not x > x2:
         raise ValueError(f"section abscissa must exceed {x2}, got {x}")
-    orbit = integrate(p, (x, y2), "forward", cfg, section=y2)
-    if orbit.terminal != "hit-section":
-        raise NoReturnError(
-            f"orbit did not recross the section ({orbit.terminal} {orbit.detail})".strip(),
-            orbit,
-        )
-    t, _, (xn, _) = orbit.samples[-1]
+    t, _, (xn, _) = _turn(p, (x, y2), cfg, y2, "orbit did not recross the section").samples[-1]
     return float(xn), float(t)
+
+
+def _turn(p: Params, start, cfg: Optional[IntegratorConfig], y2: float, what: str) -> Orbit:
+    """The forward orbit from ``start`` to its next located upward crossing of
+    y = ``y2``; NoReturnError "``what`` (terminal detail)" on any other terminal."""
+    orbit = integrate(p, start, "forward", cfg, section=y2)
+    if orbit.terminal != "hit-section":
+        raise NoReturnError(f"{what} ({' '.join(filter(None, (orbit.terminal, orbit.detail)))})", orbit)
+    return orbit
+
+
+def _walk(p: Params, start, cfg: IntegratorConfig) -> tuple[Orbit, list[float]]:
+    """The forward orbit from ``start`` turn by turn, with the abscissae of its
+    section crossings.
+
+    A start on the section ray is the first crossing.  The walk ends at a
+    terminal, at ``cfg.max_time`` summed over its turns, or once the crossings
+    of two successive turns lie within ``_SETTLED``, so a returning orbit keeps
+    at least two turns.  A settled walk ends on ``hit-section``.
+    """
+    x2, y2 = interior_point(p)
+    samples: list[tuple[float, str, tuple[float, float]]] = []
+    xs = [float(start[0])] if start[1] == y2 and start[0] > x2 else []
+    settles_after = len(xs) + 1
+    t0 = 0.0
+    while True:
+        try:
+            orbit = _turn(p, start, replace(cfg, max_time=cfg.max_time - t0), y2, "")
+        except NoReturnError as err:
+            orbit = err.orbit
+        # a later turn starts at the crossing that ended the one before
+        samples += [(t0 + t, chart, pt) for t, chart, pt in orbit.samples[bool(samples):]]
+        if orbit.terminal != "hit-section":
+            return Orbit(samples, orbit.terminal, orbit.detail), xs
+        t0, _, start = samples[-1]
+        xs.append(start[0])
+        if len(xs) > settles_after and abs(xs[-1] - xs[-2]) <= _SETTLED or t0 >= cfg.max_time:
+            return Orbit(samples, orbit.terminal), xs
 
 
 def return_iterates(
@@ -384,24 +415,15 @@ def return_iterates(
     return xs, None
 
 
-def separatrix_section_crossing(
-    p: Params, cfg: Optional[IntegratorConfig] = None
-) -> tuple[float, float]:
+def separatrix_section_crossing(p: Params, cfg: Optional[IntegratorConfig] = None) -> tuple[float, float]:
     """First upward section crossing of the unstable separatrix leaving (1, 0).
 
     The separatrix bounds the cycle (when one exists) from outside, so its
     crossing is a sound outer bracket seed.
     """
-    cfg = cfg or IntegratorConfig()
     # an interior point exists only where P1 has an unstable direction
     _, y2 = interior_point(p)
-    start = _p1_separatrix_start(p)
-    orbit = integrate(p, start, "forward", cfg, section=y2)
-    if orbit.terminal != "hit-section":
-        raise NoReturnError(
-            f"separatrix did not reach the section ({orbit.terminal})", orbit
-        )
-    t, _, (xs, _) = orbit.samples[-1]
+    t, _, (xs, _) = _turn(p, _p1_separatrix_start(p), cfg, y2, "separatrix did not reach the section").samples[-1]
     return float(xs), float(t)
 
 
@@ -510,20 +532,13 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     return CycleResult(True, float(root), float(tof), float(multiplier), True)
 
 
-def cycle_loop(
-    p: Params,
-    cycle: CycleResult,
-    cfg: Optional[IntegratorConfig] = None,
-) -> list[tuple[float, float]]:
+def cycle_loop(p: Params, cycle: CycleResult, cfg: Optional[IntegratorConfig] = None) -> list[tuple[float, float]]:
     """One period of the detected cycle, sampled densely as affine (x, y) points."""
     if not cycle.found or cycle.section_x is None:
         raise ValueError("no cycle to sample")
     cfg = replace(cfg or IntegratorConfig(), max_step=_LOOP_MAX_STEP)
     _, y2 = interior_point(p)
-    orbit = integrate(p, (cycle.section_x, y2), "forward", cfg, section=y2)
-    if orbit.terminal != "hit-section":
-        raise NoReturnError("cycle sampling failed to close the loop", orbit)
-    return orbit.affine_points()
+    return _turn(p, (cycle.section_x, y2), cfg, y2, "cycle sampling failed to close the loop").affine_points()
 
 
 def cycle_amplitude(
@@ -538,19 +553,6 @@ def cycle_amplitude(
     loop = cycle_loop(p, cycle, cfg)
     x2, y2 = interior_point(p)
     return max(math.hypot(x - x2, y - y2) for x, y in loop)
-
-
-def point_polyline_distance(pt, poly) -> float:
-    """Distance from the point (x, y) to the polyline through the points of ``poly``."""
-    px, py = pt
-    best = math.inf
-    # a one-point polyline is the degenerate segment from that point to itself
-    for (ax, ay), (bx, by) in zip(poly, poly[1:] or poly):
-        dx, dy = bx - ax, by - ay
-        denom = dx * dx + dy * dy or 1.0
-        t = min(max(((px - ax) * dx + (py - ay) * dy) / denom, 0.0), 1.0)
-        best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-    return best
 
 
 @dataclass(frozen=True)
@@ -596,22 +598,13 @@ def _scan_cell(args) -> ScanEvidence:
         x2, _ = interior_point(p)
         span = max(_outer_seed(p, x2, cfg) - x2, 1e-4)
         seeds = tuple(x2 + f * span for f in (0.08, 0.35, 0.85))
-        iterates = []
-        monotone = True
-        for s in seeds:
-            seq, _err = return_iterates(p, s, 4, cfg)
-            iterates.append(tuple(seq))
-            for i in range(len(seq) - 1):
-                if seq[i + 1] >= seq[i]:
-                    monotone = False
-        if monotone:
-            return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds, tuple(iterates))
-        res = detect_limit_cycle(p, cfg)
-        if res.found:
-            return ScanEvidence(
-                b, c, d, case, "cycle-found", res.section_x, res.multiplier, seeds, tuple(iterates)
-            )
-        return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds, tuple(iterates))
+        iterates = tuple(tuple(return_iterates(p, s, 4, cfg)[0]) for s in seeds)
+        # strictly decreasing iterates contract toward P2; any other sequence calls the cycle search
+        if not all(v < u for seq in iterates for u, v in zip(seq, seq[1:])):
+            res = detect_limit_cycle(p, cfg)
+            if res.found:
+                return ScanEvidence(b, c, d, case, "cycle-found", res.section_x, res.multiplier, seeds, iterates)
+        return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds, iterates)
     except (IntegrationFailure, NoReturnError):
         return ScanEvidence(b, c, d, case, "inconclusive", None, None, (), ())
 

@@ -34,11 +34,11 @@ from .numerics import (
     _CHART_SWITCH_RADIUS,
     _p1_separatrix_start,
     _stops,
+    _walk,
     cycle_loop,
     detect_limit_cycle,
     integrate,
     interior_point,
-    point_polyline_distance,
 )
 
 __all__ = [
@@ -154,13 +154,7 @@ def build_portrait(
                 omega = hd.omega_at(b)
             except AnalysisError:
                 pass
-            hopf = HopfSummary(
-                b0=float(hd.b0),
-                dmu_db_at_b0=hd.dmu_db_at_b0,
-                mu=hd.mu_at(b),
-                omega=omega,
-                ell1=hd.ell1,
-            )
+            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, hd.mu_at(b), omega, hd.ell1)
         except AnalysisError as err:
             warnings.append(f"hopf-analysis-unavailable: {err}")
 
@@ -176,21 +170,26 @@ def build_portrait(
         except (NoReturnError, IntegrationFailure) as err:
             warnings.append(f"cycle-detection-failed: {err}")
 
-    def run(start, direction: str) -> Orbit:
-        try:
-            return integrate(p, start, direction, cfg)
-        except IntegrationFailure as err:
-            warnings.append(f"integration-failure: {direction} orbit from {start}")
-            return err.orbit
+    has_p2 = any(q.name == "P2" for q in pts)
 
-    def limit_of(orbit: Orbit, sgn: float) -> str:
+    def limit_of(orbit: Orbit, sgn: float, xs: list[float]) -> str:
         if orbit.terminal in ("converged-to-point", "escaped", "chart-boundary-loop"):
             return orbit.detail
+        if len(xs) > 1:
+            # the return map is monotone, so the crossings converge: in cases 3 and 5, where P2 repels,
+            # onto the unique cycle; in cases 4, 6 and 7, cleared of cycles by the Dulac function
+            # y^(gamma-1)/x, into P2 when it attracts
+            steps = [v - u for u, v in zip(xs, xs[1:])]
+            if label.case in (3, 5):
+                toward = cycle is None or cycle.section_x is None or (cycle.section_x - xs[-1]) * steps[-1] > 0
+                if toward and (min(steps) > 0 or max(steps) < 0):
+                    return "cycle"
+            elif max(steps) < 0 and ("P2", "always") in [(name, mode) for name, _, _, mode in _stops(p, 1.0)]:
+                return "P2"
+            return "unresolved"
         _, ch, (ax, ay) = orbit.samples[-1]
         if ch == "affine":
-            # a limit attracts in the orbit's time direction: the found cycle is stable, an omega-limit alone
-            if sgn > 0 and cycle_pts is not None and point_polyline_distance((ax, ay), cycle_pts) <= 0.02:
-                return "cycle"
+            # a limit attracts in the orbit's time direction
             affine = [s for s in orbit.samples if s[1] == "affine"]
             mx, my = affine[(3 * len(affine)) // 4][2]
             near = [
@@ -208,23 +207,28 @@ def build_portrait(
                     return name
         return "unresolved"
 
+    def half(start, direction: str) -> tuple[list[tuple[float, float]], str]:
+        """Affine points and limit of the half-orbit from ``start``, walked turn by
+        turn when it runs forward and P2, with its section ray, exists."""
+        xs: list[float] = []
+        try:
+            if has_p2 and direction == "forward":
+                orbit, xs = _walk(p, start, cfg)
+            else:
+                orbit = integrate(p, start, direction, cfg)
+        except IntegrationFailure as err:
+            warnings.append(f"integration-failure: {direction} orbit from {start}")
+            orbit = err.orbit
+        return orbit.affine_points(), limit_of(orbit, 1.0 if direction == "forward" else -1.0, xs)
+
     def trace(role: str, origin: str, stability: Optional[str], start, alpha: Optional[str] = None) -> OrbitTrace:
         """Both halves of the orbit through ``start``; the forward half alone when
         its ``alpha`` limit is known."""
-        fwd = run(start, "forward")
-        points = fwd.affine_points()
+        points, omega = half(start, "forward")
         if alpha is None:
-            bwd = run(start, "backward")
-            alpha = limit_of(bwd, -1.0)
-            points = bwd.affine_points()[::-1] + points
-        return OrbitTrace(
-            role=role,
-            origin=origin,
-            stability=stability,
-            alpha_limit=alpha,
-            omega_limit=limit_of(fwd, 1.0),
-            points=_thin(points, _THIN_TO),
-        )
+            back, alpha = half(start, "backward")
+            points = back[::-1] + points
+        return OrbitTrace(role, origin, stability, alpha, omega, _thin(points, _THIN_TO))
 
     # P0's separatrices are the invariant axes: x' = -x(x - 1)(x + b) on y = 0 and y' = -delta*b*y on x = 0
     # give P0 -> P1 and O2 -> P0 for all parameters, drawn through 16 even steps on the disc from y = 10 down
@@ -241,7 +245,7 @@ def build_portrait(
         separatrices.append(trace("separatrix", "P1", "unstable", _p1_separatrix_start(p), alpha="P1"))
 
     rep_traces: list[OrbitTrace] = []
-    if any(q.name == "P2" for q in pts):
+    if has_p2:
         x2, y2 = interior_point(p)
         x_hi = x2 + 0.8 * (1.0 - x2) if x2 < 1.0 else 2.0 * x2
         for k in range(representatives):

@@ -1,10 +1,6 @@
 """numpy reference geometry for point lists: the distance from points to a
-polyline, vectorised over segments, and the symmetric Hausdorff distance.
-
-The package computes point-polyline distances with a plain loop
-(``point_polyline_distance``); these arrays are the test oracle it is
-compared against, and the Hausdorff distance bounds how far apart two
-settled cycle loops may lie.
+polyline, vectorised over segments, and the symmetric Hausdorff distance,
+which bounds how far apart two settled cycle loops may lie.
 """
 
 import numpy as np

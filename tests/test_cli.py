@@ -230,15 +230,15 @@ BYTE_GOLDEN = {
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "313fc0806440e9ceeb596fc9f6342f22809de7f2f6eeca0061562bdf751ce0a8",
-            "json": "0da304d10df293551affe92ca4d194fadea22eacdf9b93084e8bbc8ca535ec62",
+            "svg": "4b59253359f3dcfaf3352fa8a9f607fa881346e56d8dc775b860e46cf1e53679",
+            "json": "35430c94f210d257c138857e65c4a6bc5391040ba37c4557e7a46b53e4b8ae47",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "fc11c65f8638ae933d72c6884171f8a31baa473e544e80638fb3be2b5d40ba1a",
-            "json": "6df58293f8bf0dcc882368584994ffff0b0b22ca60f95666def93b3f102d2e29",
+            "svg": "28bd1145c435abd48fc9b0f3a493830d984a54271db8c8193baf2de8a692370e",
+            "json": "ae13e990e90efd5873ef9c552f21076c417b803cf71c77afae1c34b383a179dd",
         },
     ),
     **{
@@ -515,6 +515,8 @@ def test_lazy_exports_resolve_to_their_home_objects():
         assert name not in kportrait.__all__ and not hasattr(kportrait.compactify, name), name
     # the from-scratch Hopf route keeps its coefficient tuples in a private dict
     assert "MultilinearForms" not in kportrait.__all__ and not hasattr(kportrait.local, "MultilinearForms")
+    # orbit limits come from the section crossings, not from a distance to the cycle polyline
+    assert "point_polyline_distance" not in kportrait.__all__ and not hasattr(kportrait.numerics, "point_polyline_distance")
     # no public name shadows a submodule: the package attribute is the submodule
     importlib.import_module("kportrait.local"), importlib.import_module("kportrait.numerics")
     assert kportrait.compactify is sys.modules["kportrait.compactify"]

@@ -347,6 +347,24 @@ def test_weak_focus_on_a_zero_boundary():
     assert hopf_analysis(1.0, 0.25).ell1 < 0  # stability certified by ell1
 
 
+def test_dulac_function_clears_cases_4_6_and_7_of_cycles():
+    # B = y^(gamma-1)/x gives div(B f) = -2B[(x - x*)^2 + x*(x* - a)] with x* - a = -A/(2 delta (c - delta)),
+    # so div(B f) < 0 on the open quadrant when A < 0 and vanishes only on x = x* when A = 0
+    import sympy as sp
+
+    from kportrait.model import _ab
+
+    x, y, b, c, d = sp.symbols("x y b c delta", positive=True)
+    x_star, a = b * d / (c - d), (1 - b) / 2
+    gamma = (4 * x_star - 1 + b) / (c - d)
+    weight = y ** (gamma - 1) / x
+    f, g = x * (-x**2 + (1 - b) * x - y + b), y * ((c - d) * x - d * b)
+    div = sp.diff(weight * f, x) + sp.diff(weight * g, y)
+    assert sp.simplify(div / weight + 2 * ((x - x_star) ** 2 + x_star * (x_star - a))) == 0
+    A, _ = _ab(b, c, d)
+    assert sp.simplify(x_star - a + A / (2 * d * (c - d))) == 0
+
+
 def test_dulac_applicable_zone():
     rep = dulac_check(Params(2, 1, F(1, 5)))
     assert rep.applicable

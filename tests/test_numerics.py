@@ -5,6 +5,7 @@ import io
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,14 +24,14 @@ from kportrait import (
     finite_singular_points,
     integrate,
     interior_point,
-    point_polyline_distance,
     return_iterates,
     return_map,
     scan_to_csv,
     separatrix_section_crossing,
     vector_field,
 )
-from polyline_oracle import min_dist_to_polyline, polyline_hausdorff
+from kportrait.numerics import _SETTLED, _stops, _walk
+from polyline_oracle import polyline_hausdorff
 
 P_CASE1 = Params(2.0, 1.0, 1.0)
 P_CYCLE = Params(0.5, 1.0, 0.25)
@@ -284,18 +285,42 @@ def test_cycle_loop_closes():
     assert math.dist(loop[0], loop[-1]) <= 1e-6
 
 
-def test_point_polyline_distance_matches_the_numpy_oracle():
-    rng = random.Random(2024)
-    for trial in range(300):
-        n = 1 if trial % 10 == 0 else rng.randint(2, 40)
-        poly = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(n)]
-        for _ in range(rng.randint(0, 3)):  # repeated vertices make zero-length segments
-            k = rng.randrange(len(poly))
-            poly.insert(k, poly[k])
-        pts = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(5)] + poly[:2]
-        expected = min_dist_to_polyline(pts, poly)
-        for pt, want in zip(pts, expected):
-            assert abs(point_polyline_distance(pt, poly) - want) <= 1e-12 * want
+def test_walk_reads_the_section_map_turn_by_turn():
+    _, y2 = interior_point(P_CYCLE)
+    orbit, xs = _walk(P_CYCLE, (0.9, y2), IntegratorConfig())
+    # a start on the ray is the first crossing, and the walk settles after two turns at the earliest
+    assert orbit.terminal == "hit-section" and len(xs) >= 3 and xs[0] == 0.9
+    assert abs(xs[-1] - xs[-2]) <= _SETTLED < abs(xs[-2] - xs[-3])
+    iterates, _ = return_iterates(P_CYCLE, 0.9, len(xs) - 1)
+    assert max(abs(u - v) for u, v in zip(iterates, xs)) <= 1e-9
+    times = [t for t, _, _ in orbit.samples]
+    assert all(u < v for u, v in zip(times, times[1:]))
+    # a start on the cycle itself still makes two turns
+    _, xs = _walk(P_CYCLE, (detect_limit_cycle(P_CYCLE).section_x, y2), IntegratorConfig())
+    assert len(xs) == 3
+    # the turns share one max_time budget
+    orbit, xs = _walk(P_CYCLE, (0.9, y2), IntegratorConfig(max_time=50.0))
+    assert orbit.terminal == "max-time" and len(xs) == 2
+    assert orbit.samples[-1][0] == pytest.approx(50.0, rel=1e-12)
+
+
+def test_no_return_message_joins_only_the_parts_it_has():
+    with pytest.raises(NoReturnError) as err:
+        return_map(P_CYCLE, 0.9, IntegratorConfig(max_time=1.0))
+    assert str(err.value) == "orbit did not recross the section (max-time)"
+    # a slow stable node: the orbit reaches P2 before it turns
+    p = Params(0.1, 0.1, 0.09)
+    x2, _ = interior_point(p)
+    with pytest.raises(NoReturnError) as err:
+        return_map(p, x2 + 0.05, IntegratorConfig(max_time=1e4))
+    assert str(err.value) == "orbit did not recross the section (converged-to-point P2)"
+
+
+def test_weak_focus_attracts_forward():
+    # case 7's P2 has eigenvalues +-0.3098i at (3/5, 1, 1/4), real part 0; ell1 < 0 makes it attract
+    for p in (Params(Fraction(3, 5), 1, Fraction(1, 4)), Params(0.6, 1.6, 0.4)):
+        modes = {sgn: {name: mode for name, _, _, mode in _stops(p, sgn)} for sgn in (1.0, -1.0)}
+        assert (modes[1.0]["P2"], modes[-1.0]["P2"]) == ("always", "axis-only")
 
 
 def test_grid_spec_cells():

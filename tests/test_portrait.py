@@ -171,6 +171,23 @@ def test_p1_separatrix_limits(triple, stability, alpha, omega):
     assert starts_at_p1 == (alpha == "P1"), sep.points[0]
 
 
+@pytest.mark.parametrize(
+    "triple, limit",
+    [
+        ((F(3, 5), 1, F(1, 4)), "P2"),  # case 7: A = 0 exactly, P2 a weak focus
+        ((0.6, 1.6, 0.4), "P2"),  # case 7 in floats
+        ((0.6673839077599302, 0.8416914094837904, 0.15088470811080343), "cycle"),  # case 5, slow returns
+    ],
+)
+def test_forward_limits_come_from_the_section_crossings(triple, limit):
+    # monotone crossings settle the limit: into P2 in case 7, where no cycle exists, and
+    # onto the unique cycle in case 5, where P2 repels
+    rep = build_portrait(Params(*triple))
+    assert [tr.omega_limit for tr in rep.representatives] == [limit] * 8
+    (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
+    assert sep.omega_limit == limit
+
+
 def test_portrait_letter_matches_classification(report_a, report_b, report_c):
     # the JSON report and the SVG caption carry the letter and status of the label
     for rep in (report_a, report_b, report_c):
