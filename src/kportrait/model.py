@@ -148,10 +148,10 @@ class Params:
     """The positive triple (b, c, delta) driving the whole analysis.
 
     ``is_exact`` (every parameter rational) and the lift are set on construction; the
-    case values and signs, the float image, the float twin and P2 on first use, and the
-    integrator's stop tables (``numerics._stops``).  Each is computed once, on first
-    use and without a lock, and all live in the instance ``__dict__``, so equality,
-    hash and pickling see the three fields alone.
+    case values and signs, the float image, the float twin and P2 on first use, and so
+    are the integrator's stop tables and first P1 separatrix turn (``numerics``).  Each
+    is computed once, without a lock, and all live in the instance ``__dict__``: equality
+    and hash see the three fields alone, and a pickle carries the caches along.
     """
 
     b: Number

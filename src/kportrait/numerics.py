@@ -365,8 +365,16 @@ def return_map(p: Params, x: float, cfg: Optional[IntegratorConfig] = None) -> t
 
 def _turn(p: Params, start, cfg: Optional[IntegratorConfig], y2: float, what: str) -> Orbit:
     """The forward orbit from ``start`` to its next located upward crossing of
-    y = ``y2``; NoReturnError "``what`` (terminal detail)" on any other terminal."""
-    orbit = integrate(p, start, "forward", cfg, section=y2)
+    y = ``y2``; NoReturnError "``what`` (terminal detail)" on any other terminal.
+
+    The turn from the P1 separatrix seed, which both ``detect_limit_cycle`` and the
+    separatrix walk of ``build_portrait`` take, is integrated once per config and
+    kept in the instance ``__dict__`` of ``p``."""
+    cfg = cfg or IntegratorConfig()
+    if start != _p1_separatrix_start(p):
+        orbit = integrate(p, start, "forward", cfg, section=y2)
+    elif (orbit := vars(p).setdefault("_p1_turns", {}).get(cfg)) is None:
+        orbit = vars(p)["_p1_turns"][cfg] = integrate(p, start, "forward", cfg, section=y2)
     if orbit.terminal != "hit-section":
         raise NoReturnError(f"{what} ({' '.join(filter(None, (orbit.terminal, orbit.detail)))})", orbit)
     return orbit

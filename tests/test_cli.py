@@ -298,7 +298,17 @@ VALID_ARGVS = README_ARGVS + [
     ["classify", *FLOATS, "--exact", "--exact"],
     ["hopf", "--c", "-1", "--delta", "1"],
     ["scan", "--grid=1:2:1,1:2:1,1:2:1", "--out", "s.csv", "--jobs", "-3"],
+    # canonical argv, which main reads without argparse
+    ["classify", "--delta", "1/4", "--exact", "--c", "1", "--b", "3/10"],
+    ["hopf", "--delta", "0.25", "--c", "1"],
+    ["cycle", "--c", "1", "--delta", "0.25", "--b", "0.5"],
+    ["portrait", *FLOATS, "--report", "r.json"],
+    ["scan", "--out", "s.csv", "--grid", "1:2:1,1:2:1,1:2:1"],
+    # DECLINED: what argparse reads although every token is a whole option string
+    ["classify", "--b", "", "--c", "1", "--delta", "1"],
+    ["scan", "--grid", "1:2:1,1:2:1,1:2:1", "--out", "s.csv", "--jobs", "2"],
 ]
+DECLINED = [VALID_ARGVS[-2], VALID_ARGVS[-1], ["classify", *FLOATS, "--exact", "--exact"]]
 # help and usage errors: argv with "--", abbreviated help, unknown commands and flags
 OTHER_ARGVS = [
     [], ["-h"], ["--h"], ["--help"], ["bogus"], ["--frob"], ["--", "classify", *FLOATS], ["-h", "classify"],
@@ -346,6 +356,74 @@ def test_dispatch_parses_as_the_full_tree(monkeypatch, capsys):
         # a valid argv reaches its command once, with the top-level parser for usage errors
         got = results[0][3]
         assert [top for top, _ in got] == ([True] if argv in VALID_ARGVS else []), argv
+
+
+def _draw_argv(rng, sub) -> list[str]:
+    """A canonical argv of the sub-parser ``sub``: the required options in random order, the
+    others sometimes, and values of which about one in five is a hard token; then
+    zero to two edits that argparse reads differently or rejects."""
+    actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    chosen = [a for a in actions if a.required or rng.random() < 0.4]
+    rng.shuffle(chosen)
+    hard = ["-1", "", "-", "--", "-h", "--b", "nan", " 1"]
+    args = []
+    for a in chosen:
+        args.append(a.option_strings[0])
+        if a.nargs is None:
+            args.append(rng.choice(hard) if rng.random() < 0.2 else rng.choice(["0.5", "3/10", "1e-3", "x", "2"]))
+    for _ in range(rng.randrange(3)):
+        edit = rng.randrange(3)
+        if edit == 0 and args:
+            del args[rng.randrange(len(args))]
+        elif edit == 1:
+            token = rng.choice(["--del", "--ex", "--b=0.5", "--", "-x", "pos", "--exact"])
+            args.insert(rng.randrange(len(args) + 1), token)
+        else:
+            args += args[:2]
+    return args
+
+
+def test_canonical_reader_agrees_with_the_command_parser():
+    import random
+
+    from kportrait.cli import _build_parser, _read_canonical
+
+    _, commands = _build_parser()
+    rng = random.Random(22)
+    for command, sub in commands.items():
+        accepted = 0
+        for _ in range(20_000):
+            args = _draw_argv(rng, sub)
+            ns = _read_canonical(sub, args)
+            if ns is not None:
+                accepted += 1
+                assert sub.parse_known_args(args) == (ns, []), (command, args)
+        assert accepted > 0, command
+    for argv in README_ARGVS:
+        assert (_read_canonical(commands[argv[0]], argv[1:]) is None) == (argv[0] == "scan"), argv
+    assert {argv[0] for argv in VALID_ARGVS if _read_canonical(commands[argv[0]], argv[1:])} == set(commands)
+    for argv in DECLINED:
+        assert _read_canonical(commands[argv[0]], argv[1:]) is None, argv
+
+
+def test_canonical_argv_skip_the_parse(monkeypatch, capsys):
+    from kportrait.cli import _build_parser
+
+    _, commands = _build_parser()
+    calls = []
+    for sub in commands.values():
+        monkeypatch.setattr(sub, "parse_known_args", lambda *a, _parse=sub.parse_known_args: calls.append(a) or _parse(*a))
+    for argv in README_ARGVS[:3]:
+        assert argv[0] in ("classify", "hopf")
+        canonical = run(capsys, *argv)
+        assert canonical[0] == 0 and len(calls) == 0, argv
+        # --name=value is the same argv to argparse, which reads it
+        joined, tokens = [argv[0]], iter(argv[1:])
+        for token in tokens:
+            joined.append(token if token == "--exact" else f"{token}={next(tokens)}")
+        assert run(capsys, *joined) == canonical
+        assert len(calls) == 1, joined
+        calls.clear()
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,35 @@ def test_axis_traces_come_from_the_closed_form(triple, monkeypatch):
     assert starts and all(x > 0.0 and y > 0.0 for x, y in starts)
 
 
+def test_the_p1_separatrix_turn_is_integrated_once(monkeypatch):
+    # detect_limit_cycle takes its outer bracket from the first section crossing of the P1
+    # separatrix, and the separatrix walk starts with that turn: it is integrated once
+    import pickle
+
+    import kportrait.numerics as numerics
+    import kportrait.portrait as portrait
+
+    starts = []
+    real = numerics.integrate
+
+    def recorded(p, start, *args, **kwargs):
+        starts.append(tuple(start))
+        return real(p, start, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", recorded)
+    monkeypatch.setattr(portrait, "integrate", recorded)
+    p = Params(0.5, 1.0, 0.25)  # README B
+    seed = numerics._p1_separatrix_start(p)
+    want = report_to_dict(build_portrait(p))
+    assert len(starts) == 122 and starts.count(seed) == 1
+    # the kept turn pickles with the other caches of p, and a second pass integrates it no more
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and vars(back).keys() == vars(p).keys()
+    starts.clear()
+    assert report_to_dict(build_portrait(back)) == want and numerics.separatrix_section_crossing(back)
+    assert len(starts) == 121 and seed not in starts
+
+
 @pytest.mark.parametrize(
     "triple, stability, alpha, omega",
     [
