@@ -5,11 +5,10 @@ Subcommands: classify, hopf, cycle, portrait, scan.  Exit codes: 0 success,
 
 :func:`main` reads an argv that starts with a command name and goes on in whole
 ``--name value`` and ``--flag`` tokens straight into that command's namespace;
-any other argv goes to the command's own parser, or to the full tree when no
-command leads it.  On one 2-vCPU x86 machine (CPython 3.11) the direct read takes
-about 4 us where ``parse_known_args`` took about 24 us, and the median ``classify``
-or ``hopf`` call fell from 84 to 58 us.  Help and usage errors are those of the
-full tree, byte for byte.
+any other argv, help and usage errors included, goes to the full argparse tree.
+On one 2-vCPU x86 machine (CPython 3.11) the direct read takes about 4 us where
+``parse_known_args`` took about 24 us, and the median ``classify`` or ``hopf``
+call fell from 84 to 58 us.
 """
 
 from __future__ import annotations
@@ -50,8 +49,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Built once per process.  Besides the tree it returns the name -> sub-parser map of
-# its commands, whose option tables _read_canonical reads in place of a parse.
+# Built once per process.  Besides the tree, which parses every argv that
+# _read_canonical declines, it returns the name -> sub-parser map of its commands,
+# whose option tables _read_canonical reads in place of a parse.
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
@@ -270,12 +270,8 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(args[0]) if args else None
     try:
-        if command is None:  # no command: help or a usage error from the full tree
+        if command is None or (ns := _read_canonical(command, args[1:])) is None:
             ns = parser.parse_args(args)
-        elif (ns := _read_canonical(command, args[1:])) is None:
-            ns, extra = command.parse_known_args(args[1:])
-            if extra:  # what parse_args of the full tree reports
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return ns.func(parser, ns)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

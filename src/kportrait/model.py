@@ -148,9 +148,9 @@ class Params:
     """The positive triple (b, c, delta) driving the whole analysis.
 
     ``is_exact`` (every parameter rational) and the lift are set on construction; the
-    case values and signs, the float image, the float twin and P2 on first use, and so
-    are the integrator's stop tables and first P1 separatrix turn (``numerics``).  Each
-    is computed once, without a lock, and all live in the instance ``__dict__``: equality
+    case values and signs, the float image and P2 on first use, and so are the
+    integrator's stop tables and first P1 separatrix turn (``numerics``).  Each is
+    computed once, without a lock, and all live in the instance ``__dict__``: equality
     and hash see the three fields alone, and a pickle carries the caches along.
     """
 
@@ -212,8 +212,6 @@ class Params:
             pass
         raise _range_error("(b, c, delta)", (self.b, self.c, self.delta))
 
-    _twin = _cached(lambda self: Params(*self._float))
-
     @_cached
     def _p2(self) -> tuple[Number, Number]:
         """:func:`_p2_location` on ``_lifted``; P2 need not lie in the quadrant.  A float
@@ -225,13 +223,6 @@ class Params:
         except (OverflowError, ZeroDivisionError):
             pass
         raise _range_error("(b, c, delta)", (self.b, self.c, self.delta))
-
-    def as_float(self) -> "Params":
-        """The triple in doubles: ``self`` if it is one already, else a twin built once.
-        An AnalysisError when a value overflows or underflows to 0."""
-        if type(self.b) is type(self.c) is type(self.delta) is float:
-            return self
-        return self._twin
 
     def exact_triple(self) -> tuple[Fraction, Fraction, Fraction]:
         if not self.is_exact:
@@ -377,7 +368,7 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
     else:
         # B >= 0 with A = 0 cannot happen: A = 0 forces B < 0.
         kind = "unstable-node" if s_A > 0 else "stable-node"
-    # the Jacobian on the float image, as jacobian() gives it on the float twin
+    # the Jacobian at the float images of the parameters and of P2
     eig = _sorted_eig(_jacobian_at(bf, cf, df, _to_float(loc[0]), _to_float(loc[1])))
     pts.append(SingularPoint("P2", "affine", loc, kind, eig))
     return pts

@@ -27,6 +27,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, classify_case, finite_singular_points
+from .model import _range_error, _to_float
 
 __all__ = [
     "IntegratorConfig",
@@ -147,29 +148,29 @@ def _dp_step(f, x, y, h, k1x, k1y):
     return xn, yn, ex, ey, k7x, k7y
 
 
+# the kinds of finite_singular_points that attract an orbit in each time direction: the
+# case-2 saddle-node through its centre direction, the case-7 weak focus through ell1 < 0
+_ATTRACTING = {
+    1.0: ("stable-node", "stable-focus", "weak-stable-focus", "saddle-node"),
+    -1.0: ("unstable-node", "unstable-focus"),
+}
+
+
 def _stops(p: Params, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
-    """Equilibria of the float twin of ``p`` with the mode that stops an orbit near each in the
-    time direction ``sgn``.  The tables of both directions come from one classification
-    and are kept in the instance ``__dict__`` of ``p``."""
+    """The equilibria that :func:`finite_singular_points` reports for ``p``, at their float
+    images, with the mode that stops an orbit near each in the time direction ``sgn``.
+
+    An orbit may pass arbitrarily close to a saddle, so proximity alone must not stop
+    it: the mode is "always" at a point whose kind attracts in this direction, and
+    "axis-only" (on an invariant axis while moving toward the point) elsewhere.  The
+    tables of both directions are kept in the instance ``__dict__`` of ``p``."""
     tables = vars(p).get("_stops")
     if tables is None:
-        tables = {1.0: [], -1.0: []}
-        for q in finite_singular_points(p.as_float()):
-            re_parts = [z.real for z in q.eigenvalues] if q.eigenvalues else []
-            for s, table in tables.items():
-                # an orbit may pass arbitrarily close to a saddle, so proximity alone
-                # must not stop it: stop at points attracting in this time direction,
-                # or on an invariant axis while moving toward the point
-                # the case-2 saddle-node (through its centre direction) and the case-7
-                # weak focus (through ell1 < 0) attract forward with zero real parts
-                if q.kind in ("saddle-node", "weak-stable-focus"):
-                    mode = "always" if s > 0 else "axis-only"
-                elif re_parts and all(s * r < 0 for r in re_parts):
-                    mode = "always"
-                else:
-                    mode = "axis-only"
-                table.append((q.name, float(q.location[0]), float(q.location[1]), mode))
-        tables = vars(p)["_stops"] = {s: tuple(table) for s, table in tables.items()}
+        pts = [(q.name, _to_float(q.location[0]), _to_float(q.location[1]), q.kind) for q in finite_singular_points(p)]
+        tables = vars(p)["_stops"] = {
+            s: tuple((name, x, y, "always" if kind in kinds else "axis-only") for name, x, y, kind in pts)
+            for s, kinds in _ATTRACTING.items()
+        }
     return tables[sgn]
 
 
@@ -343,11 +344,17 @@ def integrate(
 
 
 def interior_point(p: Params) -> tuple[float, float]:
-    """Float coordinates of the interior equilibrium; AnalysisError when absent."""
+    """Float coordinates of the interior equilibrium, each the correctly rounded image
+    of the exact one; AnalysisError when it is absent or out of the range of doubles."""
     # the case-2 sign of finite_singular_points, so both agree inside its zero band
     if p._case[1][0] >= 0:
         raise AnalysisError("no interior equilibrium for these parameters")
-    return p.as_float()._p2
+    p._float  # an AnalysisError when a parameter leaves the range of doubles
+    x, y = p._p2
+    try:
+        return _to_float(x), _to_float(y)
+    except OverflowError:
+        raise _range_error("(b, c, delta)", (p.b, p.c, p.delta)) from None
 
 
 def return_map(p: Params, x: float, cfg: Optional[IntegratorConfig] = None) -> tuple[float, float]:
@@ -600,8 +607,8 @@ class ScanEvidence:
 
 
 def _scan_cell(args) -> ScanEvidence:
-    b, c, d, case, cfg = args
-    p = Params(b, c, d)
+    p, case, cfg = args
+    b, c, d = p.b, p.c, p.delta
     try:
         x2, _ = interior_point(p)
         span = max(_outer_seed(p, x2, cfg) - x2, 1e-4)
@@ -629,10 +636,11 @@ def conjecture_scan(
     """
     cfg = cfg or IntegratorConfig()
     work = []
-    for b, c, d in grid.cells():
-        label = classify_case(Params(b, c, d))
+    for cell in grid.cells():
+        # each worker gets the Params classified here, its case signs cached
+        label = classify_case(p := Params(*cell))
         if label.region == "II-b" and not label.boundary:
-            work.append((b, c, d, label.case, cfg))
+            work.append((p, label.case, cfg))
     if jobs <= 1 or len(work) <= 1:
         return [_scan_cell(args) for args in work]
     from concurrent.futures import ProcessPoolExecutor

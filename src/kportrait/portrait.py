@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _THIN_TO = 600  # most points stored per orbit trace and cycle loop
+_REPRESENTATIVES = 8  # representative orbits per portrait
 
 # SVG canvas side and margin in pixels, glyph radius and stroke colours
 _SIZE = 640
@@ -118,11 +119,7 @@ def _thin(points: list[tuple[float, float]], target: int) -> list[tuple[float, f
     return [points[round(k * step)] for k in range(target - 1)] + [points[-1]]
 
 
-def build_portrait(
-    p: Params,
-    cfg: Optional[IntegratorConfig] = None,
-    representatives: int = 8,
-) -> PortraitReport:
+def build_portrait(p: Params, cfg: Optional[IntegratorConfig] = None) -> PortraitReport:
     """Classify, integrate the separatrix skeleton and representative orbits,
     and assemble the full report.
 
@@ -135,7 +132,6 @@ def build_portrait(
     pts = finite_singular_points(p)
     inf_pts = family_infinite_points(p)
     warnings: list[str] = []
-    b, c, d = p._float
 
     disc = discriminants(p)
     if label.case == 4:
@@ -146,15 +142,15 @@ def build_portrait(
         )
 
     hopf: Optional[HopfSummary] = None
-    if disc.B < 0 and c > d:
+    if disc.B < 0 and p.c > p.delta:
         try:
-            hd = hopf_analysis(c, d)
+            hd = hopf_analysis(p.c, p.delta)
             omega: Optional[float] = None
             try:
-                omega = hd.omega_at(b)
+                omega = hd.omega_at(p.b)
             except AnalysisError:
                 pass
-            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, hd.mu_at(b), omega, hd.ell1)
+            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, hd.mu_at(p.b), omega, hd.ell1)
         except AnalysisError as err:
             warnings.append(f"hopf-analysis-unavailable: {err}")
 
@@ -248,13 +244,13 @@ def build_portrait(
     if has_p2:
         x2, y2 = interior_point(p)
         x_hi = x2 + 0.8 * (1.0 - x2) if x2 < 1.0 else 2.0 * x2
-        for k in range(representatives):
+        for k in range(_REPRESENTATIVES):
             xk = x2 + (x_hi - x2) * 0.55**k
             rep_traces.append(trace("representative", f"section+{xk - x2:.6g}", None, (xk, y2)))
     else:
         r_lo, r_hi = 0.15, 4.0
-        for k in range(representatives):
-            rk = r_lo * (r_hi / r_lo) ** (k / max(representatives - 1, 1))
+        for k in range(_REPRESENTATIVES):
+            rk = r_lo * (r_hi / r_lo) ** (k / (_REPRESENTATIVES - 1))
             s = rk / math.sqrt(2.0)
             rep_traces.append(trace("representative", f"diagonal r={rk:.6g}", None, (s, s)))
 

@@ -86,14 +86,15 @@ def test_criterion_1_classification_oracle_equivalence():
     for _ in range(10_000):
         p = Params(*(random_rational(rng) for _ in range(3)))
         exact_label = classify_case(p)
-        float_label = classify_case(p.as_float())
+        pf = Params(*p._float)
+        float_label = classify_case(pf)
         if float_label.boundary:
             banded += 1
             # exact mode is authoritative; the float tag must be adjacent,
             # i.e. the exact quantity really is inside the band
             b, c, d = (float(v) for v in (p.b, p.c, p.delta))
             q1 = b * d - (c - d)
-            disc = discriminants(p.as_float())
+            disc = discriminants(pf)
             s = d * (b + 1) + c * (b - 1)
             bands = {
                 "case2-boundary": (q1, b * d + abs(c - d)),

@@ -11,7 +11,6 @@ from kportrait import (
     AnalysisError,
     IllConditionedError,
     Params,
-    build_portrait,
     classify_case,
     discriminants,
     dulac_check,
@@ -110,6 +109,54 @@ def test_hopf_spot_values():
     assert hopf_analysis(F(1), F(1, 4)).b0 == F(3, 5)
 
 
+def test_hopf_closed_forms_hold_for_every_admissible_pair():
+    # at b0 = (c - delta)/(c + delta), where P2 = (delta/(c + delta), c^2/(c + delta)^2): the
+    # eigenvectors q and p, <p, q> = 1, g20, g11, g21 and ell1 of the hopf_analysis docstring,
+    # for symbolic delta > 0 and c = delta + eps with eps > 0, so that sqrt(c - delta) simplifies
+    import itertools
+
+    import sympy as sp
+
+    d, eps = sp.symbols("delta epsilon", positive=True)
+    x, y = sp.symbols("x y")
+    c = d + eps
+    b0 = (c - d) / (c + d)
+    field = (x * (-x**2 + (1 - b0) * x - y + b0), y * ((c - d) * x - d * b0))
+    at = {x: d / (c + d), y: c**2 / (c + d) ** 2}
+    J = sp.Matrix(2, 2, lambda i, j: sp.diff(field[i], (x, y)[j]).subs(at))
+    w = sp.sqrt(J.det())
+    q = sp.Matrix([-d / (c + d), sp.I * w])
+    p = sp.Matrix([-(c + d) / (2 * d), sp.I / (2 * w)])
+    gamma = d**2 / (c + d) ** 2
+
+    def form(*vs):
+        """<p, D^k f(P2)(v1, ..., vk)> for the k vectors ``vs``."""
+        total = 0
+        for i, f in enumerate(field):
+            for idx in itertools.product(range(2), repeat=len(vs)):
+                term = sp.diff(f, *[(x, y)[k] for k in idx]).subs(at)
+                for v, k in zip(vs, idx):
+                    term *= v[k]
+                total += sp.conjugate(p[i]) * term
+        return total
+
+    g20, g11, g21 = form(q, q), form(q, q.conjugate()), form(q, q, q.conjugate())
+    forms = {
+        "g20": (g20, gamma - d * (c - d) / (c + d) - sp.I * w),
+        "g11": (g11, gamma),
+        "g21": (g21, -3 * gamma),
+        "ell1": (sp.re(sp.I * g20 * g11 + w * g21) / (2 * w**2), -gamma / w),
+    }
+    residuals = [*(J * q - sp.I * w * q), *(J.T * p + sp.I * w * p), (p.conjugate().T * q)[0] - 1]
+    residuals += [got - want for got, want in forms.values()]
+    assert [sp.simplify(r) for r in residuals] == [0] * len(residuals)
+    # and hopf_analysis evaluates these forms
+    hd = hopf_analysis(1.0, 0.25)
+    point = {d: sp.Rational(1, 4), eps: sp.Rational(3, 4)}
+    for name, (_, want) in forms.items():
+        assert complex(getattr(hd, name)) == pytest.approx(complex(want.subs(point)), rel=1e-12), name
+
+
 def test_hopf_rejects_c_below_delta():
     with pytest.raises(ValueError):
         hopf_analysis(0.25, 1.0)
@@ -128,23 +175,19 @@ def test_procedural_ell1_rejects_c_below_delta():
         lambda: hopf_analysis(F(10**400), 1),
         lambda: interior_point(Params(F(1, 1000), F(10**400), 1)),
         lambda: dulac_check(Params(F(3, 10), F(10**400), F(1, 4))),
-        lambda: Params(F(3, 10), F(10**400), F(1, 4)).as_float(),
-        lambda: Params(F(1, 10**400), 1, F(1, 4)).as_float(),
+        lambda: Params(F(3, 10), F(10**400), F(1, 4))._float,
+        lambda: Params(F(1, 10**400), 1, F(1, 4))._float,
         lambda: integrate(Params(F(3, 10), F(10**400), F(1, 4)), (0.5, 0.5)),
         lambda: integrate(Params(F(1, 10**400), 1, F(1, 4)), (0.5, 0.5)),
-        lambda: build_portrait(Params(F(3, 10), F(10**100), F(1, 4))),
-        lambda: build_portrait(Params(F(3, 10), F(10**300), F(1, 4))),
     ],
     ids=[
         "hopf_analysis",
         "interior_point",
         "dulac_check",
-        "as_float-c-overflows",
-        "as_float-b-underflows",
+        "c-overflows",
+        "b-underflows",
         "integrate-c-overflows",
         "integrate-b-underflows",
-        "build_portrait-c=1e100",
-        "build_portrait-c=1e300",
     ],
 )
 def test_exact_input_whose_float_image_overflows_is_an_analysis_error(call):
@@ -198,8 +241,8 @@ def test_exact_input_gives_what_float_images_give(monkeypatch):
     [
         (lambda: hopf_analysis(F(10**400), 1), "(b, c, delta) = (1.0, ~1e+400, 1.0)"),
         (lambda: lyapunov_procedural(F(10**400), F(1, 10**400)), "(c, delta) = (~1e+400, ~1e-400)"),
-        (lambda: Params(F(1, 10**400), F(3, 10), 1).as_float(), "(b, c, delta) = (~1e-400, 0.3, 1.0)"),
-        (lambda: Params(F(3, 10**330), F(10**400, 7), F(1, 4)).as_float(), "(b, c, delta) = (~1e-330, ~1e+399, 0.25)"),
+        (lambda: Params(F(1, 10**400), F(3, 10), 1)._float, "(b, c, delta) = (~1e-400, 0.3, 1.0)"),
+        (lambda: Params(F(3, 10**330), F(10**400, 7), F(1, 4))._float, "(b, c, delta) = (~1e-330, ~1e+399, 0.25)"),
         (lambda: hopf_analysis(1e200, 1.0), "(b, c, delta) = (1.0, 1e+200, 1.0)"),  # float input, as before
     ],
 )
@@ -403,7 +446,7 @@ def test_dulac_follows_the_banded_s2_sign():
         exact = dulac_check(Params(b, c, d))
         assert (exact.applicable, exact.margin, exact.conclusion) == (False, 0.0, "inconclusive")
         cf = float(c) * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -9))
-        for q in (Params(b, c, d).as_float(), Params(float(b), cf, float(d))):
+        for q in (Params(*Params(b, c, d)._float), Params(float(b), cf, float(d))):
             label = classify_case(q)
             assert label.portrait == "C"
             assert dulac_check(q).applicable == (label.status == "proven")

@@ -49,14 +49,12 @@ def test_params_validation():
     assert not Params(0.5, 1, 0.25).is_exact
 
 
-def test_as_float_returns_a_float_triple_itself():
+def test_float_image_is_a_float_triple():
     p = Params(0.537, 1.213, 0.311)
-    assert p.as_float() is p
+    assert p._float == (p.b, p.c, p.delta)
     for q in (Params(F(1, 2), 1, F(1, 4)), Params(1, 2, 1), Params(0.5, 1, 0.25)):
-        qf = q.as_float()
-        assert qf is not q
-        assert [type(v) for v in (qf.b, qf.c, qf.delta)] == [float] * 3
-        assert (qf.b, qf.c, qf.delta) == (float(q.b), float(q.c), float(q.delta))
+        assert [type(v) for v in q._float] == [float] * 3
+        assert q._float == (float(q.b), float(q.c), float(q.delta))
 
 
 def hex_or_overflow(to_float, v) -> str:
@@ -89,12 +87,11 @@ def test_float_image_is_float_of_each_value_to_the_bit():
         if want is None or 0.0 in want:
             seen["overflow" if want is None else "underflow"] += 1
             with pytest.raises(AnalysisError, match="range of doubles"):
-                p.as_float()
+                p._float
             continue
         seen["image"] += 1
         seen["subnormal"] += any(v < sys.float_info.min for v in want)
-        got = p.as_float()
-        assert [v.hex() for v in (got.b, got.c, got.delta)] == [v.hex() for v in want], vals
+        assert [v.hex() for v in p._float] == [v.hex() for v in want], vals
     assert min(seen.values()) >= 5, seen
 
 
@@ -162,12 +159,12 @@ def test_closed_form_eigenvalues_match_numpy_at_p2():
 
 
 def test_p2_eigenvalues_are_those_of_the_float_twins_jacobian():
-    # finite_singular_points takes the Jacobian on the float image, not on a twin it builds
+    # finite_singular_points takes the Jacobian on the float image, not on a second Params it builds
     for vals in rational_triples(60) + [tuple(map(float, t)) for t in rational_triples(60)]:
         p = Params(*vals)
         for q in finite_singular_points(p):
             if q.name == "P2":
-                m = jacobian(p.as_float(), tuple(float(v) for v in q.location))
+                m = jacobian(Params(*p._float), tuple(float(v) for v in q.location))
                 assert q.eigenvalues == _sorted_eig(m), vals
 
 
@@ -375,7 +372,7 @@ def test_exact_and_float_modes_agree_off_boundaries():
     for _ in range(500):
         p = random_rational_params(rng)
         le = classify_case(p)
-        lf = classify_case(p.as_float())
+        lf = classify_case(Params(*p._float))
         if lf.boundary:
             continue  # exact mode is authoritative inside the band
         assert (le.case, le.region, le.portrait, le.status) == (
@@ -515,14 +512,11 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
             for direction in ("forward", "backward"):
                 numerics.integrate(p, (0.3, 0.3), direction, cfg)
         for key in ("_case", "_float"):
-            # by identity: p and its float twin compare equal
-            assert [q is p for q in calls[key]].count(True) == 1, key
-        # one float twin, lifted once, for an exact p; a float p is its own
-        twin = p.as_float()
-        assert twin is p.as_float() and (twin is p) == (not p.is_exact)
-        assert [q is twin for q in calls["stops"]] == [True]  # one classification for both time directions
-        assert calls["lift"] == [vals] + ([] if twin is p else [(twin.b, twin.c, twin.delta)])
-        assert (twin.b, twin.c, twin.delta) == tuple(float(v) for v in vals)
+            # by identity: a Params compares equal to one built from its float image
+            assert [q is p for q in calls[key]] == [True], key
+        # one classification of p itself for both time directions, and no second Params lifted
+        assert [q is p for q in calls["stops"]] == [True]
+        assert calls["lift"] == [vals]
         # a Params carrying every cache still pickles, and its copy gives the same answers
         back = pickle.loads(pickle.dumps(p))
         assert back == p and back.is_exact == p.is_exact
@@ -558,7 +552,7 @@ def test_params_caches_fill_once_into_the_instance_dict():
 
     assert isinstance(Params._case, model._cached) and Params._case is vars(Params)["_case"]
     p = Params(F(1, 2), 1, F(1, 4))
-    for name in ("_case", "_float", "_p2", "_twin"):
+    for name in ("_case", "_float", "_p2"):
         assert name not in vars(p)
         value = getattr(p, name)
         assert vars(p)[name] is value and getattr(p, name) is value, name

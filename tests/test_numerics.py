@@ -17,6 +17,7 @@ from kportrait import (
     IntegratorConfig,
     NoReturnError,
     Params,
+    classify_case,
     conjecture_scan,
     cycle_amplitude,
     cycle_loop,
@@ -323,6 +324,60 @@ def test_weak_focus_attracts_forward():
         assert (modes[1.0]["P2"], modes[-1.0]["P2"]) == ("always", "axis-only")
 
 
+def _attracts(kind: str, sgn: float) -> bool:
+    """Whether an equilibrium of this kind attracts in the time direction ``sgn``: a node or
+    focus by its stability, the case-2 saddle-node forward through its centre direction."""
+    if kind == "saddle":
+        return False
+    if kind == "saddle-node":
+        return sgn > 0
+    return kind.startswith("unstable") == (sgn < 0)
+
+
+def test_stop_tables_are_the_printed_kinds_of_exact_input():
+    # just below the Hopf point b0 = (c - delta)/(c + delta), where a float classification reads
+    # the repelling focus as case 7's weak attracting one, on it (A = 0), and on the case-2 surface
+    rng = random.Random(61)
+    cases = set()
+    for _ in range(60):
+        d = Fraction(rng.randint(1, 400), rng.randint(1, 400))
+        c = d + Fraction(rng.randint(1, 400), rng.randint(1, 400))
+        b0 = (c - d) / (c + d)
+        for b in (b0 - Fraction(1, 10**15), b0, (c - d) / d):
+            p = Params(b, c, d)
+            pts = finite_singular_points(p)
+            for sgn in (1.0, -1.0):
+                modes = ["always" if _attracts(q.kind, sgn) else "axis-only" for q in pts]
+                want = tuple((q.name, float(q.location[0]), float(q.location[1]), m) for q, m in zip(pts, modes))
+                assert _stops(p, sgn) == want, (b, c, d, sgn)
+            cases.add(classify_case(p).case)
+    assert cases == {2, 5, 7}
+
+
+def test_stop_tables_follow_the_eigenvalue_signs_on_float_input():
+    # the oracle reads the linearisation: a point stops every orbit near it when the real parts
+    # of both eigenvalues have the attracting sign; the case-2 saddle-node and the case-7 weak
+    # focus, with a zero real part, attract forward
+    def oracle(q, sgn: float) -> str:
+        if q.kind in ("saddle-node", "weak-stable-focus"):
+            return "always" if sgn > 0 else "axis-only"
+        return "always" if all(sgn * z.real < 0 for z in q.eigenvalues) else "axis-only"
+
+    rng = random.Random(67)
+    triples = [tuple(10 ** rng.uniform(-6, 6) for _ in range(3)) for _ in range(4000)]
+    kinds = set()
+    for triple in triples + [(1.0, 2.0, 1.0), (0.6, 1.0, 0.25)]:
+        p = Params(*triple)
+        pts = finite_singular_points(p)
+        for sgn in (1.0, -1.0):
+            want = tuple((q.name, float(q.location[0]), float(q.location[1]), oracle(q, sgn)) for q in pts)
+            assert _stops(p, sgn) == want, (triple, sgn)
+        kinds.update(q.kind for q in pts)
+    assert kinds == {"saddle", "saddle-node", "weak-stable-focus"} | {
+        f"{s}-{t}" for s in ("stable", "unstable") for t in ("node", "focus")
+    }
+
+
 def test_grid_spec_cells():
     g = GridSpec(b=(0.5, 1.0, 3), c=(1.0, 1.0, 1), delta=(0.1, 0.2, 2))
     cells = g.cells()
@@ -342,8 +397,6 @@ def test_conjecture_scan_filters_and_contracts():
         assert r.seeds and r.iterates
     # cells in cases 1/2/3/5 never appear
     labels = {(r.b, r.c, r.delta) for r in rows}
-    from kportrait import classify_case
-
     for b, c, d in grid.cells():
         if classify_case(Params(b, c, d)).case in (1, 2, 3, 5):
             assert (b, c, d) not in labels
@@ -380,7 +433,7 @@ def test_scan_cell_reports_a_found_cycle():
     import kportrait.numerics as numerics
 
     cfg = IntegratorConfig()
-    row = numerics._scan_cell((0.5, 1.0, 0.25, 5, cfg))
+    row = numerics._scan_cell((Params(0.5, 1.0, 0.25), 5, cfg))
     res = detect_limit_cycle(P_CYCLE, cfg)
     assert (row.verdict, row.section_x, row.multiplier) == ("cycle-found", res.section_x, res.multiplier)
     fields = _csv_row(row)
@@ -396,7 +449,7 @@ def test_scan_cell_without_returns_is_inconclusive(monkeypatch):
         raise IntegrationFailure("step size underflow", None)
 
     monkeypatch.setattr(numerics, "return_iterates", failing)
-    row = numerics._scan_cell((0.9, 1.2, 0.3, 6, IntegratorConfig()))
+    row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6, IntegratorConfig()))
     assert row.verdict == "inconclusive"
     fields = _csv_row(row)
     assert fields["verdict"] == "inconclusive"

@@ -332,9 +332,21 @@ def test_report_numbers_17_digits(report_b):
 def test_exact_params_round_into_report():
     from fractions import Fraction as F
 
-    rep = build_portrait(Params(F(1, 2), F(1), F(1, 4)), representatives=2)
+    rep = build_portrait(Params(F(1, 2), F(1), F(1, 4)))
     d = report_to_dict(rep)
     assert d["params"]["exact"] == {"b": "1/2", "c": "1", "delta": "1/4"}
+
+
+@pytest.mark.parametrize("c", [F(10**100), F(10**300)], ids=["c=1e100", "c=1e300"])
+def test_exact_input_beyond_float_arithmetic_still_gets_its_portrait(c):
+    # the float arithmetic of Hopf data and integration leaves the range of doubles, yet the
+    # exact classification stands and every failure is a warning
+    rep = build_portrait(Params(F(3, 10), c, F(1, 4)))
+    assert (rep.label.case, rep.label.portrait) == (5, "B")
+    assert [q.kind for q in rep.finite_points] == ["saddle", "saddle", "unstable-focus"]
+    heads = {w.split(":")[0] for w in rep.warnings}
+    assert {"hopf-analysis-unavailable", "cycle-detection-failed", "integration-failure"} <= heads
+    assert rep.hopf is None and rep.cycle is None
 
 
 def test_build_portrait_lets_programming_errors_raise(monkeypatch):
