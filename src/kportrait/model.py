@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
@@ -142,9 +141,33 @@ class _cached:
         return value
 
 
-# a dataclass, not a NamedTuple: the per-instance state lives in the instance __dict__
-@dataclass(frozen=True)
-class Params:
+class _Record:
+    """A frozen record over the fields its class annotates: equality, hash and repr as a frozen
+    dataclass has them, and AttributeError on setting or deleting an attribute; a plain class,
+    so that loading this module generates no code and imports neither dataclasses nor inspect."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = operator.attrgetter(*cls._fields)  # called as self._values(self)
+
+    def __eq__(self, other):
+        return self._values(self) == self._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values(self)))})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# a record, not a NamedTuple: the per-instance state lives in the instance __dict__
+class Params(_Record):
     """The positive triple (b, c, delta) driving the whole analysis.
 
     ``is_exact`` (every parameter rational) and the lift are set on construction; the
@@ -158,12 +181,12 @@ class Params:
     c: Number
     delta: Number
 
-    def __post_init__(self) -> None:
-        vals = (self.b, self.c, self.delta)
-        for name, v in zip(("b", "c", "delta"), vals):
+    def __init__(self, b: Number, c: Number, delta: Number) -> None:
+        vals = (b, c, delta)
+        for name, v in zip(self._fields, vals):
             _check_parameter(name, v)
         exact = _is_exact(*vals)
-        self.__dict__.update(is_exact=exact, _lifted=_lift(vals, exact))
+        self.__dict__.update(b=b, c=c, delta=delta, is_exact=exact, _lifted=_lift(vals, exact))
 
     @_cached
     def _case(self) -> tuple[tuple[Number, Number, Number, Number], tuple[int, int, int, int]]:
@@ -252,9 +275,8 @@ class SingularPoint(NamedTuple):
     eigenvalues: Optional[tuple[complex, complex]] = None
 
 
-# a dataclass, not a NamedTuple: callers rebuild a label with type(label)(**vars(label))
-@dataclass(frozen=True)
-class CaseLabel:
+# a record, not a NamedTuple: callers rebuild a label with type(label)(**vars(label))
+class CaseLabel(_Record):
     """Case number, parameter-space region, portrait letter and proof status.
 
     ``boundary`` lists the separating surfaces the parameters sit on: exact
@@ -265,7 +287,10 @@ class CaseLabel:
     region: str  # I, II-a, II-b, III, S1, S2, S3
     portrait: str  # A, B, C
     status: str  # proven, conjectured
-    boundary: tuple[str, ...] = ()
+    boundary: tuple[str, ...]
+
+    def __init__(self, case: int, region: str, portrait: str, status: str, boundary: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(case=case, region=region, portrait=portrait, status=status, boundary=boundary)
 
 
 def vector_field(p: Params, pt) -> tuple[Number, Number]:

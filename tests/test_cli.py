@@ -322,29 +322,27 @@ OTHER_ARGVS = [
 
 def _full_tree_main(argv) -> int:
     """main as one parse_args of the whole tree, the reference for its dispatch."""
-    from kportrait.cli import _build_parser
+    from kportrait.cli import _COMMANDS, _build_parser
 
-    parser, _ = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        return ns.func(parser, ns)
+        ns = _build_parser().parse_args(argv)
+        return _COMMANDS[ns.command][0](ns)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
 
 def test_dispatch_parses_as_the_full_tree(monkeypatch, capsys):
-    from kportrait.cli import _build_parser
+    import kportrait.cli as cli
 
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    parser, commands = _build_parser()
     calls = []
 
-    def record(got_parser, ns):
-        calls.append((got_parser is parser, {k: v for k, v in vars(ns).items() if k != "command"}))
+    def record(ns):
+        calls.append(vars(ns))
         return 0
 
-    for sub in commands.values():  # the tree is built once per process: restore each func
-        monkeypatch.setitem(sub._defaults, "func", record)
+    for name, (_, *rest) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (record, *rest))
     assert len(README_ARGVS) == 6
     for argv in VALID_ARGVS + OTHER_ARGVS:
         results = []
@@ -353,23 +351,22 @@ def test_dispatch_parses_as_the_full_tree(monkeypatch, capsys):
             code = entry(list(argv))
             results.append((code, *capsys.readouterr(), list(calls)))
         assert results[0] == results[1], argv
-        # a valid argv reaches its command once, with the top-level parser for usage errors
+        # a valid argv reaches its command once
         got = results[0][3]
-        assert [top for top, _ in got] == ([True] if argv in VALID_ARGVS else []), argv
+        assert [ns["command"] for ns in got] == ([argv[0]] if argv in VALID_ARGVS else []), argv
 
 
-def _draw_argv(rng, sub) -> list[str]:
-    """A canonical argv of the sub-parser ``sub``: the required options in random order, the
-    others sometimes, and values of which about one in five is a hard token; then
-    zero to two edits that argparse reads differently or rejects."""
-    actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
-    chosen = [a for a in actions if a.required or rng.random() < 0.4]
+def _draw_argv(rng, options) -> list[str]:
+    """A canonical argv of a command with the option table ``options``: the required options
+    in random order, the others sometimes, and values of which about one in five is a hard
+    token; then zero to two edits that argparse reads differently or rejects."""
+    chosen = [(option, spec) for option, spec in options.items() if spec.get("required") or rng.random() < 0.4]
     rng.shuffle(chosen)
     hard = ["-1", "", "-", "--", "-h", "--b", "nan", " 1"]
     args = []
-    for a in chosen:
-        args.append(a.option_strings[0])
-        if a.nargs is None:
+    for option, spec in chosen:
+        args.append(option)
+        if "action" not in spec:
             args.append(rng.choice(hard) if rng.random() < 0.2 else rng.choice(["0.5", "3/10", "1e-3", "x", "2"]))
     for _ in range(rng.randrange(3)):
         edit = rng.randrange(3)
@@ -386,44 +383,41 @@ def _draw_argv(rng, sub) -> list[str]:
 def test_canonical_reader_agrees_with_the_command_parser():
     import random
 
-    from kportrait.cli import _build_parser, _read_canonical
+    from kportrait.cli import _COMMANDS, _build_parser, _read_canonical
 
-    _, commands = _build_parser()
+    parser = _build_parser()
     rng = random.Random(22)
-    for command, sub in commands.items():
+    for command, (_, _, options) in _COMMANDS.items():
         accepted = 0
         for _ in range(20_000):
-            args = _draw_argv(rng, sub)
-            ns = _read_canonical(sub, args)
+            argv = [command, *_draw_argv(rng, options)]
+            ns = _read_canonical(argv)
             if ns is not None:
                 accepted += 1
-                assert sub.parse_known_args(args) == (ns, []), (command, args)
+                got, extras = parser.parse_known_args(argv)
+                assert (vars(got), extras) == (vars(ns), []), argv
         assert accepted > 0, command
     for argv in README_ARGVS:
-        assert (_read_canonical(commands[argv[0]], argv[1:]) is None) == (argv[0] == "scan"), argv
-    assert {argv[0] for argv in VALID_ARGVS if _read_canonical(commands[argv[0]], argv[1:])} == set(commands)
-    for argv in DECLINED:
-        assert _read_canonical(commands[argv[0]], argv[1:]) is None, argv
+        assert (_read_canonical(argv) is None) == (argv[0] == "scan"), argv
+    assert {argv[0] for argv in VALID_ARGVS if _read_canonical(argv)} == set(_COMMANDS)
+    for argv in DECLINED + OTHER_ARGVS:
+        assert _read_canonical(argv) is None, argv
 
 
-def test_canonical_argv_skip_the_parse(monkeypatch, capsys):
+def test_canonical_argv_skip_the_parse(capsys):
     from kportrait.cli import _build_parser
 
-    _, commands = _build_parser()
-    calls = []
-    for sub in commands.values():
-        monkeypatch.setattr(sub, "parse_known_args", lambda *a, _parse=sub.parse_known_args: calls.append(a) or _parse(*a))
     for argv in README_ARGVS[:3]:
         assert argv[0] in ("classify", "hopf")
+        _build_parser.cache_clear()
         canonical = run(capsys, *argv)
-        assert canonical[0] == 0 and len(calls) == 0, argv
-        # --name=value is the same argv to argparse, which reads it
+        assert canonical[0] == 0 and _build_parser.cache_info().misses == 0, argv
+        # --name=value is the same argv to argparse, whose tree reads it
         joined, tokens = [argv[0]], iter(argv[1:])
         for token in tokens:
             joined.append(token if token == "--exact" else f"{token}={next(tokens)}")
         assert run(capsys, *joined) == canonical
-        assert len(calls) == 1, joined
-        calls.clear()
+        assert _build_parser.cache_info().misses == 1, joined
 
 
 @pytest.mark.parametrize(
@@ -438,6 +432,36 @@ def test_usage_errors_are_pinned(monkeypatch, capsys, argv, err):
     monkeypatch.setenv("COLUMNS", "80")
     usage = "usage: kportrait [-h] {classify,hopf,cycle,portrait,scan} ...\n"
     assert run(capsys, *argv) == (2, "", f"{usage}kportrait: error: {err}\n")
+
+
+GRID = ["--grid", "1:2:1,1:2:1,1:2:1", "--out", "s.csv"]
+# sha256 of repr((exit code, stdout, stderr)) at COLUMNS=80 for help and usage errors,
+# recorded with the parser that argparse builds, so that each byte of its text is pinned
+HELP_GOLDEN = [
+    ([], "ad8fe16b4cb1a0a829c6094211800fdec353602485b310bb45536a8613f1b4c7"),
+    (["-h"], "c82fb64cd39acf32ec8c080ac372f3d9f49cfdf8d7c66a6797fad2fed3a14fcc"),
+    (["--help"], "c82fb64cd39acf32ec8c080ac372f3d9f49cfdf8d7c66a6797fad2fed3a14fcc"),
+    (["bogus"], "bfbe70a24c9b2373ef5c2fd50fbb6f4cc072d63977b14529ed60507b1d187a53"),
+    (["classify", "-h"], "77c00e432a3ea813de6b7db7f301e8da6a3311bf67ac91671fdeadf64d437dfb"),
+    (["hopf", "-h"], "9cd87f0de67257a43af703ef33e019c2597d82d5ddd4397de3f4eca60086da99"),
+    (["cycle", "-h"], "9484705a304991b348f8537b6b0a71af4ce829e4fc33fc7f6c303b3a0c1e4df4"),
+    (["portrait", "-h"], "0fcd59ffbedf72569b14f122ff3ee7bbbad085e08fcdcd6886dd9a51242f8aee"),
+    (["scan", "-h"], "0fcdceaefdd85d4aace59fa9e36385aa7cffe06a7abb9a251a71ea8ae72f0859"),
+    (["classify", "--b", "zebra", "--c", "1", "--delta", "1"], "65c867750ba82b4e784964aa5c6aa26090d32a9d2b847dac60e605ea2badccc4"),
+    (["classify", *FLOATS, "--frob"], "0942675a2e00ef2f43bfdd6d5772ef141ce0e59f3215111d3f81e08afda881b1"),
+    (["scan", *GRID, "--jobs", "x"], "bbc6849a21bdcfa13537d65b060a009d0360292bd733f18f6dd77e273acef2c9"),
+    (["scan", *GRID, "--jobs", "0"], "09113e1b1b57ee0c2036a09625d3e79f1627e374cfa00258ad233e9805b5af9a"),
+]
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", HELP_GOLDEN, ids=[" ".join(argv) or "no-argv" for argv, _ in HELP_GOLDEN])
+def test_help_and_usage_bytes_are_pinned(monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digest(run(capsys, *argv)) == digest
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
@@ -482,11 +506,11 @@ print("ok")
 """
 
 
-def _run_fresh(script):
+def _run_fresh(script, stdout="ok\n", *args):
     src = str(Path(kportrait.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, stdout), proc.stderr
 
 
 def test_analysis_path_runs_without_numpy():
@@ -522,20 +546,32 @@ def test_each_command_loads_only_the_modules_it_calls():
 
 
 COLD_PATH_SCRIPT = """
-import dataclasses, sys
-import kportrait, kportrait.local, kportrait.cli
+import contextlib, hashlib, io, os, sys
+import kportrait, kportrait.local
+from kportrait.cli import main
 
 homes = [sys.modules["kportrait." + m] for m in ("model", "compactify", "local")]
-found = {v for mod in homes for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}
-assert found == {kportrait.Params, kportrait.CaseLabel}, found
-print("ok")
+found = {v for mod in homes for v in vars(mod).values() if isinstance(v, type) and "__dataclass_fields__" in vars(v)}
+assert not found, found
+argvs = [a.split() for a in sys.argv[1:]]  # the README's classify, classify --exact and hopf lines
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [main(a) for a in argvs] == [0, 0, 0]
+loaded = {"argparse", "gettext", "dataclasses", "inspect"} & set(sys.modules)
+assert not loaded, loaded
+os.environ["COLUMNS"] = "80"
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+    code = main(["classify", "-h"])
+print(hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest())
 """
 
 
-def test_cold_path_builds_no_dataclass_but_params_and_caselabel():
-    # every other record of model, compactify and local is a NamedTuple, which
-    # generates no methods when its module loads
-    _run_fresh(COLD_PATH_SCRIPT)
+def test_cold_path_imports_no_argparse_and_defines_no_dataclass():
+    # pytest has imported argparse and dataclasses already, so the check needs a fresh
+    # interpreter; help still comes from the argparse tree, built on demand
+    argvs = README_ARGVS[:3]
+    assert [a[0] for a in argvs] == ["classify", "classify", "hopf"] and "--exact" in argvs[1]
+    help_digest = next(digest for argv, digest in HELP_GOLDEN if argv == ["classify", "-h"])
+    _run_fresh(COLD_PATH_SCRIPT, help_digest + "\n", *(" ".join(a) for a in argvs))
 
 
 def _converted_records() -> list:

@@ -642,3 +642,84 @@ def test_analysis_results_and_errors_match_the_recorded_digest():
     # recorded before the straight-line forms, the lock-free caches and the integer
     # sign tests: each must leave every bit, error type and message as it was
     assert _analysis_digest(2400) == "4e7dbe13f1a121d3aa21d445b7d26e610ba851a819815778b91e9f3c8e6c2b3e"
+
+
+def _record_twins():
+    """Frozen dataclasses with the fields of Params and CaseLabel, the oracle of their
+    record behaviour; the twin of Params holds its fields to the parameter rule."""
+    from dataclasses import field, make_dataclass
+
+    from kportrait.model import _check_parameter
+
+    def check(self):
+        for name in ("b", "c", "delta"):
+            _check_parameter(name, getattr(self, name))
+
+    params = make_dataclass("Params", ["b", "c", "delta"], frozen=True, namespace={"__post_init__": check})
+    label = make_dataclass(
+        "CaseLabel", ["case", "region", "portrait", "status", ("boundary", tuple, field(default=()))], frozen=True
+    )
+    return params, label
+
+
+def _record_triples():
+    rng = random.Random(24)
+    triples = [(2, 1, 1), (F(3, 10), 1, F(1, 4)), (0.5, 1, 0.25), (0.9, 1.2, 0.3), (F(3, 5), 1, F(1, 4)), (0.5, 1.5, 1.0)]
+    for _ in range(100):
+        triples.append(tuple(10 ** rng.uniform(-3, 3) for _ in range(3)))
+        triples.append(tuple(F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(3)))
+    return triples
+
+
+def _assert_frozen(record, name):
+    for act in (lambda: setattr(record, name, 1), lambda: delattr(record, name),
+                lambda: setattr(record, "no_such_field", 1), lambda: delattr(record, "no_such_field")):
+        with pytest.raises(AttributeError):
+            act()
+
+
+def test_params_and_caselabel_behave_as_frozen_dataclasses():
+    import kportrait.numerics as numerics
+    from kportrait import CaseLabel
+
+    TwinParams, TwinLabel = _record_twins()
+    params, twins, labels = [], [], []
+    for i, (b, c, d) in enumerate(_record_triples()):
+        p, t = Params(b, c, d), TwinParams(b, c, d)
+        assert repr(p) == repr(t) and hash(p) == hash(t)
+        assert Params(b=b, c=c, delta=d) == p == Params(b, delta=d, c=c) and p == Params(b, c, d)
+        assert p != t and t != p and not p == (b, c, d)
+        _assert_frozen(p, "b")
+        numerics._stops(p, 1.0)  # fills _case, _float, _p2 where P2 is reported, and _stops
+        if i == 2:
+            numerics.detect_limit_cycle(p)  # the P1 separatrix turn
+        back = pickle.loads(pickle.dumps(p))
+        assert type(back) is Params and back == p and hash(back) == hash(p) and vars(back) == vars(p)
+        params.append(p)
+        twins.append(t)
+        labels.append(classify_case(p))
+    for group, oracle in ((params, twins), (labels, [TwinLabel(**vars(label)) for label in labels])):
+        for x, tx in zip(group, oracle):
+            assert [x == y for y in group] == [tx == ty for ty in oracle]
+            assert [x != y for y in group] == [tx != ty for ty in oracle]
+    assert {label.case for label in labels} >= {1, 5, 7}
+    for label, twin in zip(labels, (TwinLabel(**vars(label)) for label in labels)):
+        assert vars(label) == vars(twin) and list(vars(label)) == ["case", "region", "portrait", "status", "boundary"]
+        assert repr(label) == repr(twin) and hash(label) == hash(twin)
+        assert type(label)(**vars(label)) == label == CaseLabel(*vars(label).values())
+        assert label != twin and twin != label
+        _assert_frozen(label, "case")
+        back = pickle.loads(pickle.dumps(label))
+        assert type(back) is CaseLabel and back == label and vars(back) == vars(label)
+    assert CaseLabel(case=1, region="I", portrait="A", status="proven") == CaseLabel(1, "I", "A", "proven", ())
+
+    for bad in (0, -1, F(0), F(-1, 2), -0.5, float("nan"), float("inf"), float("-inf")):
+        for at in range(3):
+            vals = [F(1, 2), 1, 0.25]
+            vals[at] = bad
+            errors = []
+            for cls in (Params, TwinParams):
+                with pytest.raises(ValueError) as err:
+                    cls(*vals)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1], (bad, at)
