@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "numerics": (
         "CycleResult", "GridSpec", "IntegrationFailure", "IntegratorConfig", "NoReturnError", "Orbit",
-        "ScanEvidence", "conjecture_scan", "cycle_amplitude", "cycle_loop",
+        "ScanEvidence", "conjecture_scan", "cycle_loop",
         "detect_limit_cycle", "integrate", "interior_point",
         "return_iterates", "return_map", "scan_to_csv", "separatrix_section_crossing",
     ),

@@ -99,10 +99,9 @@ def _cmd_hopf(ns: SimpleNamespace) -> int:
     except IllConditionedError as err:
         # a failed cross-check leaves the closed forms standing, as a disagreement does
         ell1_proc, warning = None, f"the from-scratch ell1 cross-check failed: {err}"
-    b0 = float(hd.b0)
-    print(f"b0 = {b0!r}")
+    print(f"b0 = {float(hd.b0)!r}")
     print(f"dmu/db(b0) = {hd.dmu_db_at_b0!r}")
-    print(f"omega(b0) = {hd.omega_at(b0)!r}")
+    print(f"omega(b0) = {hd.omega!r}")
     print(f"g20 = {hd.g20.real!r} + {hd.g20.imag!r}i")
     print(f"g11 = {hd.g11.real!r} + {hd.g11.imag!r}i")
     print(f"g21 = {hd.g21.real!r} + {hd.g21.imag!r}i")

@@ -3,7 +3,9 @@
 The Hopf pipeline for the interior point of the predator-prey family
 (critical parameter, frequency, transversality, quadratic/cubic multilinear
 forms, first Lyapunov coefficient), the Dulac-style non-existence test with
-multiplier 1/x, and the four cycle-uniqueness conditions.
+multiplier 1/x, and the four cycle-uniqueness conditions.  Each result is a
+plain value, a named tuple of numbers, strings and tuples: it compares and
+hashes by its fields and pickles.
 
 The first Lyapunov coefficient is computed twice, by independent routes:
 ``hopf_analysis`` evaluates closed forms, ``lyapunov_procedural`` rebuilds
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Optional
 
 from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _check_parameter, _is_exact, _range_error, _to_float
 
@@ -63,16 +65,25 @@ def _cform(cubic, e, h, z) -> tuple:
     )
 
 
+def _mu_omega(b: float, c: float, d: float) -> tuple[float, Optional[float]]:
+    """mu(b) and omega(b), the real and imaginary part of the interior-point eigenvalues
+    at fixed (c, delta), on doubles: mu = b A / (2 (c-d)^2) and omega = b sqrt(-d B) / (2 (c-d)^2).
+    omega is None where -d B <= 0, so the eigenvalues are not a complex pair."""
+    a, bb = _ab(b, c, d)
+    val = -d * bb
+    den = 2 * (c - d) ** 2
+    return b * a / den, None if val <= 0 else b * math.sqrt(val) / den
+
+
 class HopfData(NamedTuple):
     """Closed-form data of the supercritical Hopf bifurcation in b.
 
-    ``mu_at`` and ``omega_at`` evaluate the real and imaginary part of the
-    interior-point eigenvalues as functions of b at fixed (c, delta).
+    ``omega`` is the imaginary part of the interior-point eigenvalues at b0, as
+    a double; ``dmu_db_at_b0`` the derivative of their real part in b there.
     """
 
     b0: Number
-    mu_at: Callable[[float], float]
-    omega_at: Callable[[float], float]
+    omega: float
     dmu_db_at_b0: float
     equilibrium: tuple[float, float]
     g20: complex
@@ -106,24 +117,14 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     if not (cn > dn if exact else c > delta):
         raise AnalysisError("hopf analysis requires c > delta")
     b0: Number = Fraction(cn - dn, cn + dn) if exact else (c - delta) / (c + delta)
-
-    def mu_at(b: float) -> float:
-        a, _ = _ab(float(b), cf, df)
-        return float(b) * a / (2 * (cf - df) ** 2)
-
-    def omega_at(b: float) -> float:
-        _, bb = _ab(float(b), cf, df)
-        val = -df * bb
-        if val <= 0:
-            raise AnalysisError(f"eigenvalues at b={b} are not a complex pair")
-        return float(b) * math.sqrt(val) / (2 * (cf - df) ** 2)
-
     try:
         b0f, cf, df = _to_float(b0), _to_float(c), _to_float(delta)
         a0, bb0 = _ab(b0f, cf, df)
         if not bb0 < 0:
             raise AnalysisError("B(b0) must be negative for a complex pair at b0")
-        w = omega_at(b0f)
+        _, w = _mu_omega(b0f, cf, df)
+        if w is None:
+            raise AnalysisError(f"eigenvalues at b={b0f} are not a complex pair")
         # w, dmu/db and p = (-(c+d)/(2d), i/(2w)) must be nonzero doubles for <p, q> = 1 to mean anything
         dmu, p1, p2 = -df / (2 * (cf - df)), -(cf + df) / (2 * df), 1.0 / (2.0 * w)
         in_range = w and dmu and all(map(math.isfinite, (b0f, cf, df, a0, bb0, w, dmu, p1, p2)))
@@ -148,7 +149,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         raise IllConditionedError(f"<p, q> = {ip} deviates from 1")
 
     return HopfData(
-        b0=b0, mu_at=mu_at, omega_at=omega_at, dmu_db_at_b0=dmu, equilibrium=(x2, y2),
+        b0=b0, omega=w, dmu_db_at_b0=dmu, equilibrium=(x2, y2),
         g20=g20, g11=g11, g21=g21, ell1=ell1, p_vec=p, q_vec=q,
     )
 
@@ -245,7 +246,6 @@ class DulacReport(NamedTuple):
 
     applicable: bool
     margin: float
-    bound_expression_value_at: Callable[[float, float], float]
     conclusion: str  # no-periodic-orbits, inconclusive
 
 
@@ -254,21 +254,14 @@ def dulac_check(p: Params) -> DulacReport:
     parameters, banded in floats, so a margin within the band of 0 is never
     read as applicable."""
     (*_, margin), (*_, s_s2) = p._case
-    b, c, d = p._float
     try:
         # int / int is correctly rounded, so exact input gives float() of the rational margin
         margin = margin / p._lifted[3] ** 2
     except OverflowError:
         raise _range_error("(b, c, delta)", (p.b, p.c, p.delta)) from None
-
-    def delta_at(x: float, y: float) -> float:
-        if x <= 0:
-            raise ValueError("the multiplier 1/x needs x > 0")
-        return 1 + c - d - 2 * x - b * (d + x) / x
-
     applicable = s_s2 < 0
     conclusion = "no-periodic-orbits" if applicable else "inconclusive"
-    return DulacReport(applicable=applicable, margin=float(margin), bound_expression_value_at=delta_at, conclusion=conclusion)
+    return DulacReport(applicable=applicable, margin=float(margin), conclusion=conclusion)
 
 
 class UniquenessReport(NamedTuple):
@@ -276,18 +269,18 @@ class UniquenessReport(NamedTuple):
 
     The Kolmogorov factors are x' = x(f(x) - y) and y' = y(g(x) - lambda)
     with f(x) = -x^2 + (1-b)x + b, g(x) = (c-d)x and lambda = b*d.
+    ``conditions_hold`` holds the truth of conditions (i)-(iv), in that order.
     """
 
     g_slope: Number
     a: Number
     lam: Number
     x_star: Number
-    K: int
-    conditions_hold: dict[str, bool]
+    conditions_hold: tuple[bool, bool, bool, bool]
 
     @property
     def all_hold(self) -> bool:
-        return all(self.conditions_hold.values())
+        return all(self.conditions_hold)
 
 
 def uniqueness_check(p: Params) -> UniquenessReport:
@@ -305,17 +298,5 @@ def uniqueness_check(p: Params) -> UniquenessReport:
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,
     # negative for all x > 0 exactly when b <= 1 (no positive root).
-    conditions = {
-        "i": c > d,
-        "ii": a > 0,
-        "iii": x_star < a,
-        "iv": c > d and b <= L,
-    }
-    return UniquenessReport(
-        g_slope=g,
-        a=a,
-        lam=lam,
-        x_star=x_star,
-        K=1,
-        conditions_hold=conditions,
-    )
+    conditions = (c > d, a > 0, x_star < a, c > d and b <= L)
+    return UniquenessReport(g_slope=g, a=a, lam=lam, x_star=x_star, conditions_hold=conditions)

@@ -44,7 +44,6 @@ __all__ = [
     "separatrix_section_crossing",
     "interior_point",
     "cycle_loop",
-    "cycle_amplitude",
     "conjecture_scan",
     "scan_to_csv",
 ]
@@ -554,20 +553,6 @@ def cycle_loop(p: Params, cycle: CycleResult, cfg: Optional[IntegratorConfig] = 
     cfg = replace(cfg or IntegratorConfig(), max_step=_LOOP_MAX_STEP)
     _, y2 = interior_point(p)
     return _turn(p, (cycle.section_x, y2), cfg, y2, "cycle sampling failed to close the loop").affine_points()
-
-
-def cycle_amplitude(
-    p: Params,
-    cycle: Optional[CycleResult] = None,
-    cfg: Optional[IntegratorConfig] = None,
-) -> float:
-    """Largest distance from the cycle to the interior point it encloses."""
-    cycle = cycle or detect_limit_cycle(p, cfg)
-    if not cycle.found:
-        raise ValueError("no limit cycle detected for these parameters")
-    loop = cycle_loop(p, cycle, cfg)
-    x2, y2 = interior_point(p)
-    return max(math.hypot(x - x2, y - y2) for x, y in loop)
 
 
 @dataclass(frozen=True)

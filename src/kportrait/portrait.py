@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .compactify import InfinitePoint, family_infinite_points
-from .local import DulacReport, dulac_check, hopf_analysis
+from .local import DulacReport, _mu_omega, dulac_check, hopf_analysis
 from .model import (
     AnalysisError,
     CaseLabel,
@@ -119,7 +119,7 @@ def _thin(points: list[tuple[float, float]], target: int) -> list[tuple[float, f
     return [points[round(k * step)] for k in range(target - 1)] + [points[-1]]
 
 
-def build_portrait(p: Params, cfg: Optional[IntegratorConfig] = None) -> PortraitReport:
+def build_portrait(p: Params) -> PortraitReport:
     """Classify, integrate the separatrix skeleton and representative orbits,
     and assemble the full report.
 
@@ -127,7 +127,7 @@ def build_portrait(p: Params, cfg: Optional[IntegratorConfig] = None) -> Portrai
     The representative seeds sit on a geometric ladder along the section ray
     when the interior point exists, on a diagonal ladder otherwise.
     """
-    cfg = cfg or IntegratorConfig()
+    cfg = IntegratorConfig()
     label = classify_case(p)
     pts = finite_singular_points(p)
     inf_pts = family_infinite_points(p)
@@ -145,12 +145,8 @@ def build_portrait(p: Params, cfg: Optional[IntegratorConfig] = None) -> Portrai
     if disc.B < 0 and p.c > p.delta:
         try:
             hd = hopf_analysis(p.c, p.delta)
-            omega: Optional[float] = None
-            try:
-                omega = hd.omega_at(p.b)
-            except AnalysisError:
-                pass
-            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, hd.mu_at(p.b), omega, hd.ell1)
+            mu, omega = _mu_omega(*p._float)
+            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, mu, omega, hd.ell1)
         except AnalysisError as err:
             warnings.append(f"hopf-analysis-unavailable: {err}")
 
@@ -435,17 +431,6 @@ def render_svg(report: PortraitReport) -> str:
     return "\n".join(s for s in parts if s)
 
 
-def _trace_dict(tr: OrbitTrace) -> dict:
-    return {
-        "role": tr.role,
-        "origin": tr.origin,
-        "stability": tr.stability,
-        "alpha_limit": tr.alpha_limit,
-        "omega_limit": tr.omega_limit,
-        "points": tr.points,
-    }
-
-
 def report_to_dict(report: PortraitReport) -> dict:
     """Schema version 1; stable field order; cycle is null rather than absent."""
     p = report.params
@@ -462,15 +447,6 @@ def report_to_dict(report: PortraitReport) -> dict:
             "multiplier": report.cycle.multiplier,
             "encloses_P2": report.cycle.encloses_p2,
             "detail": report.cycle.detail,
-        }
-    hopf = None
-    if report.hopf is not None:
-        hopf = {
-            "b0": report.hopf.b0,
-            "dmu_db_at_b0": report.hopf.dmu_db_at_b0,
-            "mu": report.hopf.mu,
-            "omega": report.hopf.omega,
-            "ell1": report.hopf.ell1,
         }
     return {
         "schema_version": "1",
@@ -516,15 +492,11 @@ def report_to_dict(report: PortraitReport) -> dict:
             }
             for q in report.infinite_points
         ],
-        "hopf": hopf,
+        "hopf": None if report.hopf is None else dict(vars(report.hopf)),
         "cycle": cyc,
-        "dulac": {
-            "applicable": report.dulac.applicable,
-            "margin": report.dulac.margin,
-            "conclusion": report.dulac.conclusion,
-        },
-        "separatrices": [_trace_dict(tr) for tr in report.separatrices],
-        "representative_orbits": [_trace_dict(tr) for tr in report.representatives],
+        "dulac": report.dulac._asdict(),
+        "separatrices": [dict(vars(tr)) for tr in report.separatrices],
+        "representative_orbits": [dict(vars(tr)) for tr in report.representatives],
         "cycle_points": report.cycle_points,
         "portrait": report.label.portrait,
         "status": report.label.status,

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 
 import functools
 import io
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from kportrait import (
     build_portrait,
     classify_case,
     conjecture_scan,
-    cycle_amplitude,
+    cycle_loop,
     detect_limit_cycle,
     discriminants,
     hopf_analysis,
@@ -32,6 +33,7 @@ from kportrait import (
     scan_to_csv,
     separatrix_section_crossing,
 )
+from kportrait.local import _mu_omega
 from kportrait.model import ZERO_BAND
 from polyline_oracle import polyline_hausdorff
 from test_compactify import (
@@ -146,10 +148,10 @@ def test_criterion_3_hopf_pipeline():
         count += 1
         hd = hopf_analysis(c, d)
         b0 = float(hd.b0)
-        assert abs(hd.mu_at(b0)) <= 1e-12
+        assert abs(_mu_omega(b0, c, d)[0]) <= 1e-12
         assert hd.dmu_db_at_b0 == pytest.approx(-d / (2 * (c - d)), rel=1e-12)
         h = 1e-6 * b0
-        fd = (hd.mu_at(b0 + h) - hd.mu_at(b0 - h)) / (2 * h)
+        fd = (_mu_omega(b0 + h, c, d)[0] - _mu_omega(b0 - h, c, d)[0]) / (2 * h)
         assert hd.dmu_db_at_b0 == pytest.approx(fd, rel=1e-6)
         ell_proc = lyapunov_procedural(c, d)
         assert hd.ell1 < 0 and ell_proc < 0
@@ -229,7 +231,9 @@ def test_criterion_6_hopf_amplitude_scaling():
         p = Params(0.6 - db, 1.0, 0.25)
         res = detect_limit_cycle(p)
         assert res.found
-        amps[db] = cycle_amplitude(p, res)
+        # the largest distance from the cycle to the P2 it encloses
+        x2, y2 = interior_point(p)
+        amps[db] = max(math.hypot(x - x2, y - y2) for x, y in cycle_loop(p, res))
     ratio = amps[0.01] / amps[0.0025]
     assert abs(ratio - 2.0) <= 0.4
 

@@ -22,6 +22,7 @@ from kportrait import (
     uniqueness_check,
     vector_field,
 )
+from kportrait.local import _mu_omega
 from kportrait.model import _sorted_eig, _to_float
 
 
@@ -225,7 +226,7 @@ def test_discriminant_b_signs_eigenvalue_reality():
         # the P2 location and A each have one closed form, shared bit for bit
         (p2,) = [q.location for q in finite_singular_points(p) if q.name == "P2"]
         assert interior_point(p) == p2
-        assert hopf_analysis(c, d).mu_at(b) == b * disc.A / (2 * (c - d) ** 2)
+        assert _mu_omega(b, c, d)[0] == b * disc.A / (2 * (c - d) ** 2)
 
 
 def test_finite_points_case1():
@@ -454,8 +455,8 @@ def test_lifted_exact_values_match_fraction_formulas():
         assert finite_singular_points(p)[2].location == (x2, y2)
         rep = uniqueness_check(p)
         a = (1 - b) / 2
-        assert (rep.g_slope, rep.a, rep.lam, rep.x_star, rep.K) == (c - d, a, b * d, x2, 1)
-        assert rep.conditions_hold == {"i": True, "ii": a > 0, "iii": x2 < a, "iv": b <= 1}
+        assert (rep.g_slope, rep.a, rep.lam, rep.x_star) == (c - d, a, b * d, x2)
+        assert rep.conditions_hold == (True, a > 0, x2 < a, b <= 1)
 
 
 def test_float_values_keep_their_float_formulas():
@@ -603,10 +604,18 @@ def _draw_triple(rng):
 
 def _analysis_digest(n):
     """sha256 over the repr of every analysis result, or the type and message of the
-    error raised, for ``n`` seeded triples; closures are replaced by a value."""
+    error raised, for ``n`` seeded triples.  The records are rewritten in the fields they
+    had when the digest was recorded: HopfData's closure mu_at as None and omega_at as its
+    value at b0, DulacReport's closure as None, and UniquenessReport with K = 1 and its
+    conditions as a dict."""
+    from collections import namedtuple
+
     from kportrait import lyapunov_procedural
     from kportrait.model import _check_parameter
 
+    old_hopf = namedtuple("HopfData", "b0 mu_at omega_at dmu_db_at_b0 equilibrium g20 g11 g21 ell1 p_vec q_vec")
+    old_dulac = namedtuple("DulacReport", "applicable margin bound_expression_value_at conclusion")
+    old_uniqueness = namedtuple("UniquenessReport", "g_slope a lam x_star K conditions_hold")
     h = hashlib.sha256()
 
     def record(f, *args):
@@ -618,11 +627,16 @@ def _analysis_digest(n):
         return out
 
     def hopf(c, d):
-        hd = hopf_analysis(c, d)
-        return hd._replace(mu_at=None, omega_at=hd.omega_at(float(hd.b0)))
+        b0, omega, *rest = hopf_analysis(c, d)
+        return old_hopf(b0, None, omega, *rest)
 
     def dulac(p):
-        return dulac_check(p)._replace(bound_expression_value_at=None)
+        applicable, margin, conclusion = dulac_check(p)
+        return old_dulac(applicable, margin, None, conclusion)
+
+    def uniqueness(p):
+        *values, conditions = uniqueness_check(p)
+        return old_uniqueness(*values, 1, dict(zip(("i", "ii", "iii", "iv"), conditions)))
 
     rng = random.Random(2020)
     for _ in range(n):
@@ -633,7 +647,7 @@ def _analysis_digest(n):
         record(lyapunov_procedural, c, d)
         p = record(Params, b, c, d)
         if isinstance(p, Params):
-            for f in (classify_case, finite_singular_points, discriminants, dulac, uniqueness_check):
+            for f in (classify_case, finite_singular_points, discriminants, dulac, uniqueness):
                 record(f, p)
     return h.hexdigest()
 

@@ -19,7 +19,6 @@ from kportrait import (
     Params,
     classify_case,
     conjecture_scan,
-    cycle_amplitude,
     cycle_loop,
     detect_limit_cycle,
     finite_singular_points,
@@ -271,10 +270,12 @@ def test_tolerance_robustness_of_cycle():
 
 
 def test_cycle_amplitude_hopf_scaling():
+    # the amplitude is the largest distance from the cycle to the P2 it encloses
     amps = {}
     for db in (0.01, 0.0025):
         p = Params(0.6 - db, 1.0, 0.25)
-        amps[db] = cycle_amplitude(p)
+        x2, y2 = interior_point(p)
+        amps[db] = max(math.hypot(x - x2, y - y2) for x, y in cycle_loop(p, detect_limit_cycle(p)))
     ratio = amps[0.01] / amps[0.0025]
     assert ratio == pytest.approx(2.0, rel=0.2)
 

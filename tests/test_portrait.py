@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -9,10 +11,18 @@ import numpy as np
 import pytest
 
 from kportrait import (
+    AnalysisError,
     Params,
     build_portrait,
+    classify_case,
+    discriminants,
+    dulac_check,
+    family_infinite_points,
+    finite_singular_points,
+    hopf_analysis,
     render_svg,
     report_to_dict,
+    uniqueness_check,
     write_report,
 )
 from kportrait.numerics import _stops
@@ -32,6 +42,47 @@ def report_b():
 @pytest.fixture(scope="module")
 def report_c():
     return build_portrait(Params(2.0, 1.0, 0.2))
+
+
+def _analysis_records(p: Params) -> list:
+    """Every analysis record of ``p`` that its parameters admit."""
+    out = [p, classify_case(p), discriminants(p), dulac_check(p), *finite_singular_points(p)]
+    for q in family_infinite_points(p):
+        out += [q, q.sector_data] if q.sector_data is not None else [q]
+    for call in (lambda: uniqueness_check(p), lambda: hopf_analysis(p.c, p.delta)):
+        try:
+            out.append(call())
+        except AnalysisError:  # c <= delta, or no interior point
+            pass
+    return out
+
+
+def test_analysis_records_and_portraits_are_plain_values():
+    # two calls on separately built Params give equal records with equal hashes,
+    # and each record survives a pickle round trip
+    rng = random.Random(83)
+    seen = set()
+    for k in range(60):
+        if k % 2:
+            vals = tuple(F(rng.randint(1, 400), rng.randint(1, 200)) for _ in range(3))
+        else:
+            vals = tuple(10 ** rng.uniform(-1.5, 1) for _ in range(3))
+        first, second = _analysis_records(Params(*vals)), _analysis_records(Params(*vals))
+        assert first == second, vals
+        for r, twin in zip(first, second):
+            seen.add(type(r).__name__)
+            copy = pickle.loads(pickle.dumps(r))
+            assert type(copy) is type(r) and copy == r, r
+            assert hash(r) == hash(twin) == hash(copy), r
+    assert seen == {
+        "Params", "CaseLabel", "Discriminants", "DulacReport", "SingularPoint", "InfinitePoint", "SectorData",
+        "UniquenessReport", "HopfData",
+    }
+    # portraits A, B and C of the README
+    for vals in ((2, 1, 1), (0.5, 1, 0.25), (0.9, 1.2, 0.3)):
+        rep = build_portrait(Params(*vals))
+        assert rep == build_portrait(Params(*vals)), vals
+        assert pickle.loads(pickle.dumps(rep)) == rep, vals
 
 
 def test_disc_projection_properties():
