@@ -28,7 +28,7 @@ _EXPORTS = {
         "CycleResult", "GridSpec", "IntegrationFailure", "IntegratorConfig", "NoReturnError", "Orbit",
         "ScanEvidence", "conjecture_scan", "cycle_loop",
         "detect_limit_cycle", "integrate", "interior_point",
-        "return_iterates", "return_map", "scan_to_csv", "separatrix_section_crossing",
+        "return_map", "scan_to_csv", "separatrix_section_crossing",
     ),
     "portrait": (
         "HopfSummary", "OrbitTrace", "PortraitReport", "build_portrait", "render_svg", "report_to_dict",

@@ -39,7 +39,6 @@ __all__ = [
     "NoReturnError",
     "integrate",
     "return_map",
-    "return_iterates",
     "detect_limit_cycle",
     "separatrix_section_crossing",
     "interior_point",
@@ -415,20 +414,6 @@ def _walk(p: Params, start, cfg: IntegratorConfig) -> tuple[Orbit, list[float]]:
             return Orbit(samples, orbit.terminal), xs
 
 
-def return_iterates(
-    p: Params, x0: float, count: int, cfg: Optional[IntegratorConfig] = None
-) -> tuple[list[float], Optional[NoReturnError]]:
-    """Iterate the return map; stops early when the orbit stops returning."""
-    xs = [float(x0)]
-    for _ in range(count):
-        try:
-            xn, _ = return_map(p, xs[-1], cfg)
-        except NoReturnError as err:
-            return xs, err
-        xs.append(xn)
-    return xs, None
-
-
 def separatrix_section_crossing(p: Params, cfg: Optional[IntegratorConfig] = None) -> tuple[float, float]:
     """First upward section crossing of the unstable separatrix leaving (1, 0).
 
@@ -453,11 +438,12 @@ def _p1_separatrix_start(p: Params) -> tuple[float, float]:
 
 def _outer_seed(p: Params, x2: float, cfg: IntegratorConfig) -> float:
     """Section abscissa of the P1 separatrix, the outer bound of any cycle;
-    a fixed offset right of x2 when the separatrix does not return."""
+    a fixed offset right of x2 when the separatrix does not return right of x2."""
     try:
-        return separatrix_section_crossing(p, cfg)[0]
+        xs = separatrix_section_crossing(p, cfg)[0]
     except NoReturnError:
-        return x2 + 0.75 * max(1.0 - x2, x2)
+        xs = x2
+    return xs if xs > x2 else x2 + 0.75 * max(1.0 - x2, x2)
 
 
 @dataclass(frozen=True)
@@ -483,9 +469,6 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     cfg = cfg or IntegratorConfig()
     x2, _ = interior_point(p)
     x_outer = _outer_seed(p, x2, cfg)
-    if x_outer <= x2:
-        x_outer = x2 + 0.5
-
     span = x_outer - x2
     x_in = x2 + max(1e-6, 1e-3 * span)
 
@@ -578,7 +561,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScanEvidence:
-    """Per-cell verdict plus the witnesses needed to reproduce it."""
+    """Per-cell verdict of :func:`detect_limit_cycle`, with the cycle it found.
+
+    ``seeds`` are three section abscissae x2 + f*span, f = 0.08, 0.35 and 0.85, where
+    span is the distance from x2 to the P1 separatrix crossing (at least 1e-4); an
+    inconclusive cell has none.
+    """
 
     b: float
     c: float
@@ -588,7 +576,6 @@ class ScanEvidence:
     section_x: Optional[float]
     multiplier: Optional[float]
     seeds: tuple[float, ...]
-    iterates: tuple[tuple[float, ...], ...]
 
 
 def _scan_cell(args) -> ScanEvidence:
@@ -597,27 +584,26 @@ def _scan_cell(args) -> ScanEvidence:
     try:
         x2, _ = interior_point(p)
         span = max(_outer_seed(p, x2, cfg) - x2, 1e-4)
-        seeds = tuple(x2 + f * span for f in (0.08, 0.35, 0.85))
-        iterates = tuple(tuple(return_iterates(p, s, 4, cfg)[0]) for s in seeds)
-        # strictly decreasing iterates contract toward P2; any other sequence calls the cycle search
-        if not all(v < u for seq in iterates for u, v in zip(seq, seq[1:])):
-            res = detect_limit_cycle(p, cfg)
-            if res.found:
-                return ScanEvidence(b, c, d, case, "cycle-found", res.section_x, res.multiplier, seeds, iterates)
-        return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds, iterates)
+        res = detect_limit_cycle(p, cfg)
     except (IntegrationFailure, NoReturnError):
-        return ScanEvidence(b, c, d, case, "inconclusive", None, None, (), ())
+        return ScanEvidence(b, c, d, case, "inconclusive", None, None, ())
+    seeds = tuple(x2 + f * span for f in (0.08, 0.35, 0.85))
+    if res.found:
+        return ScanEvidence(b, c, d, case, "cycle-found", res.section_x, res.multiplier, seeds)
+    return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds)
 
 
 def conjecture_scan(
     grid: GridSpec, cfg: Optional[IntegratorConfig] = None, jobs: int = 1
 ) -> list[ScanEvidence]:
-    """Run the no-cycle scan over every grid cell in the conjectured zone.
+    """Run :func:`detect_limit_cycle` on every grid cell in the conjectured zone.
 
     Cells are filtered to region II-b (cases 4 and 6 with
-    1 + c - delta - b - b*delta > 0), off every boundary surface.  Results
-    come back in grid order whatever the worker count, so output files are
-    byte-identical across runs.
+    1 + c - delta - b - b*delta > 0), off every boundary surface.  A cell
+    reads cycle-found when the search finds a cycle, contraction-to-P2 when
+    it does not, and inconclusive when an orbit fails or stops returning.
+    Results come back in grid order whatever the worker count, so output
+    files are byte-identical across runs.
     """
     cfg = cfg or IntegratorConfig()
     work = []

@@ -368,6 +368,17 @@ def test_boundary_tags_fire_only_on_bands():
         assert classify_case(p).region == "S2"
 
 
+@pytest.mark.parametrize("eps", [1e-9, -1e-9, 1e-14, -1e-14])
+def test_float_band_width_is_pinned_from_both_sides(eps):
+    # A = 0 at b = 0.6 and b*delta = c - delta at b = 3 (c = 1, delta = 1/4): a relative
+    # distance of 1e-14 lies inside the float band, and 1e-9 outside it
+    near_a = classify_case(Params(0.6 * (1 + eps), 1.0, 0.25))
+    near_q1 = classify_case(Params(3.0 * (1 + eps), 1.0, 0.25))
+    inside = abs(eps) < 1e-12
+    assert near_a.boundary == (("A-zero",) if inside else ())
+    assert near_q1.boundary == (("case2-boundary",) if inside else ())
+
+
 def test_exact_and_float_modes_agree_off_boundaries():
     rng = np.random.default_rng(29)
     for _ in range(500):

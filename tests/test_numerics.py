@@ -24,7 +24,6 @@ from kportrait import (
     finite_singular_points,
     integrate,
     interior_point,
-    return_iterates,
     return_map,
     scan_to_csv,
     separatrix_section_crossing,
@@ -190,7 +189,12 @@ def test_return_map_contracts_from_outside():
 
 def test_return_map_monotone_decrease_in_dulac_zone():
     x2, _ = interior_point(P_DULAC)
-    seq, err = return_iterates(P_DULAC, 0.9, 6)
+    seq = [0.9]
+    for _ in range(6):
+        try:
+            seq.append(return_map(P_DULAC, seq[-1])[0])
+        except NoReturnError:  # absorbed by P2
+            break
     assert len(seq) >= 3
     assert all(b < a for a, b in zip(seq, seq[1:]))
     assert all(x > x2 for x in seq)
@@ -293,7 +297,9 @@ def test_walk_reads_the_section_map_turn_by_turn():
     # a start on the ray is the first crossing, and the walk settles after two turns at the earliest
     assert orbit.terminal == "hit-section" and len(xs) >= 3 and xs[0] == 0.9
     assert abs(xs[-1] - xs[-2]) <= _SETTLED < abs(xs[-2] - xs[-3])
-    iterates, _ = return_iterates(P_CYCLE, 0.9, len(xs) - 1)
+    iterates = [0.9]
+    for _ in xs[1:]:
+        iterates.append(return_map(P_CYCLE, iterates[-1])[0])
     assert max(abs(u - v) for u, v in zip(iterates, xs)) <= 1e-9
     times = [t for t, _, _ in orbit.samples]
     assert all(u < v for u, v in zip(times, times[1:]))
@@ -395,7 +401,7 @@ def test_conjecture_scan_filters_and_contracts():
         assert r.case in (4, 6, 7)
         assert 1 + r.c - r.delta - r.b - r.b * r.delta > 0
         assert r.verdict == "contraction-to-P2"
-        assert r.seeds and r.iterates
+        assert len(r.seeds) == 3
     # cells in cases 1/2/3/5 never appear
     labels = {(r.b, r.c, r.delta) for r in rows}
     for b, c, d in grid.cells():
@@ -417,7 +423,7 @@ def test_scan_cell_lets_programming_errors_raise(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("bug")
 
-    monkeypatch.setattr(numerics, "return_iterates", broken)
+    monkeypatch.setattr(numerics, "return_map", broken)
     grid = GridSpec(b=(0.9, 0.9, 1), c=(1.2, 1.2, 1), delta=(0.3, 0.3, 1))
     with pytest.raises(ValueError, match="bug"):
         conjecture_scan(grid, jobs=1)
@@ -449,12 +455,52 @@ def test_scan_cell_without_returns_is_inconclusive(monkeypatch):
     def failing(*args, **kwargs):
         raise IntegrationFailure("step size underflow", None)
 
-    monkeypatch.setattr(numerics, "return_iterates", failing)
+    monkeypatch.setattr(numerics, "return_map", failing)
     row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6, IntegratorConfig()))
     assert row.verdict == "inconclusive"
     fields = _csv_row(row)
     assert fields["verdict"] == "inconclusive"
     assert fields["section_x"] == fields["multiplier"] == fields["seeds"] == ""
+
+
+def test_scan_cell_asks_the_cycle_search_alone(monkeypatch):
+    # a contracting II-b cell costs the P1 separatrix turn, which both the seeds and the
+    # outer bracket read, and the one return map that finds the section map contracting
+    import kportrait.numerics as numerics
+
+    calls = {"integrate": 0, "return_map": 0}
+
+    def counted(name):
+        real = getattr(numerics, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(numerics, name, counted(name))
+    row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6, IntegratorConfig()))
+    assert row.verdict == "contraction-to-P2" and len(row.seeds) == 3
+    assert calls == {"integrate": 2, "return_map": 1}
+
+
+def test_outer_bracket_has_one_fallback(monkeypatch):
+    # a separatrix that does not return, or returns at or left of x2, gives the same offset
+    import kportrait.numerics as numerics
+
+    x2, _ = interior_point(P_DULAC)
+    fallback = x2 + 0.75 * max(1.0 - x2, x2)
+    cfg = IntegratorConfig()
+    assert numerics._outer_seed(P_DULAC, x2, cfg) == separatrix_section_crossing(P_DULAC, cfg)[0] != fallback
+
+    def no_return(p, cfg=None):
+        raise NoReturnError("separatrix did not reach the section", None)
+
+    for stand_in in (no_return, lambda p, cfg=None: (x2, 1.0), lambda p, cfg=None: (x2 - 0.1, 1.0)):
+        monkeypatch.setattr(numerics, "separatrix_section_crossing", stand_in)
+        assert numerics._outer_seed(P_DULAC, x2, cfg) == fallback
 
 
 def test_cycle_search_builds_the_stop_table_once(monkeypatch):
