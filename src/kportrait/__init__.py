@@ -5,9 +5,9 @@ analysis with the first Lyapunov coefficient, return-map
 limit-cycle detection, and SVG/JSON portrait output on the positive quarter
 of the Poincare disc.
 
-``model`` and ``compactify``, which every path loads, are imported with the
-package.  The names of ``local``, ``numerics`` and ``portrait`` are imported
-on first use (PEP 562), so a command loads only the modules it calls.
+``model`` and ``compactify`` are imported with the package; ``classify`` and ``hopf`` never call
+``compactify``, which is loaded for its public names and the benchmark's ``sys.modules`` lookup
+(ROADMAP item 9).  ``local``, ``numerics`` and ``portrait`` are imported on first use (PEP 562).
 """
 
 from .compactify import *  # noqa: F403

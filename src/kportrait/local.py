@@ -287,8 +287,8 @@ def uniqueness_check(p: Params) -> UniquenessReport:
     """Check conditions (i)-(iv) under the precondition 0 < b*d < c - d (the
     case-2 sign of ``classify_case``, as for the interior point).
 
-    All four hold whenever additionally A > 0; condition (iii) x* < a is
-    exactly equivalent to A > 0.
+    All four hold whenever additionally A > 0; (iii) x* < a is exactly A > 0.
+    (i), (ii) a > 0 and (iv) are read on the lift: c > delta, L > b, b <= L.
     """
     if p._case[1][0] >= 0:
         raise AnalysisError("uniqueness analysis needs 0 < b*delta < c - delta")
@@ -298,5 +298,5 @@ def uniqueness_check(p: Params) -> UniquenessReport:
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,
     # negative for all x > 0 exactly when b <= 1 (no positive root).
-    conditions = (c > d, a > 0, x_star < a, c > d and b <= L)
+    conditions = (c > d, L > b, x_star < a, c > d and b <= L)
     return UniquenessReport(g_slope=g, a=a, lam=lam, x_star=x_star, conditions_hold=conditions)

@@ -75,8 +75,8 @@ class NoReturnError(RuntimeError):
 
 
 def _is_exact(*vals: Number) -> bool:
-    # a float is never rational, and it is the slow case of the ABC check
-    return float not in map(type, vals) and all(isinstance(v, Rational) for v in vals)
+    # a float is never rational; int and Fraction are read by type, as the ABC check is slow on every type
+    return float not in (types := {*map(type, vals)}) and (types <= {int, Fraction} or all(isinstance(v, Rational) for v in vals))
 
 
 def _check_parameter(name: str, v: Number) -> None:

@@ -216,8 +216,8 @@ def test_scan_writes_csv(tmp_path, capsys):
 
 
 # sha256 of what `portrait` writes for portraits A, B and C, of what `scan`
-# writes for a 3x3x3 grid and of what `hopf` prints; a change that moves these
-# bytes updates the digests and names the change
+# writes for a 3x3x3 grid and of what `hopf` and `classify` print; a change that
+# moves these bytes updates the digests and names the change
 BYTE_GOLDEN = {
     "portrait-A": (
         ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
@@ -257,6 +257,20 @@ BYTE_GOLDEN = {
             ("12.92849458264166", "0.03581384505045391", "20ae743f2104c1464ce4ee72cfb4fa6250ed9fff61b87a6494294bfa5ae7e73b"),
             ("124.74322517734318", "12.720128777549203", "fc778bffb5d317da8d2ab9255b4a9e8de80919b5d6b2ca210fdc5de127d07ace"),
             ("0.024174174559989544", "0.013012029620689472", "2319d06b0e183ec1d4fa3b6dfe17ae815b481a3ba929f48ef9c12c3aebf5b71e"),
+        )
+    },
+    # the README float and --exact argv; exact case-3, 5 and 6 triples among the slowest tenth
+    # of the benchmark's analysis inputs; exact points on the case-2 and A = 0 surfaces
+    **{
+        f"classify-{name}": (["classify", *argv.split()], {"stdout": digest})
+        for name, argv, digest in (
+            ("readme", "--b 2 --c 1 --delta 1", "d66a426eae0f243c57cd13dcd9491767233de8996393af28410b4352183e1721"),
+            ("readme-exact", "--exact --b 3/10 --c 1 --delta 1/4", "965620050d5622282d24f47132b1af49d2b1e2d272009325b12b17c45654cbe1"),
+            ("case3", "--exact --b 13/921 --c 986/839 --delta 853/805", "f6b1c01a1158513ff028d7ea66053dab155ef037f196874d56e5e719376366e6"),
+            ("case5", "--exact --b 240/877 --c 726/793 --delta 211/885", "ec5b3e8f1a02dc786b774657853ad9ed6166a5d88d8903c957ed5aabf96114ed"),
+            ("case6", "--exact --b 1126/985 --c 1393/941 --delta 235/999", "31c9e41028c55d99ac6fea4503c3fb97d50d814ec96ef6aacc47d4a51d249b73"),
+            ("case2", "--exact --b 20/7 --c 27/20 --delta 7/20", "a3d1c6c02652c65e16422087d90973fc326345d418f55f2a13c77249dae8f301"),
+            ("a-zero", "--exact --b 10/17 --c 27/20 --delta 7/20", "0ca8ea8a396e219c9595ac872871ad8be543fa193c7da977cb4162d24206c6a1"),
         )
     },
 }

@@ -517,6 +517,36 @@ def test_uniqueness_precondition_is_the_banded_case2_sign():
         uniqueness_check(p)
 
 
+def _uniqueness_triples(rng, n):
+    """Exact and float triples with 0 < b*delta < c - delta: random ones, and exact ones on
+    A = 0 (x* = a) and at b = 1 (a = 0), where conditions (iii) and (ii) turn."""
+    out = []
+    while len(out) < n:
+        c, d = F(rng.randint(2, 60), rng.randint(1, 30)), F(rng.randint(1, 60), rng.randint(1, 30))
+        if not c > d:
+            continue
+        b = rng.choice(((c - d) / (c + d), F(1), (c - d) / d * F(rng.randint(1, 999), 1000)))
+        if b * d < c - d:
+            out += [(b, c, d), (float(b), float(c), float(d))]
+    return out
+
+
+def test_uniqueness_condition_ii_is_a_positive_and_iii_the_sign_of_a():
+    # (ii) is read as L > b on the lift, which must be a > 0 of the reported a; on exact
+    # input (iii) x* < a must be A > 0, as the docstring states
+    rng = random.Random(28)
+    seen = set()
+    for b, c, d in _uniqueness_triples(rng, 1500):
+        p = Params(b, c, d)
+        rep = uniqueness_check(p)
+        held = rep.conditions_hold
+        assert held[1] == (rep.a > 0), (b, c, d)
+        if p.is_exact:
+            assert held[2] == (discriminants(p).A > 0), (b, c, d)
+        seen.add((type(b), held[1:3]))
+    assert seen == {(t, w) for t in (F, float) for w in ((True, True), (True, False), (False, False))}
+
+
 @pytest.mark.parametrize("route", [hopf_analysis, lyapunov_procedural])
 @pytest.mark.parametrize(
     "c, delta", [(-1.0, -2.0), (1.0, 0.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf), (F(-1), 1)]

@@ -4,7 +4,9 @@ import hashlib
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -435,6 +437,51 @@ def rational_triples(n=170):
         q = rng.randint(1, 10**9)
         triples.append(tuple(F(rng.randint(1, 6 * q), q) for _ in range(3)))
     return triples + BOUNDARY_TRIPLES
+
+
+def _is_exact_by_abc(*vals) -> bool:
+    """The rule :func:`kportrait.model._is_exact` decides, by the ABC alone: no value of
+    type float, and every value a ``numbers.Rational``; the reference for its type tests."""
+    return float not in map(type, vals) and all(isinstance(v, Rational) for v in vals)
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+def test_is_exact_decides_as_the_abc_rule():
+    from kportrait.model import _is_exact
+
+    rng = random.Random(28)
+    makers = (
+        lambda: rng.randint(-9, 9),
+        lambda: rng.random() < 0.5,
+        lambda: F(rng.randint(-9, 9), rng.randint(1, 9)),
+        lambda: _Int(rng.randint(1, 9)),
+        lambda: _Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+        lambda: np.int64(rng.randint(1, 9)),
+        lambda: np.uint8(rng.randint(1, 9)),
+        lambda: Decimal(rng.randint(1, 99)) / 8,
+        lambda: rng.random(),
+        lambda: _Float(rng.random()),
+        lambda: np.float64(rng.random()),
+    )
+    seen = set()
+    for _ in range(4000):
+        vals = tuple(rng.choice(makers)() for _ in range(rng.randint(1, 5)))
+        want = _is_exact_by_abc(*vals)
+        assert _is_exact(*vals) is want, vals
+        seen.add(want)
+    assert seen == {True, False}
+    assert _is_exact() is _is_exact_by_abc() is True
 
 
 def test_integer_signs_match_fraction_evaluation():
