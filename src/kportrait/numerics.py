@@ -10,12 +10,13 @@ the family's closed-form field in that chart; the recorded ``time`` is the
 orbit parameter of the rescaled flow, which preserves orientation on Z > 0.
 
 ``integrate(..., section=y)`` stops an orbit at its first upward crossing
-of that horizontal line in the affine chart.  The crossing is located by
-bisection on controlled sub-steps, so the event state carries one local
-error, not an interpolation error.  The section for return maps is the
-horizontal ray right of the interior equilibrium, where upward crossings are
-provably transversal; a walk repeats such turns until the crossings settle.
-Orbits and cycle loops leave this module as plain lists of affine (x, y) tuples.
+of that horizontal line in the affine chart.  The crossing is the end of one
+controlled sub-step from the step start, its length found by regula falsi,
+so the event state carries one local error, not an interpolation error.  The
+section for return maps is the horizontal ray right of the interior
+equilibrium, where upward crossings are provably transversal; a walk repeats
+such turns until the crossings settle.  Orbits and cycle loops leave this
+module as plain lists of affine (x, y) tuples.
 """
 
 from __future__ import annotations
@@ -77,8 +78,11 @@ _AFFINE_CLAMP = 1e12  # S samples with Z < 1/_AFFINE_CLAMP map as if at that Z
 _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
 _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
 _CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to the S chart
-_EVENT_TOL = 1e-12  # relative width of the bisected event-time bracket
+_EVENT_TOL = 1e-12  # relative width of the event-time bracket
 _SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
+# P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at rel_tol 1e-8:
+# (1 - multiplier)/(2 rate) was 0.986 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.892 at 7.6e-6 for (2, 1/2)
+_HOPF_RATE_FLOOR = 1e-5
 _SETTLED = 1e-3  # successive crossings this close end a walk: the disc projection draws them within a pixel
 
 
@@ -154,6 +158,11 @@ _ATTRACTING = {
 }
 
 
+def _points(p: Params) -> list:
+    """:func:`finite_singular_points` of ``p``, kept in the instance ``__dict__`` of ``p``."""
+    return vars(p).get("_points") or vars(p).setdefault("_points", finite_singular_points(p))
+
+
 def _stops(p: Params, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
     """The equilibria that :func:`finite_singular_points` reports for ``p``, at their float
     images, with the mode that stops an orbit near each in the time direction ``sgn``.
@@ -164,7 +173,7 @@ def _stops(p: Params, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
     tables of both directions are kept in the instance ``__dict__`` of ``p``."""
     tables = vars(p).get("_stops")
     if tables is None:
-        pts = [(q.name, _to_float(q.location[0]), _to_float(q.location[1]), q.kind) for q in finite_singular_points(p)]
+        pts = [(q.name, _to_float(q.location[0]), _to_float(q.location[1]), q.kind) for q in _points(p)]
         tables = vars(p)["_stops"] = {
             s: tuple((name, x, y, "always" if kind in kinds else "axis-only") for name, x, y, kind in pts)
             for s, kinds in _ATTRACTING.items()
@@ -201,27 +210,37 @@ def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
     return f_affine
 
 
-def _locate_section(rhs, section, x0, y0, t0, h, k1x, k1y):
-    """Bisect the time at which an accepted step that starts below y = ``section``
-    reaches it.
-
-    Each probe is a single controlled sub-step from the step start, so the
-    located state carries one local truncation error rather than an
-    interpolation error.
-    """
-    lo, hi = 0.0, h
-    tol = _EVENT_TOL * max(1.0, abs(t0))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+def _bracket_root(fn, lo, f_lo, hi, f_hi, payload, tol):
+    """Regula falsi with the Illinois halving (Dowell and Jarratt, BIT 11, 1971) on a bracket where
+    ``fn(s)`` = (value, payload) has value ``f_lo`` > 0 at ``lo`` and ``f_hi`` <= 0 at ``hi``; the
+    ``hi`` end returns with its payload once the bracket is narrower than ``tol`` or ``f_hi`` is 0."""
+    side = 0
+    while f_hi and hi - lo > tol:
+        s = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        # a secant point on an end falls back to the midpoint; adjacent doubles end the search
+        if not lo < s < hi and not lo < (s := 0.5 * (lo + hi)) < hi:
             break
-        _, ym, _, _, _, _ = _dp_step(rhs, x0, y0, mid, k1x, k1y)
-        if ym >= section:
-            hi = mid
+        value, got = fn(s)
+        # an end kept twice in a row has its value halved, so both ends move
+        if value > 0.0:
+            lo, f_lo, f_hi, side = s, value, f_hi * (0.5 if side > 0 else 1.0), 1
         else:
-            lo = mid
-    xe, ye, _, _, _, _ = _dp_step(rhs, x0, y0, hi, k1x, k1y)
-    return t0 + hi, xe, ye
+            hi, f_hi, f_lo, side, payload = s, value, f_lo * (0.5 if side < 0 else 1.0), -1, got
+    return hi, payload
+
+
+def _locate_section(rhs, section, x0, y0, t0, h, k1x, k1y, xn, yn):
+    """Time and state at which an accepted step from (``x0``, ``y0``) below y = ``section``
+    to (``xn``, ``yn``) on or above it reaches it: the end of one controlled sub-step from
+    the step start, so the state carries one local truncation error rather than an
+    interpolation error, and lies on or above the section."""
+
+    def probe(s):
+        xe, ye, _, _, _, _ = _dp_step(rhs, x0, y0, s, k1x, k1y)
+        return section - ye, (xe, ye)
+
+    s, (xe, ye) = _bracket_root(probe, 0.0, section - y0, h, section - yn, (xn, yn), _EVENT_TOL * max(1.0, abs(t0)))
+    return t0 + s, xe, ye
 
 
 def integrate(
@@ -293,7 +312,7 @@ def integrate(
         tn = t + h
 
         if section is not None and chart == "affine" and y < section <= yn and tn > _SECTION_MIN_TIME:
-            te, xe, ye = _locate_section(rhs, section, x, y, t, h, k1x, k1y)
+            te, xe, ye = _locate_section(rhs, section, x, y, t, h, k1x, k1y, xn, yn)
             samples.append((te, "affine", (xe, ye)))
             terminal = "hit-section"
             break
@@ -462,22 +481,29 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     """Bracket and refine a fixed point of the section return map.
 
     Brackets between an inner seed just right of the interior point and the
-    separatrix crossing; refines with an Illinois secant until the
-    displacement is below 1e-9; the stability multiplier is a central finite
-    difference of the return map with step 1e-5 times the cycle offset.
+    separatrix crossing; refines the deflated displacement (P(s) - s)/(s - x2)
+    by regula falsi (Illinois) until the bracket is narrower than 1e-9 times the
+    inner seed's offset from x2; the stability multiplier is a central finite
+    difference of the return map with step 1e-5 times the cycle offset.  Where
+    P2 repels at less than ``_HOPF_RATE_FLOOR`` per turn, the search reports
+    "near-hopf" with the normal-form estimate 1 - multiplier = 2 rate instead.
     """
     cfg = cfg or IntegratorConfig()
     x2, _ = interior_point(p)
     x_outer = _outer_seed(p, x2, cfg)
-    span = x_outer - x2
-    x_in = x2 + max(1e-6, 1e-3 * span)
+    lam = _points(p)[-1].eigenvalues[1]  # P2's Re + i Im, Im >= 0: where A > 0 it repels at 2 pi Re/Im per turn
+    if p._case[1][1] > 0 and 2.0 * math.pi * lam.real < _HOPF_RATE_FLOOR * lam.imag:
+        detail = f"near-hopf: predicted 1 - multiplier ~ {4.0 * math.pi * lam.real / lam.imag:.3g}"
+        return CycleResult(False, None, None, None, False, detail)
+    x_in = x2 + max(1e-6, 1e-3 * (x_outer - x2))
 
-    def displacement(s: float) -> tuple[float, float]:
+    def deflated(s: float) -> tuple[float, float]:
+        # (P(s) - s)/(s - x2) stays O(1) near the Hopf point, where P(s) - s is O(s - x2)
         r, tof = return_map(p, s, cfg)
-        return r - s, tof
+        return (r - s) / (s - x2), tof
 
     try:
-        d_in, _ = displacement(x_in)
+        d_in, _ = deflated(x_in)
     except NoReturnError:
         return CycleResult(False, None, None, None, False, "inner orbit absorbed by P2")
     if d_in <= 0.0:
@@ -486,7 +512,7 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     d_out = None
     for _ in range(4):
         try:
-            d_out, _ = displacement(x_outer)
+            d_out, tof = deflated(x_outer)
         except NoReturnError:
             x_outer = x2 + 0.6 * (x_outer - x2)
             continue
@@ -496,37 +522,11 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     if d_out is None or d_out >= 0.0:
         return CycleResult(False, None, None, None, False, "no outer contraction bracket")
 
-    a, fa = x_in, d_in
-    bnd, fb = x_outer, d_out
-    root = tof = None
-    side = 0
-    for _ in range(80):
-        s = (a * fb - bnd * fa) / (fb - fa)
-        if not (a < s < bnd):
-            s = 0.5 * (a + bnd)
-        fs, tof_s = displacement(s)
-        if abs(fs) <= 1e-9 or bnd - a < 1e-13:
-            root, tof = s, tof_s
-            break
-        if fs > 0.0:
-            a, fa = s, fs
-            if side == +1:
-                fb *= 0.5
-            side = +1
-        else:
-            bnd, fb = s, fs
-            if side == -1:
-                fa *= 0.5
-            side = -1
-    if root is None:
-        root = 0.5 * (a + bnd)
-        _, tof = displacement(root)
-
+    root, tof = _bracket_root(deflated, x_in, d_in, x_outer, d_out, tof, 1e-9 * (x_in - x2))
     hstep = 1e-5 * (root - x2)
     rp, _ = return_map(p, root + hstep, cfg)
     rm, _ = return_map(p, root - hstep, cfg)
-    multiplier = abs((rp - rm) / (2.0 * hstep))
-    return CycleResult(True, float(root), float(tof), float(multiplier), True)
+    return CycleResult(True, float(root), float(tof), abs((rp - rm) / (2.0 * hstep)), True)
 
 
 def cycle_loop(p: Params, cycle: CycleResult, cfg: Optional[IntegratorConfig] = None) -> list[tuple[float, float]]:

@@ -230,20 +230,20 @@ BYTE_GOLDEN = {
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
             "svg": "4b59253359f3dcfaf3352fa8a9f607fa881346e56d8dc775b860e46cf1e53679",
-            "json": "35430c94f210d257c138857e65c4a6bc5391040ba37c4557e7a46b53e4b8ae47",
+            "json": "13193fd37983226c3ca289bbbaa5742c7ea6924adbb3c17bbb250ffa6afb1867",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
             "svg": "28bd1145c435abd48fc9b0f3a493830d984a54271db8c8193baf2de8a692370e",
-            "json": "ae13e990e90efd5873ef9c552f21076c417b803cf71c77afae1c34b383a179dd",
+            "json": "ff995b26df8ca771ffb69cf9ee20e08913bf8b0cfb264a74145f15ce4fdc1c6b",
         },
     ),
     **{
         f"scan-jobs{jobs}": (
             ["scan", "--grid", "0.65:1.3:3,0.9:1.5:3,0.15:0.4:3", "--jobs", jobs],
-            {"csv": "19d1ffc6d914501bd7e80a62665ac44fbeeeb0c90f0e9a40f7aead298c37aae6"},
+            {"csv": "40f441340a60c0f32c616f069c18d4e7ed3efff686041379a21fb240f76da267"},
         )
         for jobs in ("1", "2")
     },

@@ -17,6 +17,7 @@ from kportrait import (
     IntegratorConfig,
     NoReturnError,
     Params,
+    build_portrait,
     classify_case,
     conjecture_scan,
     cycle_loop,
@@ -282,6 +283,24 @@ def test_cycle_amplitude_hopf_scaling():
         amps[db] = max(math.hypot(x - x2, y - y2) for x, y in cycle_loop(p, detect_limit_cycle(p)))
     ratio = amps[0.01] / amps[0.0025]
     assert ratio == pytest.approx(2.0, rel=0.2)
+
+
+@pytest.mark.parametrize("c, delta", [(1.0, 0.25), (2.0, 0.5), (1.5, 0.1)])
+def test_near_hopf_multiplier_follows_the_normal_form_or_says_near_hopf(c, delta):
+    # below the supercritical Hopf point b0 = (c - delta)/(c + delta) the cycle is born with
+    # 1 - multiplier = 4 pi Re/Im of P2's eigenvalues to leading order; where the integrator
+    # cannot resolve that, the search says so instead of reporting another cycle, and from
+    # eps = 1e-4 on it always resolves it
+    b0 = (c - delta) / (c + delta)
+    for k in range(9):
+        eps = 10 ** (-3 - k / 2)
+        p = Params(b0 - eps, c, delta)
+        lam = next(q.eigenvalues[1] for q in finite_singular_points(p) if q.name == "P2")
+        res = detect_limit_cycle(p)
+        if res.found:
+            assert 1.0 - res.multiplier == pytest.approx(4.0 * math.pi * lam.real / lam.imag, rel=0.05), eps
+        else:
+            assert res.detail.startswith("near-hopf:") and eps < 1e-4, (eps, res.detail)
 
 
 def test_cycle_loop_closes():
@@ -569,6 +588,49 @@ def test_custom_stop_event():
     _, chart, (_, y) = orbit.samples[-1]
     assert chart == "affine" and abs(y - 0.6) <= 1e-8
     assert orbit.samples[-2][2][1] < 0.6
+
+
+def test_section_events_lie_one_controlled_step_from_the_previous_sample(monkeypatch):
+    # a hit-section sample is the end of one Dormand-Prince sub-step from the sample before
+    # it, so it carries one local error and no interpolation error, and it lies on or above
+    # the section; te - t_prev is that sub-step up to the rounding of te
+    import kportrait.numerics as numerics
+
+    rng = random.Random(29)
+    turns = 0
+    while turns < 24:
+        p = Params(10 ** rng.uniform(-1, 0), 10 ** rng.uniform(-0.3, 0.5), 10 ** rng.uniform(-1, -0.3))
+        if classify_case(p).case not in (3, 5):  # P2 repels, and every orbit turns around it
+            continue
+        turns += 1
+        x2, y2 = interior_point(p)
+        section = y2 * rng.uniform(0.6, 1.0)
+        orbit = integrate(p, (x2 + rng.uniform(0.01, 0.5), 0.5 * section), "forward", section=section)
+        assert orbit.terminal == "hit-section"
+        (t0, chart0, (x0, y0)), (te, chart, (xe, ye)) = orbit.samples[-2:]
+        assert chart0 == chart == "affine" and y0 < section <= ye
+        rhs = numerics._rhs(*p._float, 1.0, "affine")
+        xs, ys, _, _, _, _ = numerics._dp_step(rhs, x0, y0, te - t0, *rhs(x0, y0))
+        tol = math.ulp(te) * (1.0 + math.hypot(*rhs(xe, ye))) + 4.0 * math.ulp(max(xe, ye))
+        assert abs(xs - xe) <= tol and abs(ys - ye) <= tol
+    # a crossing of the README B portrait costs at most 8 sub-steps of the event search
+    steps, probes = [0], []
+    real_step, real_locate = numerics._dp_step, numerics._locate_section
+
+    def counted_step(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    def counted_locate(*args):
+        before = steps[0]
+        located = real_locate(*args)
+        probes.append(steps[0] - before)
+        return located
+
+    monkeypatch.setattr(numerics, "_dp_step", counted_step)
+    monkeypatch.setattr(numerics, "_locate_section", counted_locate)
+    build_portrait(Params(0.5, 1.0, 0.25))
+    assert len(probes) > 100 and max(probes) <= 8
 
 
 def test_step_error_overflow_rejects_the_step():
