@@ -9,14 +9,14 @@ equator points are O1 = (1, 0) and O2 = (0, 1), and integration continues on
 the family's closed-form field in that chart; the recorded ``time`` is the
 orbit parameter of the rescaled flow, which preserves orientation on Z > 0.
 
-``integrate(..., section=y)`` stops an orbit at its first upward crossing
-of that horizontal line in the affine chart.  The crossing is the end of one
-controlled sub-step from the step start, its length found by regula falsi,
-so the event state carries one local error, not an interpolation error.  The
-section for return maps is the horizontal ray right of the interior
-equilibrium, where upward crossings are provably transversal; a walk repeats
-such turns until the crossings settle.  Orbits and cycle loops leave this
-module as plain lists of affine (x, y) tuples.
+``integrate(..., section=y)`` stops an orbit at its first crossing of that
+horizontal line in the affine chart, upward forward and downward backward.
+The crossing is the end of one controlled sub-step from the step start, its
+length found by regula falsi, so the event state carries one local error, not
+an interpolation error.  Return maps use the ray of that line right of the
+interior equilibrium, which the forward flow crosses upward and transversally;
+a walk repeats such turns in either time direction until the crossings
+settle.  Orbits and cycle loops leave this module as affine (x, y) tuples.
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
 
 
 def _bracket_root(fn, lo, f_lo, hi, f_hi, payload, tol):
-    """Regula falsi with the Illinois halving (Dowell and Jarratt, BIT 11, 1971) on a bracket where
-    ``fn(s)`` = (value, payload) has value ``f_lo`` > 0 at ``lo`` and ``f_hi`` <= 0 at ``hi``; the
+    """Regula falsi with the Anderson-Bjorck scaling (Anderson and Bjorck, BIT 13, 1973) on a bracket
+    where ``fn(s)`` = (value, payload) has value ``f_lo`` > 0 at ``lo`` and ``f_hi`` <= 0 at ``hi``; the
     ``hi`` end returns with its payload once the bracket is narrower than ``tol`` or ``f_hi`` is 0."""
     side = 0
     while f_hi and hi - lo > tol:
@@ -221,25 +221,27 @@ def _bracket_root(fn, lo, f_lo, hi, f_hi, payload, tol):
         if not lo < s < hi and not lo < (s := 0.5 * (lo + hi)) < hi:
             break
         value, got = fn(s)
-        # an end kept twice in a row has its value halved, so both ends move
+        # an end kept twice in a row is scaled by m = 1 - value/(value replaced), 0.5 if m <= 0, so both ends move
         if value > 0.0:
-            lo, f_lo, f_hi, side = s, value, f_hi * (0.5 if side > 0 else 1.0), 1
+            m = 1.0 - value / f_lo if side > 0 else 1.0
+            lo, f_lo, f_hi, side = s, value, f_hi * (m if m > 0.0 else 0.5), 1
         else:
-            hi, f_hi, f_lo, side, payload = s, value, f_lo * (0.5 if side < 0 else 1.0), -1, got
+            m = 1.0 - value / f_hi if side < 0 else 1.0
+            hi, f_hi, f_lo, side, payload = s, value, f_lo * (m if m > 0.0 else 0.5), -1, got
     return hi, payload
 
 
-def _locate_section(rhs, section, x0, y0, t0, h, k1x, k1y, xn, yn):
-    """Time and state at which an accepted step from (``x0``, ``y0``) below y = ``section``
-    to (``xn``, ``yn``) on or above it reaches it: the end of one controlled sub-step from
-    the step start, so the state carries one local truncation error rather than an
-    interpolation error, and lies on or above the section."""
+def _locate_section(rhs, sgn, section, x0, y0, t0, h, k1x, k1y, xn, yn):
+    """Time and state at which an accepted step from (``x0``, ``y0``), short of y = ``section``
+    in the direction ``sgn`` of y, to (``xn``, ``yn``) on or past it reaches it: the end of one
+    controlled sub-step from the step start, so the state carries one local truncation error
+    rather than an interpolation error, and lies on or past the section."""
 
     def probe(s):
         xe, ye, _, _, _, _ = _dp_step(rhs, x0, y0, s, k1x, k1y)
-        return section - ye, (xe, ye)
+        return sgn * (section - ye), (xe, ye)
 
-    s, (xe, ye) = _bracket_root(probe, 0.0, section - y0, h, section - yn, (xn, yn), _EVENT_TOL * max(1.0, abs(t0)))
+    s, (xe, ye) = _bracket_root(probe, 0.0, sgn * (section - y0), h, sgn * (section - yn), (xn, yn), _EVENT_TOL * max(1.0, abs(t0)))
     return t0 + s, xe, ye
 
 
@@ -256,9 +258,9 @@ def integrate(
     orbit record switches to the S chart beyond affine radius 10, and back
     inside radius 9, and terminates on max-time, convergence to an
     equilibrium, escape to infinity (Z <= 1e-9, at O1 when Y < X/2), the
-    located first upward crossing of the line y = ``section`` in the affine
-    chart after time 1e-9 (hit-section), or the excluded neighbourhood of the
-    degenerate point O2 at the top of the disc (chart-boundary-loop).
+    located first crossing of the line y = ``section`` in the affine chart
+    after time 1e-9, upward forward and downward backward (hit-section), or
+    the excluded neighbourhood of the degenerate O2 (chart-boundary-loop).
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
@@ -311,8 +313,8 @@ def integrate(
                 )
         tn = t + h
 
-        if section is not None and chart == "affine" and y < section <= yn and tn > _SECTION_MIN_TIME:
-            te, xe, ye = _locate_section(rhs, section, x, y, t, h, k1x, k1y, xn, yn)
+        if section is not None and chart == "affine" and sgn * y < sgn * section <= sgn * yn and tn > _SECTION_MIN_TIME:
+            te, xe, ye = _locate_section(rhs, sgn, section, x, y, t, h, k1x, k1y, xn, yn)
             samples.append((te, "affine", (xe, ye)))
             terminal = "hit-section"
             break
@@ -387,26 +389,26 @@ def return_map(p: Params, x: float, cfg: Optional[IntegratorConfig] = None) -> t
     return float(xn), float(t)
 
 
-def _turn(p: Params, start, cfg: Optional[IntegratorConfig], y2: float, what: str) -> Orbit:
-    """The forward orbit from ``start`` to its next located upward crossing of
+def _turn(p: Params, start, cfg: Optional[IntegratorConfig], y2: float, what: str, direction: str = "forward") -> Orbit:
+    """The orbit from ``start`` in ``direction`` to its next located crossing of
     y = ``y2``; NoReturnError "``what`` (terminal detail)" on any other terminal.
 
-    The turn from the P1 separatrix seed, which both ``detect_limit_cycle`` and the
-    separatrix walk of ``build_portrait`` take, is integrated once per config and
-    kept in the instance ``__dict__`` of ``p``."""
+    The forward turn from the P1 separatrix seed, which both ``detect_limit_cycle``
+    and the separatrix walk of ``build_portrait`` take, is integrated once per
+    config and kept in the instance ``__dict__`` of ``p``."""
     cfg = cfg or IntegratorConfig()
-    if start != _p1_separatrix_start(p):
-        orbit = integrate(p, start, "forward", cfg, section=y2)
+    if direction != "forward" or start != _p1_separatrix_start(p):
+        orbit = integrate(p, start, direction, cfg, section=y2)
     elif (orbit := vars(p).setdefault("_p1_turns", {}).get(cfg)) is None:
-        orbit = vars(p)["_p1_turns"][cfg] = integrate(p, start, "forward", cfg, section=y2)
+        orbit = vars(p)["_p1_turns"][cfg] = integrate(p, start, direction, cfg, section=y2)
     if orbit.terminal != "hit-section":
         raise NoReturnError(f"{what} ({' '.join(filter(None, (orbit.terminal, orbit.detail)))})", orbit)
     return orbit
 
 
-def _walk(p: Params, start, cfg: IntegratorConfig) -> tuple[Orbit, list[float]]:
-    """The forward orbit from ``start`` turn by turn, with the abscissae of its
-    section crossings.
+def _walk(p: Params, start, cfg: IntegratorConfig, direction: str = "forward") -> tuple[Orbit, list[float]]:
+    """The orbit from ``start`` in ``direction`` turn by turn, with the abscissae
+    of its crossings of the section ray, upward forward and downward backward.
 
     A start on the section ray is the first crossing.  The walk ends at a
     terminal, at ``cfg.max_time`` summed over its turns, or once the crossings
@@ -420,7 +422,7 @@ def _walk(p: Params, start, cfg: IntegratorConfig) -> tuple[Orbit, list[float]]:
     t0 = 0.0
     while True:
         try:
-            orbit = _turn(p, start, replace(cfg, max_time=cfg.max_time - t0), y2, "")
+            orbit = _turn(p, start, replace(cfg, max_time=cfg.max_time - t0), y2, "", direction)
         except NoReturnError as err:
             orbit = err.orbit
         # a later turn starts at the crossing that ended the one before
@@ -482,7 +484,7 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
 
     Brackets between an inner seed just right of the interior point and the
     separatrix crossing; refines the deflated displacement (P(s) - s)/(s - x2)
-    by regula falsi (Illinois) until the bracket is narrower than 1e-9 times the
+    by regula falsi (Anderson-Bjorck) until the bracket is narrower than 1e-9 times the
     inner seed's offset from x2; the stability multiplier is a central finite
     difference of the return map with step 1e-5 times the cycle offset.  Where
     P2 repels at less than ``_HOPF_RATE_FLOOR`` per turn, the search reports

@@ -162,21 +162,19 @@ def build_portrait(p: Params) -> PortraitReport:
         except (NoReturnError, IntegrationFailure) as err:
             warnings.append(f"cycle-detection-failed: {err}")
 
-    has_p2 = any(q.name == "P2" for q in pts)
-
     def limit_of(orbit: Orbit, sgn: float, xs: list[float]) -> str:
         if orbit.terminal in ("converged-to-point", "escaped", "chart-boundary-loop"):
             return orbit.detail
         if len(xs) > 1:
-            # the return map is monotone, so the crossings converge: in cases 3 and 5, where P2 repels,
-            # onto the unique cycle; in cases 4, 6 and 7, cleared of cycles by the Dulac function
-            # y^(gamma-1)/x, into P2 when it attracts
+            # the return map is monotone, so the crossings converge: forward in cases 3 and 5 onto the
+            # unique cycle; else, falling, into P2 where it attracts, the one limit set left inside the
+            # cycle and in cases 4, 6 and 7, which the Dulac function y^(gamma-1)/x clears of cycles
             steps = [v - u for u, v in zip(xs, xs[1:])]
-            if label.case in (3, 5):
+            if sgn > 0 and label.case in (3, 5):
                 toward = cycle is None or cycle.section_x is None or (cycle.section_x - xs[-1]) * steps[-1] > 0
                 if toward and (min(steps) > 0 or max(steps) < 0):
                     return "cycle"
-            elif max(steps) < 0 and ("P2", "always") in [(name, mode) for name, _, _, mode in _stops(p, 1.0)]:
+            elif max(steps) < 0 and ("P2", "always") in [(name, mode) for name, _, _, mode in _stops(p, sgn)]:
                 return "P2"
             return "unresolved"
         _, ch, (ax, ay) = orbit.samples[-1]
@@ -201,11 +199,11 @@ def build_portrait(p: Params) -> PortraitReport:
 
     def half(start, direction: str) -> tuple[list[tuple[float, float]], str]:
         """Affine points and limit of the half-orbit from ``start``, walked turn by
-        turn when it runs forward and P2, with its section ray, exists."""
+        turn in cases 3-7, where P2, with its section ray, exists."""
         xs: list[float] = []
         try:
-            if has_p2 and direction == "forward":
-                orbit, xs = _walk(p, start, cfg)
+            if label.case > 2:
+                orbit, xs = _walk(p, start, cfg, direction)
             else:
                 orbit = integrate(p, start, direction, cfg)
         except IntegrationFailure as err:
@@ -237,7 +235,7 @@ def build_portrait(p: Params) -> PortraitReport:
         separatrices.append(trace("separatrix", "P1", "unstable", _p1_separatrix_start(p), alpha="P1"))
 
     rep_traces: list[OrbitTrace] = []
-    if has_p2:
+    if label.case > 2:
         x2, y2 = interior_point(p)
         x_hi = x2 + 0.8 * (1.0 - x2) if x2 < 1.0 else 2.0 * x2
         for k in range(_REPRESENTATIVES):

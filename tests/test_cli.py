@@ -229,21 +229,21 @@ BYTE_GOLDEN = {
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "4b59253359f3dcfaf3352fa8a9f607fa881346e56d8dc775b860e46cf1e53679",
-            "json": "13193fd37983226c3ca289bbbaa5742c7ea6924adbb3c17bbb250ffa6afb1867",
+            "svg": "da53d062b8bb46ebcc06a114d1e62471723d2c18042abb648e14f7b67fbe1020",
+            "json": "c01a840722c9b8d9f9cf42091b2aaf71ade395ed92baeb3f79fd669daa1c0860",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "28bd1145c435abd48fc9b0f3a493830d984a54271db8c8193baf2de8a692370e",
-            "json": "ff995b26df8ca771ffb69cf9ee20e08913bf8b0cfb264a74145f15ce4fdc1c6b",
+            "svg": "419f01a774f77b7997ccb508ce67d8c0a8dc6cdbe23a28dc0bcf833f774e36f3",
+            "json": "6d3d48bbe2efd4d3f104ab4b168197232cb853b99426ace8224aadf5d36db294",
         },
     ),
     **{
         f"scan-jobs{jobs}": (
             ["scan", "--grid", "0.65:1.3:3,0.9:1.5:3,0.15:0.4:3", "--jobs", jobs],
-            {"csv": "40f441340a60c0f32c616f069c18d4e7ed3efff686041379a21fb240f76da267"},
+            {"csv": "d9d3a30af871fd7d124ebd4f7ccb591de07c787d3294bed85a55e5bfd0bc589b"},
         )
         for jobs in ("1", "2")
     },

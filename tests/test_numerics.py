@@ -590,6 +590,18 @@ def test_custom_stop_event():
     assert orbit.samples[-2][2][1] < 0.6
 
 
+def test_backward_section_event_is_the_downward_crossing_of_the_ray():
+    # in reverse time the section ray y = y2, x > x2 is crossed downward, since y' > 0 there
+    # forward; the event state lies on or below the line, one step past the sample above it
+    x2, y2 = interior_point(P_CYCLE)
+    orbit = integrate(P_CYCLE, (0.3, y2), "backward", section=y2)
+    assert orbit.terminal == "hit-section"
+    (_, chart0, (_, y0)), (_, chart, (x, y)) = orbit.samples[-2:]
+    assert chart0 == chart == "affine" and y0 > y2 >= y and y2 - y <= 1e-12 and x > x2
+    # the crossing is the preimage of the start under the return map, to the integration tolerance
+    assert return_map(P_CYCLE, x)[0] == pytest.approx(0.3, abs=1e-7)
+
+
 def test_section_events_lie_one_controlled_step_from_the_previous_sample(monkeypatch):
     # a hit-section sample is the end of one Dormand-Prince sub-step from the sample before
     # it, so it carries one local error and no interpolation error, and it lies on or above

@@ -179,15 +179,18 @@ def test_reported_limits_attract_in_their_time_direction(triple):
 def test_axis_traces_come_from_the_closed_form(triple, monkeypatch):
     # on y = 0 the field is x' = -x(x - 1)(x + b), on x = 0 it is y' = -delta*b*y, so
     # P0's separatrices are P0 -> P1 and O2 -> P0 and no orbit is integrated on an axis
+    import kportrait.numerics as numerics
     import kportrait.portrait as portrait
 
     starts = []
-    real = portrait.integrate
+    real = numerics.integrate
 
     def recorded(p, start, *args, **kwargs):
         starts.append(start)
         return real(p, start, *args, **kwargs)
 
+    # where P2 exists both halves reach integrate through the section walk of numerics
+    monkeypatch.setattr(numerics, "integrate", recorded)
     monkeypatch.setattr(portrait, "integrate", recorded)
     unstable, stable = build_portrait(Params(*triple)).separatrices[:2]
     assert (unstable.role, unstable.origin, unstable.stability) == ("axis", "P0", "unstable")
@@ -224,13 +227,15 @@ def test_the_p1_separatrix_turn_is_integrated_once(monkeypatch):
     p = Params(0.5, 1.0, 0.25)  # README B
     seed = numerics._p1_separatrix_start(p)
     want = report_to_dict(build_portrait(p))
-    assert len(starts) == 117 and starts.count(seed) == 1
+    # 168 calls: besides the cycle search and the forward walks, the eight backward halves are
+    # walked turn by turn, one call per turn, where each was one call to max_time before
+    assert len(starts) == 168 and starts.count(seed) == 1
     # the kept turn pickles with the other caches of p, and a second pass integrates it no more
     back = pickle.loads(pickle.dumps(p))
     assert back == p and vars(back).keys() == vars(p).keys()
     starts.clear()
     assert report_to_dict(build_portrait(back)) == want and numerics.separatrix_section_crossing(back)
-    assert len(starts) == 116 and seed not in starts
+    assert len(starts) == 167 and seed not in starts
 
 
 @pytest.mark.parametrize(
@@ -266,6 +271,46 @@ def test_forward_limits_come_from_the_section_crossings(triple, limit):
     assert [tr.omega_limit for tr in rep.representatives] == [limit] * 8
     (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
     assert sep.omega_limit == limit
+
+
+def test_backward_halves_are_walked_and_read_alpha_from_their_crossings(monkeypatch):
+    # README B: inside the cycle the backward crossings of the section ray fall toward x2 and
+    # settle, which gives alpha = P2 where P2 repels; the two outer orbits escape to O1
+    import kportrait.portrait as portrait
+
+    walks = []
+    real = portrait._walk
+
+    def recorded(p, start, cfg, direction):
+        walks.append((direction, *real(p, start, cfg, direction)))
+        return walks[-1][1:]
+
+    monkeypatch.setattr(portrait, "_walk", recorded)
+    rep = build_portrait(Params(0.5, 1.0, 0.25))
+    back = [(orbit, xs) for direction, orbit, xs in walks if direction == "backward"]
+    assert len(back) == 8
+    for orbit, _ in back[:2]:
+        assert (orbit.terminal, orbit.detail) == ("escaped", "O1")
+    for orbit, xs in back[2:]:
+        assert orbit.terminal == "hit-section" and len(xs) > 2
+        assert all(v < u for u, v in zip(xs, xs[1:])), xs
+    assert [tr.alpha_limit for tr in rep.representatives] == ["O1"] * 2 + ["P2"] * 6
+    assert [tr.omega_limit for tr in rep.representatives] == ["cycle"] * 8
+
+
+@pytest.mark.parametrize("start_x, direction", [(0.9, "forward"), (0.3, "backward")])
+def test_a_settled_walk_draws_its_last_two_crossings_within_a_pixel(start_x, direction):
+    # README B: a walk stops once two successive crossings are too close to tell apart on the
+    # 640 px disc, onto the cycle forward and into P2 backward
+    from kportrait.numerics import IntegratorConfig, _walk, interior_point
+    from kportrait.portrait import _MARGIN, _SIZE
+
+    p = Params(0.5, 1.0, 0.25)
+    _, y2 = interior_point(p)
+    orbit, xs = _walk(p, (start_x, y2), IntegratorConfig(), direction)
+    assert orbit.terminal == "hit-section" and orbit.samples[-1][0] < IntegratorConfig().max_time
+    (u0, v0), (u1, v1) = (_project(x, y2) for x in xs[-2:])
+    assert (_SIZE - 2.0 * _MARGIN) * math.hypot(u1 - u0, v1 - v0) < 1.0, xs[-2:]
 
 
 def test_portrait_letter_matches_classification(report_a, report_b, report_c):
