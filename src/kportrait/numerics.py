@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, classify_case, finite_singular_points
-from .model import _range_error, _to_float
+from .model import _Record, _range_error, _to_float
 
 __all__ = [
     "IntegratorConfig",
@@ -83,24 +82,29 @@ _SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start its
 # P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at rel_tol 1e-8:
 # (1 - multiplier)/(2 rate) was 0.986 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.892 at 7.6e-6 for (2, 1/2)
 _HOPF_RATE_FLOOR = 1e-5
+# the share of b0 = (c - delta)/(c + delta) below b0 (A > 0 puts b there) where that normal form is trusted: the
+# floor binds at (b0 - b)/b0 <= 1.2e-5 on the tests' Hopf grid, and found multipliers follow it within 5% to 1.7e-3
+_HOPF_BAND = 1e-3
 _SETTLED = 1e-3  # successive crossings this close end a walk: the disc projection draws them within a pixel
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_step: float = 0.5
-    max_time: float = 400.0
+# a record, not a NamedTuple, which cannot validate: callers rebuild one with IntegratorConfig(**{**vars(cfg), ...})
+class IntegratorConfig(_Record):
+    """Tolerances, step cap and time budget of :func:`integrate`, each strictly positive."""
 
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "max_step", "max_time"):
-            if not getattr(self, name) > 0:
+    abs_tol: float
+    rel_tol: float
+    max_step: float
+    max_time: float
+
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_step: float = 0.5, max_time: float = 400.0) -> None:
+        self.__dict__.update(abs_tol=abs_tol, rel_tol=rel_tol, max_step=max_step, max_time=max_time)
+        for name, v in vars(self).items():
+            if not v > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
-@dataclass
-class Orbit:
+class Orbit(NamedTuple):
     """Recorded trajectory: (time, chart, point) triples plus a terminal tag.
 
     The chart of a sample is "affine" or "S".  Terminal is one of max-time,
@@ -422,7 +426,7 @@ def _walk(p: Params, start, cfg: IntegratorConfig, direction: str = "forward") -
     t0 = 0.0
     while True:
         try:
-            orbit = _turn(p, start, replace(cfg, max_time=cfg.max_time - t0), y2, "", direction)
+            orbit = _turn(p, start, IntegratorConfig(**{**vars(cfg), "max_time": cfg.max_time - t0}), y2, "", direction)
         except NoReturnError as err:
             orbit = err.orbit
         # a later turn starts at the crossing that ended the one before
@@ -467,8 +471,7 @@ def _outer_seed(p: Params, x2: float, cfg: IntegratorConfig) -> float:
     return xs if xs > x2 else x2 + 0.75 * max(1.0 - x2, x2)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     """Outcome of the return-map fixed-point search."""
 
     found: bool
@@ -482,19 +485,21 @@ class CycleResult:
 def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> CycleResult:
     """Bracket and refine a fixed point of the section return map.
 
-    Brackets between an inner seed just right of the interior point and the
-    separatrix crossing; refines the deflated displacement (P(s) - s)/(s - x2)
-    by regula falsi (Anderson-Bjorck) until the bracket is narrower than 1e-9 times the
-    inner seed's offset from x2; the stability multiplier is a central finite
-    difference of the return map with step 1e-5 times the cycle offset.  Where
-    P2 repels at less than ``_HOPF_RATE_FLOOR`` per turn, the search reports
-    "near-hopf" with the normal-form estimate 1 - multiplier = 2 rate instead.
+    Brackets between an inner seed just right of the interior point and the separatrix
+    crossing; refines the deflated displacement (P(s) - s)/(s - x2) by regula falsi
+    (Anderson-Bjorck) to a bracket narrower than 1e-9 times the inner seed's offset from x2;
+    the multiplier is a central difference of the return map with step 1e-5 times the cycle
+    offset.  Where P2 repels at less than ``_HOPF_RATE_FLOOR`` per turn with b within
+    ``_HOPF_BAND`` b0 below b0, it reports "near-hopf" with the normal-form estimate
+    1 - multiplier = 2 rate.  A miss names the terminal of the inner orbit, or of the last
+    outer one, that did not return, or where the section map expands.
     """
     cfg = cfg or IntegratorConfig()
     x2, _ = interior_point(p)
     x_outer = _outer_seed(p, x2, cfg)
     lam = _points(p)[-1].eigenvalues[1]  # P2's Re + i Im, Im >= 0: where A > 0 it repels at 2 pi Re/Im per turn
-    if p._case[1][1] > 0 and 2.0 * math.pi * lam.real < _HOPF_RATE_FLOOR * lam.imag:
+    b, c, d = p._float
+    if p._case[1][1] > 0 and b >= (1.0 - _HOPF_BAND) * (c - d) / (c + d) and 2.0 * math.pi * lam.real < _HOPF_RATE_FLOOR * lam.imag:
         detail = f"near-hopf: predicted 1 - multiplier ~ {4.0 * math.pi * lam.real / lam.imag:.3g}"
         return CycleResult(False, None, None, None, False, detail)
     x_in = x2 + max(1e-6, 1e-3 * (x_outer - x2))
@@ -506,23 +511,22 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
 
     try:
         d_in, _ = deflated(x_in)
-    except NoReturnError:
-        return CycleResult(False, None, None, None, False, "inner orbit absorbed by P2")
+    except NoReturnError as err:
+        return CycleResult(False, None, None, None, False, f"inner {err}")
     if d_in <= 0.0:
         return CycleResult(False, None, None, None, False, "section map contracts toward P2")
 
-    d_out = None
     for _ in range(4):
         try:
             d_out, tof = deflated(x_outer)
-        except NoReturnError:
-            x_outer = x2 + 0.6 * (x_outer - x2)
+        except NoReturnError as err:
+            why, x_outer = f"outer {err}", x2 + 0.6 * (x_outer - x2)
             continue
         if d_out < 0.0:
             break
-        x_outer = x2 + 1.5 * (x_outer - x2)
-    if d_out is None or d_out >= 0.0:
-        return CycleResult(False, None, None, None, False, "no outer contraction bracket")
+        why, x_outer = f"section map expands at x = {x_outer:.6g}", x2 + 1.5 * (x_outer - x2)
+    else:
+        return CycleResult(False, None, None, None, False, f"no outer contraction bracket: {why}")
 
     root, tof = _bracket_root(deflated, x_in, d_in, x_outer, d_out, tof, 1e-9 * (x_in - x2))
     hstep = 1e-5 * (root - x2)
@@ -535,13 +539,12 @@ def cycle_loop(p: Params, cycle: CycleResult, cfg: Optional[IntegratorConfig] = 
     """One period of the detected cycle, sampled densely as affine (x, y) points."""
     if not cycle.found or cycle.section_x is None:
         raise ValueError("no cycle to sample")
-    cfg = replace(cfg or IntegratorConfig(), max_step=_LOOP_MAX_STEP)
+    cfg = IntegratorConfig(**{**vars(cfg or IntegratorConfig()), "max_step": _LOOP_MAX_STEP})
     _, y2 = interior_point(p)
     return _turn(p, (cycle.section_x, y2), cfg, y2, "cycle sampling failed to close the loop").affine_points()
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Inclusive linspace grid over (b, c, delta)."""
 
     b: tuple[float, float, int]
@@ -561,8 +564,7 @@ class GridSpec:
         return list(product(self._axis(self.b), self._axis(self.c), self._axis(self.delta)))
 
 
-@dataclass(frozen=True)
-class ScanEvidence:
+class ScanEvidence(NamedTuple):
     """Per-cell verdict of :func:`detect_limit_cycle`, with the cycle it found.
 
     ``seeds`` are three section abscissae x2 + f*span, f = 0.08, 0.35 and 0.85, where

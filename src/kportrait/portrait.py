@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .compactify import InfinitePoint, family_infinite_points
 from .local import DulacReport, _mu_omega, dulac_check, hopf_analysis
@@ -70,8 +69,7 @@ def _project(x: float, y: float) -> tuple[float, float]:
     return x / r, y / r
 
 
-@dataclass
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     """An integrated curve with its limit-set bookkeeping.
 
     ``points`` are affine (x, y) tuples ordered by increasing true time, so
@@ -86,8 +84,7 @@ class OrbitTrace:
     points: list[tuple[float, float]]
 
 
-@dataclass
-class HopfSummary:
+class HopfSummary(NamedTuple):
     b0: float
     dmu_db_at_b0: float
     mu: float
@@ -95,8 +92,7 @@ class HopfSummary:
     ell1: float
 
 
-@dataclass
-class PortraitReport:
+class PortraitReport(NamedTuple):
     params: Params
     label: CaseLabel
     finite_points: list[SingularPoint]
@@ -207,7 +203,7 @@ def build_portrait(p: Params) -> PortraitReport:
             else:
                 orbit = integrate(p, start, direction, cfg)
         except IntegrationFailure as err:
-            warnings.append(f"integration-failure: {direction} orbit from {start}")
+            warnings.append(f"integration-failure: {direction} orbit from {start}: {err}")
             orbit = err.orbit
         return orbit.affine_points(), limit_of(orbit, 1.0 if direction == "forward" else -1.0, xs)
 
@@ -490,11 +486,11 @@ def report_to_dict(report: PortraitReport) -> dict:
             }
             for q in report.infinite_points
         ],
-        "hopf": None if report.hopf is None else dict(vars(report.hopf)),
+        "hopf": None if report.hopf is None else report.hopf._asdict(),
         "cycle": cyc,
         "dulac": report.dulac._asdict(),
-        "separatrices": [dict(vars(tr)) for tr in report.separatrices],
-        "representative_orbits": [dict(vars(tr)) for tr in report.representatives],
+        "separatrices": [tr._asdict() for tr in report.separatrices],
+        "representative_orbits": [tr._asdict() for tr in report.representatives],
         "cycle_points": report.cycle_points,
         "portrait": report.label.portrait,
         "status": report.label.status,

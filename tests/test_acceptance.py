@@ -7,7 +7,6 @@ import functools
 import io
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -185,11 +184,11 @@ def test_criterion_4_limit_cycle_existence_uniqueness():
     base = IntegratorConfig()
 
     def settled_loop(start):
-        o1 = integrate(p, start, "forward", replace(base, max_time=450.0))
+        o1 = integrate(p, start, "forward", IntegratorConfig(**{**vars(base), "max_time": 450.0}))
         assert o1.terminal == "max-time"
         _, chart, pt = o1.samples[-1]
         assert chart == "affine"
-        o2 = integrate(p, pt, "forward", replace(base, max_time=60.0, max_step=0.02))
+        o2 = integrate(p, pt, "forward", IntegratorConfig(**{**vars(base), "max_time": 60.0, "max_step": 0.02}))
         return o2.affine_points()
 
     inner = settled_loop((x2 + 0.5 * (res.section_x - x2), y2))

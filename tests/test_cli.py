@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -563,13 +564,17 @@ import contextlib, hashlib, io, os, sys
 import kportrait, kportrait.local
 from kportrait.cli import main
 
-homes = [sys.modules["kportrait." + m] for m in ("model", "compactify", "local")]
-found = {v for mod in homes for v in vars(mod).values() if isinstance(v, type) and "__dataclass_fields__" in vars(v)}
-assert not found, found
 argvs = [a.split() for a in sys.argv[1:]]  # the README's classify, classify --exact and hopf lines
 with contextlib.redirect_stdout(io.StringIO()):
     assert [main(a) for a in argvs] == [0, 0, 0]
 loaded = {"argparse", "gettext", "dataclasses", "inspect"} & set(sys.modules)
+assert not loaded, loaded
+# no module of the package defines a dataclass, and loading them all imports neither dataclasses nor inspect
+import kportrait.numerics, kportrait.portrait
+homes = [sys.modules["kportrait." + m] for m in ("model", "compactify", "local", "numerics", "portrait")]
+found = {v for mod in homes for v in vars(mod).values() if isinstance(v, type) and "__dataclass_fields__" in vars(v)}
+assert not found, found
+loaded = {"dataclasses", "inspect"} & set(sys.modules)
 assert not loaded, loaded
 os.environ["COLUMNS"] = "80"
 with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
@@ -588,15 +593,22 @@ def test_cold_path_imports_no_argparse_and_defines_no_dataclass():
 
 
 def _converted_records() -> list:
-    """One instance of each NamedTuple record."""
+    """One instance of each hashable NamedTuple record."""
     p = kportrait.Params(0.5, 1.0, 0.25)
+    hd = kportrait.hopf_analysis(1.0, 0.25)
+    grid = kportrait.GridSpec((0.9, 0.9, 1), (1.2, 1.2, 1), (0.3, 0.3, 1))
     return [
         kportrait.discriminants(p),
         kportrait.finite_singular_points(p)[2],
         kportrait.family_infinite_points(p)[1].sector_data,
         kportrait.family_infinite_points(p)[1],
-        kportrait.hopf_analysis(1.0, 0.25),
+        hd,
         kportrait.dulac_check(p),
+        kportrait.detect_limit_cycle(p),
+        grid,
+        kportrait.conjecture_scan(grid)[0],
+        # the summary at b = b0, where mu = 0
+        kportrait.HopfSummary(float(hd.b0), hd.dmu_db_at_b0, 0.0, hd.omega, hd.ell1),
         kportrait.uniqueness_check(p),
     ]
 
@@ -605,7 +617,7 @@ def test_records_keep_the_dataclass_behaviour():
     records = _converted_records()
     assert sorted(type(r).__name__ for r in records) == sorted(
         ["Discriminants", "SingularPoint", "SectorData", "InfinitePoint", "HopfData", "DulacReport",
-         "UniquenessReport"]
+         "CycleResult", "GridSpec", "ScanEvidence", "HopfSummary", "UniquenessReport"]
     )
     assert repr(records[2]) == "SectorData(sector='hyperbolic', separatrices=('infinity-equator', 'x=0-axis'))"
     for r in records:
@@ -620,6 +632,47 @@ def test_records_keep_the_dataclass_behaviour():
         with pytest.raises(AttributeError):
             r.no_such_field = None
     assert records[-1].all_hold
+
+
+def test_integrator_config_and_the_list_records_keep_the_dataclass_behaviour():
+    IntegratorConfig = kportrait.IntegratorConfig
+    cfg = IntegratorConfig()
+    # the defaults, and the text the frozen dataclass's __repr__ gave
+    assert repr(cfg) == "IntegratorConfig(abs_tol=1e-10, rel_tol=1e-08, max_step=0.5, max_time=400.0)"
+    assert vars(cfg) == {"abs_tol": 1e-10, "rel_tol": 1e-8, "max_step": 0.5, "max_time": 400.0}
+    assert IntegratorConfig(1e-10, 1e-8, 0.5, 400.0) == cfg == IntegratorConfig(max_time=400.0, abs_tol=1e-10)
+    assert hash(IntegratorConfig(1e-10, 1e-8, 0.5, 400.0)) == hash(cfg) == hash((1e-10, 1e-8, 0.5, 400.0))
+    assert IntegratorConfig(max_time=10.0) != cfg != (1e-10, 1e-8, 0.5, 400.0)
+    assert IntegratorConfig(**{**vars(cfg), "max_step": 0.2}) == IntegratorConfig(max_step=0.2)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert type(copy) is IntegratorConfig and copy == cfg and hash(copy) == hash(cfg)
+    for name in cfg._fields:
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+                IntegratorConfig(**{name: bad})
+    with pytest.raises(TypeError):
+        IntegratorConfig(1e-10, 1e-8, 0.5, 400.0, 1.0)
+    with pytest.raises(AttributeError):
+        cfg.max_time = 1.0
+    with pytest.raises(AttributeError):
+        del cfg.max_time
+    with pytest.raises(AttributeError):
+        cfg.no_such_field = None
+    # the records that hold lists print, pickle and refuse assignment, but do not hash
+    p = kportrait.Params(2.0, 1.0, 1.0)
+    report = kportrait.build_portrait(p)
+    orbit = kportrait.integrate(p, (0.5, 0.5), cfg=IntegratorConfig(max_time=1.0))
+    for r in (orbit, report.representatives[0], report):
+        fields = ", ".join(f"{name}={getattr(r, name)!r}" for name in r._fields)
+        assert repr(r) == f"{type(r).__name__}({fields})"
+        copy = pickle.loads(pickle.dumps(r))
+        assert type(copy) is type(r) and copy == r
+        with pytest.raises(TypeError):
+            hash(r)
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], None)
+        with pytest.raises(AttributeError):
+            r.no_such_field = None
 
 
 def test_lazy_exports_resolve_to_their_home_objects():

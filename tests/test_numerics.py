@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -254,11 +253,11 @@ def test_cycle_two_sided_convergence():
     base = IntegratorConfig()
 
     def settled_loop(start):
-        o1 = integrate(P_CYCLE, start, "forward", replace(base, max_time=450.0))
+        o1 = integrate(P_CYCLE, start, "forward", IntegratorConfig(**{**vars(base), "max_time": 450.0}))
         assert o1.terminal == "max-time"
         _, chart, pt = o1.samples[-1]
         assert chart == "affine"
-        o2 = integrate(P_CYCLE, pt, "forward", replace(base, max_time=60.0, max_step=0.02))
+        o2 = integrate(P_CYCLE, pt, "forward", IntegratorConfig(**{**vars(base), "max_time": 60.0, "max_step": 0.02}))
         return o2.affine_points()
 
     inner = settled_loop((x2 + 0.5 * (res.section_x - x2), y2))
@@ -301,6 +300,30 @@ def test_near_hopf_multiplier_follows_the_normal_form_or_says_near_hopf(c, delta
             assert 1.0 - res.multiplier == pytest.approx(4.0 * math.pi * lam.real / lam.imag, rel=0.05), eps
         else:
             assert res.detail.startswith("near-hopf:") and eps < 1e-4, (eps, res.detail)
+
+
+def test_cycle_search_failures_quote_their_cause():
+    # the first 12 case-3/5 triples of b in 10^U(-3, 0.5), c in 10^U(-1, 1) and delta in 10^U(-1.5, 0.5),
+    # drawn with seed 3: slow cycles that the 400 time budget misses, for three different reasons
+    rng = random.Random(3)
+    triples = []
+    while len(triples) < 12:
+        p = Params(10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1.5, 0.5))
+        if classify_case(p).case in (3, 5):
+            triples.append(p)
+    details = [res.detail for res in map(detect_limit_cycle, triples) if not res.found]
+    terminals = ("(max-time)", "(converged-to-point ", "(escaped ", "(chart-boundary-loop ")
+    for detail in details:
+        assert detail.startswith(("inner orbit ", "no outer contraction bracket: ")), detail
+        assert "expands" in detail or any(t in detail for t in terminals), detail
+        assert "absorbed" not in detail, detail
+    assert "inner orbit did not recross the section (max-time)" in details
+    assert "no outer contraction bracket: outer orbit did not recross the section (max-time)" in details
+    assert any(d.startswith("no outer contraction bracket: section map expands at x = ") for d in details)
+    # near-hopf speaks only near b0: here b0 = (1e6 - 1/4)/(1e6 + 1/4) is about 1, far above b = 0.3,
+    # although x2 = 7.5e-8 slows P2 to a rate per turn of 1.1e-6
+    res = detect_limit_cycle(Params(0.3, 1e6, 0.25))
+    assert res.detail == "inner orbit did not recross the section (chart-boundary-loop O2)"
 
 
 def test_cycle_loop_closes():

@@ -365,11 +365,7 @@ def test_render_svg_well_formed(report_a, report_b, report_c):
 
 
 def test_render_svg_empty_orbits_is_valid(report_a):
-    import copy
-
-    bare = copy.copy(report_a)
-    bare.separatrices = []
-    bare.representatives = []
+    bare = report_a._replace(separatrices=[], representatives=[])
     doc = render_svg(bare)
     root = ET.fromstring(doc)
     assert root.tag.endswith("svg")
@@ -442,6 +438,9 @@ def test_exact_input_beyond_float_arithmetic_still_gets_its_portrait(c):
     assert [q.kind for q in rep.finite_points] == ["saddle", "saddle", "unstable-focus"]
     heads = {w.split(":")[0] for w in rep.warnings}
     assert {"hopf-analysis-unavailable", "cycle-detection-failed", "integration-failure"} <= heads
+    # each integration failure names what failed, after the start of its orbit
+    failures = [w for w in rep.warnings if w.startswith("integration-failure:")]
+    assert all(w.endswith((": step size underflow", ": sample budget exhausted")) for w in failures), failures
     assert rep.hopf is None and rep.cycle is None
 
 
