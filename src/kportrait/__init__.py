@@ -25,7 +25,7 @@ _EXPORTS = {
         "dulac_check", "hopf_analysis", "lyapunov_procedural", "uniqueness_check",
     ),
     "numerics": (
-        "CycleResult", "GridSpec", "IntegrationFailure", "IntegratorConfig", "NoReturnError", "Orbit",
+        "CycleResult", "GridSpec", "IntegrationFailure", "NoReturnError", "Orbit",
         "ScanEvidence", "conjecture_scan", "cycle_loop",
         "detect_limit_cycle", "integrate", "interior_point",
         "return_map", "scan_to_csv", "separatrix_section_crossing",

@@ -28,7 +28,7 @@ from .model import Params, _check_parameter, _to_float, classify_case, discrimin
 # classify runs on model alone.
 _LAZY = {
     "local": ("hopf_analysis", "lyapunov_procedural"),
-    "numerics": ("GridSpec", "IntegratorConfig", "conjecture_scan", "detect_limit_cycle", "scan_to_csv"),
+    "numerics": ("GridSpec", "conjecture_scan", "detect_limit_cycle", "scan_to_csv"),
     "portrait": ("build_portrait", "render_svg", "write_report"),
 }
 
@@ -177,7 +177,7 @@ def _cmd_scan(ns: SimpleNamespace) -> int:
     grid = _parse_grid(ns.grid)
     if ns.jobs < 1:
         _build_parser().error("--jobs must be at least 1")
-    rows = conjecture_scan(grid, IntegratorConfig(), jobs=ns.jobs)
+    rows = conjecture_scan(grid, ns.jobs)
     scan_to_csv(rows, ns.out)
     counts: dict[str, int] = {}
     for r in rows:

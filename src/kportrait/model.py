@@ -172,9 +172,10 @@ class Params(_Record):
 
     ``is_exact`` (every parameter rational) and the lift are set on construction; the
     case values and signs, the float image and P2 on first use, and so are the
-    integrator's stop tables and first P1 separatrix turn (``numerics``).  Each is
-    computed once, without a lock, and all live in the instance ``__dict__``: equality
-    and hash see the three fields alone, and a pickle carries the caches along.
+    integrator's stop tables and its P1 separatrix turn, with the limits of that turn
+    (``numerics``).  Each is computed once, the turn again only under other limits,
+    without a lock, and all live in the instance ``__dict__``: equality and hash see
+    the three fields alone, and a pickle carries the caches along.
     """
 
     b: Number

@@ -27,10 +27,9 @@ from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from .model import AnalysisError, IntegrationFailure, NoReturnError, Params, classify_case, finite_singular_points
-from .model import _Record, _range_error, _to_float
+from .model import _range_error, _to_float
 
 __all__ = [
-    "IntegratorConfig",
     "Orbit",
     "CycleResult",
     "ScanEvidence",
@@ -79,29 +78,17 @@ _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
 _CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to the S chart
 _EVENT_TOL = 1e-12  # relative width of the event-time bracket
 _SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
-# P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at rel_tol 1e-8:
+# P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at _REL_TOL 1e-8:
 # (1 - multiplier)/(2 rate) was 0.986 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.892 at 7.6e-6 for (2, 1/2)
 _HOPF_RATE_FLOOR = 1e-5
 # the share of b0 = (c - delta)/(c + delta) below b0 (A > 0 puts b there) where that normal form is trusted: the
 # floor binds at (b0 - b)/b0 <= 1.2e-5 on the tests' Hopf grid, and found multipliers follow it within 5% to 1.7e-3
 _HOPF_BAND = 1e-3
 _SETTLED = 1e-3  # successive crossings this close end a walk: the disc projection draws them within a pixel
-
-
-# a record, not a NamedTuple, which cannot validate: callers rebuild one with IntegratorConfig(**{**vars(cfg), ...})
-class IntegratorConfig(_Record):
-    """Tolerances, step cap and time budget of :func:`integrate`, each strictly positive."""
-
-    abs_tol: float
-    rel_tol: float
-    max_step: float
-    max_time: float
-
-    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8, max_step: float = 0.5, max_time: float = 400.0) -> None:
-        self.__dict__.update(abs_tol=abs_tol, rel_tol=rel_tol, max_step=max_step, max_time=max_time)
-        for name, v in vars(self).items():
-            if not v > 0:
-                raise ValueError(f"{name} must be strictly positive")
+_ABS_TOL = 1e-10  # absolute part of the error scale of a step
+_REL_TOL = 1e-8  # relative part of the error scale of a step
+_MAX_STEP = 0.5  # default step cap of integrate
+_MAX_TIME = 400.0  # default time budget of an orbit, and the budget that a walk's turns share
 
 
 class Orbit(NamedTuple):
@@ -250,13 +237,10 @@ def _locate_section(rhs, sgn, section, x0, y0, t0, h, k1x, k1y, xn, yn):
 
 
 def integrate(
-    p: Params,
-    start,
-    direction: str = "forward",
-    cfg: Optional[IntegratorConfig] = None,
-    section: Optional[float] = None,
+    p: Params, start, direction: str = "forward", *, section: Optional[float] = None, max_step=_MAX_STEP, max_time=_MAX_TIME
 ) -> Orbit:
-    """Adaptive trajectory of the family field from ``start``.
+    """Adaptive trajectory of the family field from ``start``, with step cap ``max_step``
+    and time budget ``max_time``, both strictly positive.
 
     ``start`` must be a finite point of the closed positive quadrant.  The
     orbit record switches to the S chart beyond affine radius 10, and back
@@ -265,14 +249,17 @@ def integrate(
     located first crossing of the line y = ``section`` in the affine chart
     after time 1e-9, upward forward and downward backward (hit-section), or
     the excluded neighbourhood of the degenerate O2 (chart-boundary-loop).
+    An IntegrationFailure names the direction and start of the orbit, then what failed.
     """
-    cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     x, y = float(start[0]), float(start[1])
     # the comparisons also reject nan
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
         raise ValueError(f"start {start} is not a finite point of the closed positive quadrant")
+    for name, v in (("max_step", max_step), ("max_time", max_time)):
+        if not v > 0:
+            raise ValueError(f"{name} must be strictly positive")
     sgn = 1.0 if direction == "forward" else -1.0
     b, c, d = p._float
     equilibria = _stops(p, sgn)
@@ -282,26 +269,26 @@ def integrate(
     t = 0.0
     samples: list[tuple[float, str, tuple[float, float]]] = [(0.0, "affine", (x, y))]
     k1x, k1y = rhs(x, y)
-    h = max(1e-10, min(cfg.max_step, 0.01 * max(abs(x), abs(y), 1.0) / max(abs(k1x), abs(k1y), 1e-10)))
+    h = max(1e-10, min(max_step, 0.01 * max(abs(x), abs(y), 1.0) / max(abs(k1x), abs(k1y), 1e-10)))
     terminal = ""
     detail = ""
     r2_out = _CHART_SWITCH_RADIUS**2
     r2_in = (0.9 * _CHART_SWITCH_RADIUS) ** 2
 
     while True:
-        if t >= cfg.max_time:
+        if t >= max_time:
             terminal = "max-time"
             break
         if len(samples) > _MAX_SAMPLES:
             raise IntegrationFailure(
-                "sample budget exhausted", Orbit(samples, "failed", "sample-budget")
+                f"{direction} orbit from {samples[0][2]}: sample budget exhausted", Orbit(samples, "failed", "sample-budget")
             )
-        h = min(h, cfg.max_step, cfg.max_time - t)
+        h = min(h, max_step, max_time - t)
 
         while True:
             xn, yn, ex, ey, k7x, k7y = _dp_step(rhs, x, y, h, k1x, k1y)
-            scx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
-            scy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
+            scx = _ABS_TOL + _REL_TOL * max(abs(x), abs(xn))
+            scy = _ABS_TOL + _REL_TOL * max(abs(y), abs(yn))
             try:
                 err = math.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
             except OverflowError:  # a float ** 2 overflow raises instead of giving inf
@@ -313,7 +300,7 @@ def integrate(
             h *= max(0.1, min(0.9, 0.9 * err**-0.2))
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationFailure(
-                    "step size underflow", Orbit(samples, "failed", "step-underflow")
+                    f"{direction} orbit from {samples[0][2]}: step size underflow", Orbit(samples, "failed", "step-underflow")
                 )
         tn = t + h
 
@@ -380,7 +367,7 @@ def interior_point(p: Params) -> tuple[float, float]:
         raise _range_error("(b, c, delta)", (p.b, p.c, p.delta)) from None
 
 
-def return_map(p: Params, x: float, cfg: Optional[IntegratorConfig] = None) -> tuple[float, float]:
+def return_map(p: Params, x: float) -> tuple[float, float]:
     """First-return abscissa and time of flight on the ray right of P2.
 
     On the ray y = y2, x > x2 the flow satisfies y' > 0, so upward crossings
@@ -389,33 +376,36 @@ def return_map(p: Params, x: float, cfg: Optional[IntegratorConfig] = None) -> t
     x2, y2 = interior_point(p)
     if not x > x2:
         raise ValueError(f"section abscissa must exceed {x2}, got {x}")
-    t, _, (xn, _) = _turn(p, (x, y2), cfg, y2, "orbit did not recross the section").samples[-1]
+    t, _, (xn, _) = _turn(p, (x, y2), y2, "orbit did not recross the section").samples[-1]
     return float(xn), float(t)
 
 
-def _turn(p: Params, start, cfg: Optional[IntegratorConfig], y2: float, what: str, direction: str = "forward") -> Orbit:
+def _turn(p: Params, start, y2: float, what: str, direction: str = "forward", max_step=_MAX_STEP, max_time=_MAX_TIME) -> Orbit:
     """The orbit from ``start`` in ``direction`` to its next located crossing of
-    y = ``y2``; NoReturnError "``what`` (terminal detail)" on any other terminal.
+    y = ``y2``, under the limits of :func:`integrate`; NoReturnError "``what``
+    (terminal detail)" on any other terminal.
 
     The forward turn from the P1 separatrix seed, which both ``detect_limit_cycle``
-    and the separatrix walk of ``build_portrait`` take, is integrated once per
-    config and kept in the instance ``__dict__`` of ``p``."""
-    cfg = cfg or IntegratorConfig()
-    if direction != "forward" or start != _p1_separatrix_start(p):
-        orbit = integrate(p, start, direction, cfg, section=y2)
-    elif (orbit := vars(p).setdefault("_p1_turns", {}).get(cfg)) is None:
-        orbit = vars(p)["_p1_turns"][cfg] = integrate(p, start, direction, cfg, section=y2)
+    and the separatrix walk of ``build_portrait`` take, is kept with its limits in
+    the instance ``__dict__`` of ``p``, and served again only under the same limits."""
+    p1_turn = direction == "forward" and start == _p1_separatrix_start(p)
+    kept = vars(p).get("_p1_turn", ()) if p1_turn else ()
+    if kept[:2] != (max_step, max_time):
+        kept = max_step, max_time, integrate(p, start, direction, section=y2, max_step=max_step, max_time=max_time)
+        if p1_turn:
+            vars(p)["_p1_turn"] = kept
+    orbit = kept[2]
     if orbit.terminal != "hit-section":
         raise NoReturnError(f"{what} ({' '.join(filter(None, (orbit.terminal, orbit.detail)))})", orbit)
     return orbit
 
 
-def _walk(p: Params, start, cfg: IntegratorConfig, direction: str = "forward") -> tuple[Orbit, list[float]]:
+def _walk(p: Params, start, direction: str = "forward") -> tuple[Orbit, list[float]]:
     """The orbit from ``start`` in ``direction`` turn by turn, with the abscissae
     of its crossings of the section ray, upward forward and downward backward.
 
     A start on the section ray is the first crossing.  The walk ends at a
-    terminal, at ``cfg.max_time`` summed over its turns, or once the crossings
+    terminal, at ``_MAX_TIME`` summed over its turns, or once the crossings
     of two successive turns lie within ``_SETTLED``, so a returning orbit keeps
     at least two turns.  A settled walk ends on ``hit-section``.
     """
@@ -426,7 +416,7 @@ def _walk(p: Params, start, cfg: IntegratorConfig, direction: str = "forward") -
     t0 = 0.0
     while True:
         try:
-            orbit = _turn(p, start, IntegratorConfig(**{**vars(cfg), "max_time": cfg.max_time - t0}), y2, "", direction)
+            orbit = _turn(p, start, y2, "", direction, max_time=_MAX_TIME - t0)
         except NoReturnError as err:
             orbit = err.orbit
         # a later turn starts at the crossing that ended the one before
@@ -435,11 +425,11 @@ def _walk(p: Params, start, cfg: IntegratorConfig, direction: str = "forward") -
             return Orbit(samples, orbit.terminal, orbit.detail), xs
         t0, _, start = samples[-1]
         xs.append(start[0])
-        if len(xs) > settles_after and abs(xs[-1] - xs[-2]) <= _SETTLED or t0 >= cfg.max_time:
+        if len(xs) > settles_after and abs(xs[-1] - xs[-2]) <= _SETTLED or t0 >= _MAX_TIME:
             return Orbit(samples, orbit.terminal), xs
 
 
-def separatrix_section_crossing(p: Params, cfg: Optional[IntegratorConfig] = None) -> tuple[float, float]:
+def separatrix_section_crossing(p: Params) -> tuple[float, float]:
     """First upward section crossing of the unstable separatrix leaving (1, 0).
 
     The separatrix bounds the cycle (when one exists) from outside, so its
@@ -447,7 +437,7 @@ def separatrix_section_crossing(p: Params, cfg: Optional[IntegratorConfig] = Non
     """
     # an interior point exists only where P1 has an unstable direction
     _, y2 = interior_point(p)
-    t, _, (xs, _) = _turn(p, _p1_separatrix_start(p), cfg, y2, "separatrix did not reach the section").samples[-1]
+    t, _, (xs, _) = _turn(p, _p1_separatrix_start(p), y2, "separatrix did not reach the section").samples[-1]
     return float(xs), float(t)
 
 
@@ -461,11 +451,11 @@ def _p1_separatrix_start(p: Params) -> tuple[float, float]:
     return 1.0 + _SEED_OFFSET * vx / nrm, _SEED_OFFSET * vy / nrm
 
 
-def _outer_seed(p: Params, x2: float, cfg: IntegratorConfig) -> float:
+def _outer_seed(p: Params, x2: float) -> float:
     """Section abscissa of the P1 separatrix, the outer bound of any cycle;
     a fixed offset right of x2 when the separatrix does not return right of x2."""
     try:
-        xs = separatrix_section_crossing(p, cfg)[0]
+        xs = separatrix_section_crossing(p)[0]
     except NoReturnError:
         xs = x2
     return xs if xs > x2 else x2 + 0.75 * max(1.0 - x2, x2)
@@ -482,7 +472,7 @@ class CycleResult(NamedTuple):
     detail: str = ""
 
 
-def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> CycleResult:
+def detect_limit_cycle(p: Params) -> CycleResult:
     """Bracket and refine a fixed point of the section return map.
 
     Brackets between an inner seed just right of the interior point and the separatrix
@@ -494,9 +484,8 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
     1 - multiplier = 2 rate.  A miss names the terminal of the inner orbit, or of the last
     outer one, that did not return, or where the section map expands.
     """
-    cfg = cfg or IntegratorConfig()
     x2, _ = interior_point(p)
-    x_outer = _outer_seed(p, x2, cfg)
+    x_outer = _outer_seed(p, x2)
     lam = _points(p)[-1].eigenvalues[1]  # P2's Re + i Im, Im >= 0: where A > 0 it repels at 2 pi Re/Im per turn
     b, c, d = p._float
     if p._case[1][1] > 0 and b >= (1.0 - _HOPF_BAND) * (c - d) / (c + d) and 2.0 * math.pi * lam.real < _HOPF_RATE_FLOOR * lam.imag:
@@ -506,7 +495,7 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
 
     def deflated(s: float) -> tuple[float, float]:
         # (P(s) - s)/(s - x2) stays O(1) near the Hopf point, where P(s) - s is O(s - x2)
-        r, tof = return_map(p, s, cfg)
+        r, tof = return_map(p, s)
         return (r - s) / (s - x2), tof
 
     try:
@@ -530,18 +519,17 @@ def detect_limit_cycle(p: Params, cfg: Optional[IntegratorConfig] = None) -> Cyc
 
     root, tof = _bracket_root(deflated, x_in, d_in, x_outer, d_out, tof, 1e-9 * (x_in - x2))
     hstep = 1e-5 * (root - x2)
-    rp, _ = return_map(p, root + hstep, cfg)
-    rm, _ = return_map(p, root - hstep, cfg)
+    rp, _ = return_map(p, root + hstep)
+    rm, _ = return_map(p, root - hstep)
     return CycleResult(True, float(root), float(tof), abs((rp - rm) / (2.0 * hstep)), True)
 
 
-def cycle_loop(p: Params, cycle: CycleResult, cfg: Optional[IntegratorConfig] = None) -> list[tuple[float, float]]:
+def cycle_loop(p: Params, cycle: CycleResult) -> list[tuple[float, float]]:
     """One period of the detected cycle, sampled densely as affine (x, y) points."""
     if not cycle.found or cycle.section_x is None:
         raise ValueError("no cycle to sample")
-    cfg = IntegratorConfig(**{**vars(cfg or IntegratorConfig()), "max_step": _LOOP_MAX_STEP})
     _, y2 = interior_point(p)
-    return _turn(p, (cycle.section_x, y2), cfg, y2, "cycle sampling failed to close the loop").affine_points()
+    return _turn(p, (cycle.section_x, y2), y2, "cycle sampling failed to close the loop", max_step=_LOOP_MAX_STEP).affine_points()
 
 
 class GridSpec(NamedTuple):
@@ -583,12 +571,12 @@ class ScanEvidence(NamedTuple):
 
 
 def _scan_cell(args) -> ScanEvidence:
-    p, case, cfg = args
+    p, case = args
     b, c, d = p.b, p.c, p.delta
     try:
         x2, _ = interior_point(p)
-        span = max(_outer_seed(p, x2, cfg) - x2, 1e-4)
-        res = detect_limit_cycle(p, cfg)
+        span = max(_outer_seed(p, x2) - x2, 1e-4)
+        res = detect_limit_cycle(p)
     except (IntegrationFailure, NoReturnError):
         return ScanEvidence(b, c, d, case, "inconclusive", None, None, ())
     seeds = tuple(x2 + f * span for f in (0.08, 0.35, 0.85))
@@ -597,9 +585,7 @@ def _scan_cell(args) -> ScanEvidence:
     return ScanEvidence(b, c, d, case, "contraction-to-P2", None, None, seeds)
 
 
-def conjecture_scan(
-    grid: GridSpec, cfg: Optional[IntegratorConfig] = None, jobs: int = 1
-) -> list[ScanEvidence]:
+def conjecture_scan(grid: GridSpec, jobs: int = 1) -> list[ScanEvidence]:
     """Run :func:`detect_limit_cycle` on every grid cell in the conjectured zone.
 
     Cells are filtered to region II-b (cases 4 and 6 with
@@ -609,13 +595,12 @@ def conjecture_scan(
     Results come back in grid order whatever the worker count, so output
     files are byte-identical across runs.
     """
-    cfg = cfg or IntegratorConfig()
     work = []
     for cell in grid.cells():
         # each worker gets the Params classified here, its case signs cached
         label = classify_case(p := Params(*cell))
         if label.region == "II-b" and not label.boundary:
-            work.append((p, label.case, cfg))
+            work.append((p, label.case))
     if jobs <= 1 or len(work) <= 1:
         return [_scan_cell(args) for args in work]
     from concurrent.futures import ProcessPoolExecutor

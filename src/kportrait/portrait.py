@@ -27,7 +27,6 @@ from .model import (
 from .numerics import (
     CycleResult,
     IntegrationFailure,
-    IntegratorConfig,
     NoReturnError,
     Orbit,
     _CHART_SWITCH_RADIUS,
@@ -123,7 +122,6 @@ def build_portrait(p: Params) -> PortraitReport:
     The representative seeds sit on a geometric ladder along the section ray
     when the interior point exists, on a diagonal ladder otherwise.
     """
-    cfg = IntegratorConfig()
     label = classify_case(p)
     pts = finite_singular_points(p)
     inf_pts = family_infinite_points(p)
@@ -152,9 +150,9 @@ def build_portrait(p: Params) -> PortraitReport:
     cycle_pts: Optional[list[tuple[float, float]]] = None
     if label.case in (3, 5):
         try:
-            cycle = detect_limit_cycle(p, cfg)
+            cycle = detect_limit_cycle(p)
             if cycle.found:
-                cycle_pts = cycle_loop(p, cycle, cfg)
+                cycle_pts = cycle_loop(p, cycle)
         except (NoReturnError, IntegrationFailure) as err:
             warnings.append(f"cycle-detection-failed: {err}")
 
@@ -199,11 +197,11 @@ def build_portrait(p: Params) -> PortraitReport:
         xs: list[float] = []
         try:
             if label.case > 2:
-                orbit, xs = _walk(p, start, cfg, direction)
+                orbit, xs = _walk(p, start, direction)
             else:
-                orbit = integrate(p, start, direction, cfg)
+                orbit = integrate(p, start, direction)
         except IntegrationFailure as err:
-            warnings.append(f"integration-failure: {direction} orbit from {start}: {err}")
+            warnings.append(f"integration-failure: {err}")
             orbit = err.orbit
         return orbit.affine_points(), limit_of(orbit, 1.0 if direction == "forward" else -1.0, xs)
 

@@ -15,7 +15,6 @@ import pytest
 import kportrait.numerics as numerics
 from kportrait import (
     GridSpec,
-    IntegratorConfig,
     NoReturnError,
     Params,
     build_portrait,
@@ -181,14 +180,12 @@ def test_criterion_4_limit_cycle_existence_uniqueness():
     assert flips == 1
 
     # inside and outside long-time orbits settle onto the same loop
-    base = IntegratorConfig()
-
     def settled_loop(start):
-        o1 = integrate(p, start, "forward", IntegratorConfig(**{**vars(base), "max_time": 450.0}))
+        o1 = integrate(p, start, "forward", max_time=450.0)
         assert o1.terminal == "max-time"
         _, chart, pt = o1.samples[-1]
         assert chart == "affine"
-        o2 = integrate(p, pt, "forward", IntegratorConfig(**{**vars(base), "max_time": 60.0, "max_step": 0.02}))
+        o2 = integrate(p, pt, "forward", max_time=60.0, max_step=0.02)
         return o2.affine_points()
 
     inner = settled_loop((x2 + 0.5 * (res.section_x - x2), y2))
@@ -277,13 +274,12 @@ def test_criterion_8_portrait_topology():
 @criterion(9, "axis invariance over 1000 random integrations")
 def test_criterion_9_axis_invariance():
     rng = np.random.default_rng(113)
-    cfg = IntegratorConfig(max_time=10.0)
     for k in range(1000):
         p = Params(*(float(v) for v in rng.uniform(0.05, 5.0, 3)))
         s = float(rng.uniform(0.01, 5.0))
         start = (s, 0.0) if k % 2 == 0 else (0.0, s)
         direction = "forward" if k % 4 < 2 else "backward"
-        orbit = integrate(p, start, direction, cfg)
+        orbit = integrate(p, start, direction, max_time=10.0)
         off_axis = (
             max(abs(q[2][1]) for q in orbit.samples if q[1] == "affine")
             if k % 2 == 0

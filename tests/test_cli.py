@@ -634,34 +634,11 @@ def test_records_keep_the_dataclass_behaviour():
     assert records[-1].all_hold
 
 
-def test_integrator_config_and_the_list_records_keep_the_dataclass_behaviour():
-    IntegratorConfig = kportrait.IntegratorConfig
-    cfg = IntegratorConfig()
-    # the defaults, and the text the frozen dataclass's __repr__ gave
-    assert repr(cfg) == "IntegratorConfig(abs_tol=1e-10, rel_tol=1e-08, max_step=0.5, max_time=400.0)"
-    assert vars(cfg) == {"abs_tol": 1e-10, "rel_tol": 1e-8, "max_step": 0.5, "max_time": 400.0}
-    assert IntegratorConfig(1e-10, 1e-8, 0.5, 400.0) == cfg == IntegratorConfig(max_time=400.0, abs_tol=1e-10)
-    assert hash(IntegratorConfig(1e-10, 1e-8, 0.5, 400.0)) == hash(cfg) == hash((1e-10, 1e-8, 0.5, 400.0))
-    assert IntegratorConfig(max_time=10.0) != cfg != (1e-10, 1e-8, 0.5, 400.0)
-    assert IntegratorConfig(**{**vars(cfg), "max_step": 0.2}) == IntegratorConfig(max_step=0.2)
-    copy = pickle.loads(pickle.dumps(cfg))
-    assert type(copy) is IntegratorConfig and copy == cfg and hash(copy) == hash(cfg)
-    for name in cfg._fields:
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
-                IntegratorConfig(**{name: bad})
-    with pytest.raises(TypeError):
-        IntegratorConfig(1e-10, 1e-8, 0.5, 400.0, 1.0)
-    with pytest.raises(AttributeError):
-        cfg.max_time = 1.0
-    with pytest.raises(AttributeError):
-        del cfg.max_time
-    with pytest.raises(AttributeError):
-        cfg.no_such_field = None
+def test_the_list_records_keep_the_dataclass_behaviour():
     # the records that hold lists print, pickle and refuse assignment, but do not hash
     p = kportrait.Params(2.0, 1.0, 1.0)
     report = kportrait.build_portrait(p)
-    orbit = kportrait.integrate(p, (0.5, 0.5), cfg=IntegratorConfig(max_time=1.0))
+    orbit = kportrait.integrate(p, (0.5, 0.5), max_time=1.0)
     for r in (orbit, report.representatives[0], report):
         fields = ", ".join(f"{name}={getattr(r, name)!r}" for name in r._fields)
         assert repr(r) == f"{type(r).__name__}({fields})"

@@ -558,7 +558,6 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
     # the stop tables are the one use numerics makes of finite_singular_points
     monkeypatch.setattr(numerics, "finite_singular_points", counting("stops", numerics.finite_singular_points))
     monkeypatch.setattr(model, "_lift", counting("lift", model._lift))
-    cfg = numerics.IntegratorConfig(max_time=1.0)
     for vals in ((F(1, 2), 1, F(1, 4)), (0.5, 1.0, 0.25)):
         p = Params(*vals)
         assert calls["lift"] == [vals]  # on construction, before any use
@@ -569,7 +568,7 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
             dulac_check(p)
             interior_point(p)
             for direction in ("forward", "backward"):
-                numerics.integrate(p, (0.3, 0.3), direction, cfg)
+                numerics.integrate(p, (0.3, 0.3), direction, max_time=1.0)
         for key in ("_case", "_float"):
             # by identity: a Params compares equal to one built from its float image
             assert [q is p for q in calls[key]] == [True], key
@@ -582,7 +581,7 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
         assert classify_case(back) == classify_case(p)
         assert finite_singular_points(back) == finite_singular_points(p)
         assert dulac_check(back)[:2] == dulac_check(p)[:2]
-        assert numerics.integrate(back, (0.3, 0.3), "forward", cfg) == numerics.integrate(p, (0.3, 0.3), "forward", cfg)
+        assert numerics.integrate(back, (0.3, 0.3), max_time=1.0) == numerics.integrate(p, (0.3, 0.3), max_time=1.0)
         for key in calls:
             calls[key].clear()
 

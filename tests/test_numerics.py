@@ -13,7 +13,6 @@ from kportrait import (
     AnalysisError,
     GridSpec,
     IntegrationFailure,
-    IntegratorConfig,
     NoReturnError,
     Params,
     build_portrait,
@@ -29,7 +28,7 @@ from kportrait import (
     separatrix_section_crossing,
     vector_field,
 )
-from kportrait.numerics import _SETTLED, _stops, _walk
+from kportrait.numerics import _SETTLED, _p1_separatrix_start, _stops, _turn, _walk
 from polyline_oracle import polyline_hausdorff
 
 P_CASE1 = Params(2.0, 1.0, 1.0)
@@ -38,26 +37,39 @@ P_DULAC = Params(2.0, 1.0, 0.2)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
+    # the step cap and the time budget of integrate are strictly positive, and keyword-only
+    for name in ("max_step", "max_time"):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
+                integrate(P_CASE1, (0.5, 0.5), **{name: bad})
+    with pytest.raises(TypeError):
+        integrate(P_CASE1, (0.5, 0.5), "forward", 0.6)
 
 
-def test_converges_to_global_attractor_case1():
+def _halve_tolerances(monkeypatch):
+    import kportrait.numerics as numerics
+
+    monkeypatch.setattr(numerics, "_ABS_TOL", 5e-11)
+    monkeypatch.setattr(numerics, "_REL_TOL", 5e-9)
+
+
+def test_converges_to_global_attractor_case1(monkeypatch):
     orbit = integrate(P_CASE1, (0.5, 0.5), "forward")
     assert orbit.terminal == "converged-to-point"
     assert orbit.detail == "P1"
     _, _, (x, y) = orbit.samples[-1]
     assert np.hypot(x - 1.0, y) <= 1e-6
-    # oracle: same endpoint under halved tolerances
-    tight = IntegratorConfig(abs_tol=5e-11, rel_tol=5e-9)
-    orbit2 = integrate(P_CASE1, (0.5, 0.5), "forward", tight)
+    # oracle: same endpoint under halved tolerances, along other steps
+    _halve_tolerances(monkeypatch)
+    orbit2 = integrate(Params(2.0, 1.0, 1.0), (0.5, 0.5), "forward")
     assert orbit2.terminal == "converged-to-point" and orbit2.detail == "P1"
+    assert len(orbit2.samples) > len(orbit.samples)
 
 
 def test_saddle_stops_orbit_only_on_axis_approach():
     # P1 is a saddle here; an interior orbit squeezed along its stable
     # manifold comes within 1e-7 of it and must leave along the unstable one
-    orbit = integrate(P_CYCLE, (1.5, 1e-12), "forward", IntegratorConfig(max_time=40.0))
+    orbit = integrate(P_CYCLE, (1.5, 1e-12), "forward", max_time=40.0)
     near = [
         np.hypot(x - 1.0, y)
         for _, chart, (x, y) in orbit.samples
@@ -71,35 +83,32 @@ def test_saddle_stops_orbit_only_on_axis_approach():
 
 
 def test_orbit_times_increase_and_steps_bounded():
-    cfg = IntegratorConfig(max_time=40.0, max_step=0.3)
-    orbit = integrate(P_CYCLE, (0.9, 0.6), "forward", cfg)
+    orbit = integrate(P_CYCLE, (0.9, 0.6), "forward", max_time=40.0, max_step=0.3)
     times = [s[0] for s in orbit.samples]
     assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
     for (t0, c0, _), (t1, c1, _) in zip(orbit.samples, orbit.samples[1:]):
         if c0 == c1:
-            assert t1 - t0 <= cfg.max_step + 1e-12
+            assert t1 - t0 <= 0.3 + 1e-12
 
 
 def test_axes_are_invariant():
     rng = np.random.default_rng(61)
-    cfg = IntegratorConfig(max_time=25.0)
     for _ in range(30):
         p = Params(*(float(v) for v in rng.uniform(0.1, 4.0, 3)))
         x0 = float(rng.uniform(0.01, 5.0))
-        orbit = integrate(p, (x0, 0.0), "forward", cfg)
+        orbit = integrate(p, (x0, 0.0), "forward", max_time=25.0)
         assert max(abs(s[2][1]) for s in orbit.samples if s[1] == "affine") <= 1e-9
         y0 = float(rng.uniform(0.01, 5.0))
-        orbit = integrate(p, (0.0, y0), "forward", cfg)
+        orbit = integrate(p, (0.0, y0), "forward", max_time=25.0)
         assert max(abs(s[2][0]) for s in orbit.samples if s[1] == "affine") <= 1e-9
 
 
 def test_quadrant_is_invariant():
     rng = np.random.default_rng(67)
-    cfg = IntegratorConfig(max_time=60.0)
     for _ in range(20):
         p = Params(*(float(v) for v in rng.uniform(0.1, 3.0, 3)))
         start = (float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0)))
-        orbit = integrate(p, start, "forward", cfg)
+        orbit = integrate(p, start, "forward", max_time=60.0)
         for _, chart, (x, y) in orbit.samples:
             if chart == "affine":
                 assert x > -1e-9 and y > -1e-9
@@ -115,7 +124,7 @@ def test_backward_orbit_escapes_to_o1():
 
 
 def test_backward_y_axis_orbit_stops_before_degenerate_point():
-    orbit = integrate(P_CYCLE, (0.0, 2.0), "backward", IntegratorConfig(max_time=100.0))
+    orbit = integrate(P_CYCLE, (0.0, 2.0), "backward", max_time=100.0)
     assert (orbit.terminal, orbit.detail) == ("chart-boundary-loop", "O2")
     _, chart, (x, _) = orbit.samples[-1]
     assert chart == "S" and x == 0.0
@@ -250,14 +259,13 @@ def test_displacement_single_sign_change():
 def test_cycle_two_sided_convergence():
     res = detect_limit_cycle(P_CYCLE)
     x2, y2 = interior_point(P_CYCLE)
-    base = IntegratorConfig()
 
     def settled_loop(start):
-        o1 = integrate(P_CYCLE, start, "forward", IntegratorConfig(**{**vars(base), "max_time": 450.0}))
+        o1 = integrate(P_CYCLE, start, "forward", max_time=450.0)
         assert o1.terminal == "max-time"
         _, chart, pt = o1.samples[-1]
         assert chart == "affine"
-        o2 = integrate(P_CYCLE, pt, "forward", IntegratorConfig(**{**vars(base), "max_time": 60.0, "max_step": 0.02}))
+        o2 = integrate(P_CYCLE, pt, "forward", max_time=60.0, max_step=0.02)
         return o2.affine_points()
 
     inner = settled_loop((x2 + 0.5 * (res.section_x - x2), y2))
@@ -265,10 +273,12 @@ def test_cycle_two_sided_convergence():
     assert polyline_hausdorff(inner, outer) <= 1e-4
 
 
-def test_tolerance_robustness_of_cycle():
+def test_tolerance_robustness_of_cycle(monkeypatch):
     res = detect_limit_cycle(P_CYCLE)
-    tight = IntegratorConfig(abs_tol=5e-11, rel_tol=5e-9)
-    res2 = detect_limit_cycle(P_CYCLE, tight)
+    # a fresh Params: P_CYCLE keeps its P1 separatrix turn from the default tolerances
+    _halve_tolerances(monkeypatch)
+    res2 = detect_limit_cycle(Params(0.5, 1.0, 0.25))
+    assert res2 != res
     assert abs(res2.section_x - res.section_x) <= 1e-7
     assert abs(res2.multiplier - res.multiplier) <= 1e-4
 
@@ -333,9 +343,11 @@ def test_cycle_loop_closes():
     assert math.dist(loop[0], loop[-1]) <= 1e-6
 
 
-def test_walk_reads_the_section_map_turn_by_turn():
+def test_walk_reads_the_section_map_turn_by_turn(monkeypatch):
+    import kportrait.numerics as numerics
+
     _, y2 = interior_point(P_CYCLE)
-    orbit, xs = _walk(P_CYCLE, (0.9, y2), IntegratorConfig())
+    orbit, xs = _walk(P_CYCLE, (0.9, y2))
     # a start on the ray is the first crossing, and the walk settles after two turns at the earliest
     assert orbit.terminal == "hit-section" and len(xs) >= 3 and xs[0] == 0.9
     assert abs(xs[-1] - xs[-2]) <= _SETTLED < abs(xs[-2] - xs[-3])
@@ -346,24 +358,47 @@ def test_walk_reads_the_section_map_turn_by_turn():
     times = [t for t, _, _ in orbit.samples]
     assert all(u < v for u, v in zip(times, times[1:]))
     # a start on the cycle itself still makes two turns
-    _, xs = _walk(P_CYCLE, (detect_limit_cycle(P_CYCLE).section_x, y2), IntegratorConfig())
+    _, xs = _walk(P_CYCLE, (detect_limit_cycle(P_CYCLE).section_x, y2))
     assert len(xs) == 3
-    # the turns share one max_time budget
-    orbit, xs = _walk(P_CYCLE, (0.9, y2), IntegratorConfig(max_time=50.0))
+    # the turns share one time budget
+    monkeypatch.setattr(numerics, "_MAX_TIME", 50.0)
+    orbit, xs = _walk(P_CYCLE, (0.9, y2))
     assert orbit.terminal == "max-time" and len(xs) == 2
     assert orbit.samples[-1][0] == pytest.approx(50.0, rel=1e-12)
 
 
 def test_no_return_message_joins_only_the_parts_it_has():
+    # the turn of return_map, under other time budgets
+    _, y2 = interior_point(P_CYCLE)
     with pytest.raises(NoReturnError) as err:
-        return_map(P_CYCLE, 0.9, IntegratorConfig(max_time=1.0))
+        _turn(P_CYCLE, (0.9, y2), y2, "orbit did not recross the section", max_time=1.0)
     assert str(err.value) == "orbit did not recross the section (max-time)"
     # a slow stable node: the orbit reaches P2 before it turns
     p = Params(0.1, 0.1, 0.09)
-    x2, _ = interior_point(p)
+    x2, y2 = interior_point(p)
     with pytest.raises(NoReturnError) as err:
-        return_map(p, x2 + 0.05, IntegratorConfig(max_time=1e4))
+        _turn(p, (x2 + 0.05, y2), y2, "orbit did not recross the section", max_time=1e4)
     assert str(err.value) == "orbit did not recross the section (converged-to-point P2)"
+
+
+def test_the_kept_p1_turn_is_served_only_under_its_limits(monkeypatch):
+    # the cycle search keeps the P1 separatrix turn on the Params; a shorter budget integrates its own
+    import kportrait.numerics as numerics
+
+    p = Params(0.5, 1.0, 0.25)
+    detect_limit_cycle(p)
+    start, (_, y2) = _p1_separatrix_start(p), interior_point(p)
+    kept = _turn(p, start, y2, "")
+    assert kept.terminal == "hit-section" and _turn(p, start, y2, "") is kept
+    with pytest.raises(NoReturnError) as err:
+        _turn(p, start, y2, "", max_time=1.0)
+    assert err.value.orbit.terminal == "max-time" and err.value.orbit.samples[-1][0] == pytest.approx(1.0, rel=1e-12)
+    # so does the first turn of a walk under a shorter budget
+    monkeypatch.setattr(numerics, "_MAX_TIME", 1.0)
+    orbit, xs = _walk(p, start)
+    assert (orbit.terminal, xs) == ("max-time", []) and orbit.samples[-1][0] == pytest.approx(1.0, rel=1e-12)
+    monkeypatch.undo()
+    assert _turn(p, start, y2, "").samples == kept.samples
 
 
 def test_weak_focus_attracts_forward():
@@ -481,9 +516,8 @@ def _csv_row(row):
 def test_scan_cell_reports_a_found_cycle():
     import kportrait.numerics as numerics
 
-    cfg = IntegratorConfig()
-    row = numerics._scan_cell((Params(0.5, 1.0, 0.25), 5, cfg))
-    res = detect_limit_cycle(P_CYCLE, cfg)
+    row = numerics._scan_cell((Params(0.5, 1.0, 0.25), 5))
+    res = detect_limit_cycle(P_CYCLE)
     assert (row.verdict, row.section_x, row.multiplier) == ("cycle-found", res.section_x, res.multiplier)
     fields = _csv_row(row)
     assert fields["verdict"] == "cycle-found"
@@ -498,7 +532,7 @@ def test_scan_cell_without_returns_is_inconclusive(monkeypatch):
         raise IntegrationFailure("step size underflow", None)
 
     monkeypatch.setattr(numerics, "return_map", failing)
-    row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6, IntegratorConfig()))
+    row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6))
     assert row.verdict == "inconclusive"
     fields = _csv_row(row)
     assert fields["verdict"] == "inconclusive"
@@ -523,7 +557,7 @@ def test_scan_cell_asks_the_cycle_search_alone(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(numerics, name, counted(name))
-    row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6, IntegratorConfig()))
+    row = numerics._scan_cell((Params(0.9, 1.2, 0.3), 6))
     assert row.verdict == "contraction-to-P2" and len(row.seeds) == 3
     assert calls == {"integrate": 2, "return_map": 1}
 
@@ -534,15 +568,14 @@ def test_outer_bracket_has_one_fallback(monkeypatch):
 
     x2, _ = interior_point(P_DULAC)
     fallback = x2 + 0.75 * max(1.0 - x2, x2)
-    cfg = IntegratorConfig()
-    assert numerics._outer_seed(P_DULAC, x2, cfg) == separatrix_section_crossing(P_DULAC, cfg)[0] != fallback
+    assert numerics._outer_seed(P_DULAC, x2) == separatrix_section_crossing(P_DULAC)[0] != fallback
 
-    def no_return(p, cfg=None):
+    def no_return(p):
         raise NoReturnError("separatrix did not reach the section", None)
 
-    for stand_in in (no_return, lambda p, cfg=None: (x2, 1.0), lambda p, cfg=None: (x2 - 0.1, 1.0)):
+    for stand_in in (no_return, lambda p: (x2, 1.0), lambda p: (x2 - 0.1, 1.0)):
         monkeypatch.setattr(numerics, "separatrix_section_crossing", stand_in)
-        assert numerics._outer_seed(P_DULAC, x2, cfg) == fallback
+        assert numerics._outer_seed(P_DULAC, x2) == fallback
 
 
 def test_cycle_search_builds_the_stop_table_once(monkeypatch):
@@ -606,7 +639,7 @@ def test_scan_starts_no_more_workers_than_cells(monkeypatch):
 
 def test_custom_stop_event():
     # a section line of the caller's choosing, reached from below
-    orbit = integrate(P_CYCLE, (0.9, 0.3), "forward", IntegratorConfig(max_time=60.0), section=0.6)
+    orbit = integrate(P_CYCLE, (0.9, 0.3), "forward", max_time=60.0, section=0.6)
     assert orbit.terminal == "hit-section"
     _, chart, (_, y) = orbit.samples[-1]
     assert chart == "affine" and abs(y - 0.6) <= 1e-8
@@ -672,6 +705,7 @@ def test_step_error_overflow_rejects_the_step():
     # with a 400-unit step cap a trial step overshoots so far that the
     # squared scaled error overflows; the step is rejected, not raised on
     p = Params(0.001675, 3.284, 0.481)
-    x, t = separatrix_section_crossing(p, IntegratorConfig(max_step=400.0, max_time=1000.0))
+    _, y2 = interior_point(p)
+    t, _, (x, _) = _turn(p, _p1_separatrix_start(p), y2, "", max_step=400.0, max_time=1000.0).samples[-1]
     assert t > 0.0
     assert abs(x - separatrix_section_crossing(p)[0]) <= 1e-9

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -25,7 +26,7 @@ from kportrait import (
     uniqueness_check,
     write_report,
 )
-from kportrait.numerics import _stops
+from kportrait.numerics import _p1_separatrix_start, _stops
 from kportrait.portrait import _project, _thin
 
 
@@ -281,8 +282,8 @@ def test_backward_halves_are_walked_and_read_alpha_from_their_crossings(monkeypa
     walks = []
     real = portrait._walk
 
-    def recorded(p, start, cfg, direction):
-        walks.append((direction, *real(p, start, cfg, direction)))
+    def recorded(p, start, direction):
+        walks.append((direction, *real(p, start, direction)))
         return walks[-1][1:]
 
     monkeypatch.setattr(portrait, "_walk", recorded)
@@ -302,13 +303,13 @@ def test_backward_halves_are_walked_and_read_alpha_from_their_crossings(monkeypa
 def test_a_settled_walk_draws_its_last_two_crossings_within_a_pixel(start_x, direction):
     # README B: a walk stops once two successive crossings are too close to tell apart on the
     # 640 px disc, onto the cycle forward and into P2 backward
-    from kportrait.numerics import IntegratorConfig, _walk, interior_point
+    from kportrait.numerics import _MAX_TIME, _walk, interior_point
     from kportrait.portrait import _MARGIN, _SIZE
 
     p = Params(0.5, 1.0, 0.25)
     _, y2 = interior_point(p)
-    orbit, xs = _walk(p, (start_x, y2), IntegratorConfig(), direction)
-    assert orbit.terminal == "hit-section" and orbit.samples[-1][0] < IntegratorConfig().max_time
+    orbit, xs = _walk(p, (start_x, y2), direction)
+    assert orbit.terminal == "hit-section" and orbit.samples[-1][0] < _MAX_TIME
     (u0, v0), (u1, v1) = (_project(x, y2) for x in xs[-2:])
     assert (_SIZE - 2.0 * _MARGIN) * math.hypot(u1 - u0, v1 - v0) < 1.0, xs[-2:]
 
@@ -433,14 +434,19 @@ def test_exact_params_round_into_report():
 def test_exact_input_beyond_float_arithmetic_still_gets_its_portrait(c):
     # the float arithmetic of Hopf data and integration leaves the range of doubles, yet the
     # exact classification stands and every failure is a warning
-    rep = build_portrait(Params(F(3, 10), c, F(1, 4)))
+    p = Params(F(3, 10), c, F(1, 4))
+    rep = build_portrait(p)
     assert (rep.label.case, rep.label.portrait) == (5, "B")
     assert [q.kind for q in rep.finite_points] == ["saddle", "saddle", "unstable-focus"]
     heads = {w.split(":")[0] for w in rep.warnings}
     assert {"hopf-analysis-unavailable", "cycle-detection-failed", "integration-failure"} <= heads
-    # each integration failure names what failed, after the start of its orbit
+    # each integration failure names the direction and start of its orbit, then what failed
     failures = [w for w in rep.warnings if w.startswith("integration-failure:")]
-    assert all(w.endswith((": step size underflow", ": sample budget exhausted")) for w in failures), failures
+    named = r"integration-failure: (forward|backward) orbit from \([^,]+, [^,]+\): (step size underflow|sample budget exhausted)"
+    assert failures and all(re.fullmatch(named, w) for w in failures), failures
+    # so does the cycle search: its outer seed, the P1 separatrix, is the orbit that fails
+    cycle_failures = [w for w in rep.warnings if w.startswith("cycle-detection-failed:")]
+    assert cycle_failures == [f"cycle-detection-failed: forward orbit from {_p1_separatrix_start(p)}: step size underflow"]
     assert rep.hopf is None and rep.cycle is None
 
 
