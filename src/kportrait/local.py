@@ -131,7 +131,7 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
-        raise _range_error("(b, c, delta)", (b0, c, delta))
+        raise _range_error("(b0, c, delta)", (b0, c, delta))
     x2 = df / (cf + df)
     y2 = cf * cf / (cf + df) ** 2
 

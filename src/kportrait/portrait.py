@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _THIN_TO = 600  # most points stored per orbit trace and cycle loop
-_REPRESENTATIVES = 8  # representative orbits per portrait
 
 # SVG canvas side and margin in pixels, glyph radius and stroke colours
 _SIZE = 640
@@ -115,12 +114,14 @@ def _thin(points: list[tuple[float, float]], target: int) -> list[tuple[float, f
 
 
 def build_portrait(p: Params) -> PortraitReport:
-    """Classify, integrate the separatrix skeleton and representative orbits,
-    and assemble the full report.
+    """Classify, integrate the separatrix skeleton and one representative orbit
+    per canonical region, and assemble the full report.
 
     Integration failures become warnings; classification always completes.
-    The representative seeds sit on a geometric ladder along the section ray
-    when the interior point exists, on a diagonal ladder otherwise.
+    By the Markus-Neumann-Peixoto theorem the skeleton and one orbit per region
+    fix the portrait up to topological equivalence, and the letter names the
+    regions: in B one seed on the section ray outside the cycle and one inside
+    it, in C one seed on that ray, in A one on the diagonal near P0.
     """
     label = classify_case(p)
     pts = finite_singular_points(p)
@@ -228,26 +229,24 @@ def build_portrait(p: Params) -> PortraitReport:
         # P1's branch into the quadrant is its unstable manifold: it leaves P1 forward in time
         separatrices.append(trace("separatrix", "P1", "unstable", _p1_separatrix_start(p), alpha="P1"))
 
-    rep_traces: list[OrbitTrace] = []
-    if label.case > 2:
+    if label.portrait == "A":
+        s = 0.15 / math.sqrt(2.0)
+        rep_traces = [trace("representative", "diagonal r=0.15", None, (s, s))]
+    else:
         x2, y2 = interior_point(p)
         x_hi = x2 + 0.8 * (1.0 - x2) if x2 < 1.0 else 2.0 * x2
-        for k in range(_REPRESENTATIVES):
-            xk = x2 + (x_hi - x2) * 0.55**k
-            rep_traces.append(trace("representative", f"section+{xk - x2:.6g}", None, (xk, y2)))
-    else:
-        r_lo, r_hi = 0.15, 4.0
-        for k in range(_REPRESENTATIVES):
-            rk = r_lo * (r_hi / r_lo) ** (k / (_REPRESENTATIVES - 1))
-            s = rk / math.sqrt(2.0)
-            rep_traces.append(trace("representative", f"diagonal r={rk:.6g}", None, (s, s)))
+        # x_hi lies outside B's cycle, and 0.55^7 of its offset from x2 lies inside it
+        xs = [x_hi, x2 + (x_hi - x2) * 0.55**7] if label.portrait == "B" else [x_hi]
+        rep_traces = [trace("representative", f"section+{x - x2:.6g}", None, (x, y2)) for x in xs]
 
     expected_omega = {"A": "P1", "B": "cycle", "C": "P2"}[label.portrait]
-    mismatched = [tr for tr in rep_traces if tr.omega_limit != expected_omega]
+    # the representatives and, where its limit resolves, P1's separatrix corroborate the letter
+    checked = rep_traces + [tr for tr in separatrices if tr.role == "separatrix" and tr.omega_limit != "unresolved"]
+    mismatched = [tr for tr in checked if tr.omega_limit != expected_omega]
     if mismatched:
         warnings.append(
             "portrait-corroboration-mismatch: "
-            f"{len(mismatched)} representative orbit(s) did not reach {expected_omega}"
+            f"{len(mismatched)} representative or separatrix orbit(s) did not reach {expected_omega}"
         )
 
     return PortraitReport(

@@ -223,22 +223,22 @@ BYTE_GOLDEN = {
     "portrait-A": (
         ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
         {
-            "svg": "c8e9d1b141b3f27d850e47922834ad378ae07186ccd59fa92aff9a886f2b19c1",
-            "json": "c04ab035564dcacd3c4d0dc16c362e541ce504904aa216fcbb562f7c9509ed28",
+            "svg": "28fe565e23aa12491fc346b68830439ca2f29799dc1a84146727c449224d6ce6",
+            "json": "e9ef068f747f368f9ad42ad0ad6e1419c53ecf7887db9e45cdf2c5092fa2fa1b",
         },
     ),
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "da53d062b8bb46ebcc06a114d1e62471723d2c18042abb648e14f7b67fbe1020",
-            "json": "c01a840722c9b8d9f9cf42091b2aaf71ade395ed92baeb3f79fd669daa1c0860",
+            "svg": "08fb5957878c3c0e5298b8c71543627e3519fea3f646a2d6eba2f213203652f2",
+            "json": "f7308850f96190bc3b655692e53d00ee169f379db82990f8fa9cf51c07ec0518",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "419f01a774f77b7997ccb508ce67d8c0a8dc6cdbe23a28dc0bcf833f774e36f3",
-            "json": "6d3d48bbe2efd4d3f104ab4b168197232cb853b99426ace8224aadf5d36db294",
+            "svg": "365f0773293704066a445ea882a860fba106e281d7dba943c14831fcfc3d3b76",
+            "json": "96ce4b02b81075da327da25fb89bcb07835fb707faf669e6985236c860727826",
         },
     ),
     **{

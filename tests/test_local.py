@@ -240,11 +240,11 @@ def test_exact_input_gives_what_float_images_give(monkeypatch):
 @pytest.mark.parametrize(
     "call, at",
     [
-        (lambda: hopf_analysis(F(10**400), 1), "(b, c, delta) = (1.0, ~1e+400, 1.0)"),
+        (lambda: hopf_analysis(F(10**400), 1), "(b0, c, delta) = (1.0, ~1e+400, 1.0)"),
         (lambda: lyapunov_procedural(F(10**400), F(1, 10**400)), "(c, delta) = (~1e+400, ~1e-400)"),
         (lambda: Params(F(1, 10**400), F(3, 10), 1)._float, "(b, c, delta) = (~1e-400, 0.3, 1.0)"),
         (lambda: Params(F(3, 10**330), F(10**400, 7), F(1, 4))._float, "(b, c, delta) = (~1e-330, ~1e+399, 0.25)"),
-        (lambda: hopf_analysis(1e200, 1.0), "(b, c, delta) = (1.0, 1e+200, 1.0)"),  # float input, as before
+        (lambda: hopf_analysis(1e200, 1.0), "(b0, c, delta) = (1.0, 1e+200, 1.0)"),  # float input, as before
     ],
 )
 def test_range_errors_name_each_value_in_one_short_line(call, at):

@@ -711,8 +711,9 @@ def _analysis_digest(n):
 
 def test_analysis_results_and_errors_match_the_recorded_digest():
     # recorded before the straight-line forms, the lock-free caches and the integer
-    # sign tests: each must leave every bit, error type and message as it was
-    assert _analysis_digest(2400) == "4e7dbe13f1a121d3aa21d445b7d26e610ba851a819815778b91e9f3c8e6c2b3e"
+    # sign tests: each must leave every bit, error type and message as it was; re-recorded
+    # when hopf_analysis's range errors began to name the Hopf point (b0, c, delta)
+    assert _analysis_digest(2400) == "aa178b20cb20db7a590bf0dc8d090cad0a19c534f6e292c040a8eb57bca81452"
 
 
 def _record_twins():

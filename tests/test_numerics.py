@@ -681,7 +681,8 @@ def test_section_events_lie_one_controlled_step_from_the_previous_sample(monkeyp
         xs, ys, _, _, _, _ = numerics._dp_step(rhs, x0, y0, te - t0, *rhs(x0, y0))
         tol = math.ulp(te) * (1.0 + math.hypot(*rhs(xe, ye))) + 4.0 * math.ulp(max(xe, ye))
         assert abs(xs - xe) <= tol and abs(ys - ye) <= tol
-    # a crossing of the README B portrait costs at most 8 sub-steps of the event search
+    # a crossing costs at most 8 sub-steps of the event search, over the crossings of the
+    # README B and C portraits, a slow case-5 triple and case 7
     steps, probes = [0], []
     real_step, real_locate = numerics._dp_step, numerics._locate_section
 
@@ -697,7 +698,8 @@ def test_section_events_lie_one_controlled_step_from_the_previous_sample(monkeyp
 
     monkeypatch.setattr(numerics, "_dp_step", counted_step)
     monkeypatch.setattr(numerics, "_locate_section", counted_locate)
-    build_portrait(Params(0.5, 1.0, 0.25))
+    for triple in ((0.5, 1.0, 0.25), (0.9, 1.2, 0.3), (0.6673839077599302, 0.8416914094837904, 0.15088470811080343), (0.6, 1.6, 0.4)):
+        build_portrait(Params(*triple))
     assert len(probes) > 100 and max(probes) <= 8
 
 

@@ -228,15 +228,15 @@ def test_the_p1_separatrix_turn_is_integrated_once(monkeypatch):
     p = Params(0.5, 1.0, 0.25)  # README B
     seed = numerics._p1_separatrix_start(p)
     want = report_to_dict(build_portrait(p))
-    # 168 calls: besides the cycle search and the forward walks, the eight backward halves are
-    # walked turn by turn, one call per turn, where each was one call to max_time before
-    assert len(starts) == 168 and starts.count(seed) == 1
+    # 48 calls: the cycle search, the separatrix's forward walk and both walks of the outer
+    # and the inner representative, one call per turn
+    assert len(starts) == 48 and starts.count(seed) == 1
     # the kept turn pickles with the other caches of p, and a second pass integrates it no more
     back = pickle.loads(pickle.dumps(p))
     assert back == p and vars(back).keys() == vars(p).keys()
     starts.clear()
     assert report_to_dict(build_portrait(back)) == want and numerics.separatrix_section_crossing(back)
-    assert len(starts) == 167 and seed not in starts
+    assert len(starts) == 47 and seed not in starts
 
 
 @pytest.mark.parametrize(
@@ -267,16 +267,16 @@ def test_p1_separatrix_limits(triple, stability, alpha, omega):
 )
 def test_forward_limits_come_from_the_section_crossings(triple, limit):
     # monotone crossings settle the limit: into P2 in case 7, where no cycle exists, and
-    # onto the unique cycle in case 5, where P2 repels
+    # onto the unique cycle in case 5, where P2 repels, from outside and from inside it
     rep = build_portrait(Params(*triple))
-    assert [tr.omega_limit for tr in rep.representatives] == [limit] * 8
+    assert [tr.omega_limit for tr in rep.representatives] == [limit] * (2 if limit == "cycle" else 1)
     (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
     assert sep.omega_limit == limit
 
 
 def test_backward_halves_are_walked_and_read_alpha_from_their_crossings(monkeypatch):
     # README B: inside the cycle the backward crossings of the section ray fall toward x2 and
-    # settle, which gives alpha = P2 where P2 repels; the two outer orbits escape to O1
+    # settle, which gives alpha = P2 where P2 repels; the outer orbit escapes to O1
     import kportrait.portrait as portrait
 
     walks = []
@@ -289,14 +289,38 @@ def test_backward_halves_are_walked_and_read_alpha_from_their_crossings(monkeypa
     monkeypatch.setattr(portrait, "_walk", recorded)
     rep = build_portrait(Params(0.5, 1.0, 0.25))
     back = [(orbit, xs) for direction, orbit, xs in walks if direction == "backward"]
-    assert len(back) == 8
-    for orbit, _ in back[:2]:
-        assert (orbit.terminal, orbit.detail) == ("escaped", "O1")
-    for orbit, xs in back[2:]:
-        assert orbit.terminal == "hit-section" and len(xs) > 2
-        assert all(v < u for u, v in zip(xs, xs[1:])), xs
-    assert [tr.alpha_limit for tr in rep.representatives] == ["O1"] * 2 + ["P2"] * 6
-    assert [tr.omega_limit for tr in rep.representatives] == ["cycle"] * 8
+    (outer, _), (inner, xs) = back
+    assert (outer.terminal, outer.detail) == ("escaped", "O1")
+    assert inner.terminal == "hit-section" and len(xs) > 2
+    assert all(v < u for u, v in zip(xs, xs[1:])), xs
+    assert [tr.alpha_limit for tr in rep.representatives] == ["O1", "P2"]
+    assert [tr.omega_limit for tr in rep.representatives] == ["cycle"] * 2
+
+
+# README A, B and C, case 7 in floats, exact cases 2 and 7, and the first 16 triples of a
+# draw with b in 10^U(-2, 0.5), c in 10^U(-1, 1) and delta in 10^U(-1.5, 0.5)
+_DRAW = random.Random(5)
+_CLASS_TRIPLES = [(2.0, 1.0, 1.0), (0.5, 1.0, 0.25), (0.9, 1.2, 0.3), (0.6, 1.6, 0.4), (3, 1, F(1, 4)), (F(3, 5), 1, F(1, 4))]
+_CLASS_TRIPLES += [tuple(10 ** _DRAW.uniform(lo, hi) for lo, hi in ((-2, 0.5), (-1, 1), (-1.5, 0.5))) for _ in range(16)]
+_CLASSES = {
+    "A": {("O1", "P1")},
+    "B": {("O1", "cycle"), ("P2", "cycle")},
+    "B-inner": {("P2", "cycle")},
+    "C": {("O1", "P2")},
+    "none": set(),
+}
+
+
+@pytest.mark.parametrize(
+    "triple, classes",
+    zip(_CLASS_TRIPLES, "A B C C A C B A A B-inner A A B-inner none B C C A B-inner C none A".split()),
+)
+def test_one_orbit_per_region_shows_every_class_of_the_eight_orbit_ladders(triple, classes):
+    # the resolved (alpha, omega) classes are those that eight seeds on a geometric ladder
+    # along the section ray, or on a diagonal ladder without P2, showed when they were drawn
+    rep = build_portrait(Params(*triple))
+    got = {(tr.alpha_limit, tr.omega_limit) for tr in rep.representatives}
+    assert {pair for pair in got if "unresolved" not in pair} == _CLASSES[classes]
 
 
 @pytest.mark.parametrize("start_x, direction", [(0.9, "forward"), (0.3, "backward")])
