@@ -15,9 +15,9 @@ from .model import *  # noqa: F403
 
 # Every public name, by home module; each module's own __all__ lists the same.
 _EXPORTS = {
-    "compactify": ("InfinitePoint", "SectorData", "family_infinite_points"),
+    "compactify": ("family_infinite_points",),
     "model": (
-        "AnalysisError", "CaseLabel", "Discriminants", "Params", "SingularPoint",
+        "AnalysisError", "CaseLabel", "Discriminants", "Params", "SectorData", "SingularPoint",
         "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",
     ),
     "local": (

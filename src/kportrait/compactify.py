@@ -4,7 +4,7 @@ The cubic field extends to the closed Poincare disc, whose boundary circle
 collects the directions at infinity.  Its chart U1 covers the x-directions
 at infinity and U2 the y-directions; O1 and O2 are their origins, the same
 for every parameter triple.  ``portrait`` draws and reports them.
-The integrator does not use these charts: beyond radius 10 it runs in the
+The integrator does not use these charts: far out it runs in the
 barycentric chart (x, y)/(1 + x + y) of ``numerics``.  The sparse polynomial
 engine and the U1/U2 chart maps live with the tests, in
 ``tests/poincare_engine.py``; ``tests/test_compactify.py`` proves that
@@ -13,46 +13,26 @@ chart's field, and O1 and O2 from the Poincare formulas, with sympy.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from .model import Params, SectorData, SingularPoint
 
-from .model import Params
+__all__ = ["family_infinite_points"]
 
-__all__ = ["InfinitePoint", "SectorData", "family_infinite_points"]
-
-
-class SectorData(NamedTuple):
-    """Analytic description of the local sector structure at a degenerate point."""
-
-    sector: str
-    separatrices: tuple[str, str]
-
-
-class InfinitePoint(NamedTuple):
-    """A singular point on the equator of the Poincare disc."""
-
-    chart: str
-    location: tuple[float, float]
-    kind: str
-    sector_data: Optional[SectorData] = None
-    linear_part: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
-
-
-_O2_SECTOR = SectorData("hyperbolic", ("infinity-equator", "x=0-axis"))
 _FAMILY_INFINITE_POINTS = (
-    InfinitePoint("U1", (0.0, 0.0), "unstable-node", linear_part=((1.0, 0.0), (0.0, 1.0))),
-    InfinitePoint("U2", (0.0, 0.0), "degenerate", _O2_SECTOR, ((0.0, 0.0), (0.0, 0.0))),
+    SingularPoint("O1", "U1", (0.0, 0.0), "unstable-node", (1 + 0j, 1 + 0j)),
+    SingularPoint("O2", "U2", (0.0, 0.0), "degenerate", (0j, 0j), SectorData("hyperbolic", ("infinity-equator", "x=0-axis"))),
 )
 
 
-def family_infinite_points(p: Params) -> list[InfinitePoint]:
+def family_infinite_points(p: Params) -> list[SingularPoint]:
     """The family's equator points O1 and O2, the same for every ``p``.
 
     On the equator of U1 the field is u' = u, so O1 is an unstable node with
-    linear part I.  The U2 field has no linear part at its origin, so O2 is
-    degenerate; its horizontal blow-up u = v w1 has a saddle-node at the
-    origin, which gives one hyperbolic sector in the quadrant, bounded by the
-    equator and x = 0.  ``tests/test_compactify.py`` proves these facts with
-    sympy for all positive parameters, and the byte golden of the portraits
-    in ``tests/test_cli.py`` pins the orbits that reach O1 and O2.
+    linear part I, both eigenvalues 1.  The U2 field has no linear part at its
+    origin, so O2 is degenerate; its horizontal blow-up u = v w1 has a
+    saddle-node at the origin, which gives one hyperbolic sector in the
+    quadrant, bounded by the equator and x = 0.  ``tests/test_compactify.py``
+    proves these facts with sympy for all positive parameters, and the byte
+    golden of the portraits in ``tests/test_cli.py`` pins the orbits that reach
+    O1 and O2.
     """
     return list(_FAMILY_INFINITE_POINTS)

@@ -35,6 +35,7 @@ __all__ = [
     "AnalysisError",
     "Params",
     "Discriminants",
+    "SectorData",
     "SingularPoint",
     "CaseLabel",
     "vector_field",
@@ -266,14 +267,23 @@ class Discriminants(NamedTuple):
     B: Number
 
 
+class SectorData(NamedTuple):
+    """The local sector structure of a degenerate point in the quadrant."""
+
+    sector: str
+    separatrices: tuple[str, str]
+
+
 class SingularPoint(NamedTuple):
-    """A finite or infinite equilibrium with location, chart and local type."""
+    """A finite or infinite equilibrium with location, chart and local type; the
+    eigenvalues are those of its linear part, and a degenerate one has its sector."""
 
     name: str  # P0, P1, P2, O1, O2
     chart: str  # affine, U1, U2
     location: tuple[Number, Number]
     kind: str
     eigenvalues: Optional[tuple[complex, complex]] = None
+    sector: Optional[SectorData] = None
 
 
 # a record, not a NamedTuple: callers rebuild a label with type(label)(**vars(label))

@@ -1,13 +1,14 @@
 """Orbit integration, return maps, limit-cycle detection and the grid scanner.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
-control and FSAL.  When an orbit leaves the ball of radius 10 the state
-transfers to the barycentric chart "S", (X, Y) = (x, y)/(1 + x + y), which
-maps the whole closed quadrant, infinity included, onto the triangle
-X, Y >= 0, X + Y <= 1.  There the line at infinity is Z = 1 - X - Y = 0, the
-equator points are O1 = (1, 0) and O2 = (0, 1), and integration continues on
-the family's closed-form field in that chart; the recorded ``time`` is the
-orbit parameter of the rescaled flow, which preserves orientation on Z > 0.
+control and FSAL.  When an orbit leaves the ball of radius 10, or of twice
+the farthest equilibrium's radius, the state transfers to the barycentric
+chart "S", (X, Y) = (x, y)/(1 + x + y), which maps the whole closed
+quadrant, infinity included, onto the triangle X, Y >= 0, X + Y <= 1.
+There the line at infinity is Z = 1 - X - Y = 0, the equator points are
+O1 = (1, 0) and O2 = (0, 1), and integration continues on the family's
+closed-form field in that chart; the recorded ``time`` is the orbit
+parameter of the rescaled flow, which preserves orientation on Z > 0.
 
 ``integrate(..., section=y)`` stops an orbit at its first crossing of that
 horizontal line in the affine chart, upward forward and downward backward.
@@ -75,9 +76,8 @@ _MAX_SAMPLES = 2_000_000
 _AFFINE_CLAMP = 1e12  # S samples with Z < 1/_AFFINE_CLAMP map as if at that Z
 _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
 _LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
-_CHART_SWITCH_RADIUS = 10.0  # affine radius beyond which an orbit moves to the S chart
+_CHART_SWITCH_RADIUS = 10.0  # least affine radius beyond which an orbit moves to the S chart
 _EVENT_TOL = 1e-12  # relative width of the event-time bracket
-_SECTION_MIN_TIME = 1e-9  # section crossings before this time are the start itself
 # P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at _REL_TOL 1e-8:
 # (1 - multiplier)/(2 rate) was 0.986 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.892 at 7.6e-6 for (2, 1/2)
 _HOPF_RATE_FLOOR = 1e-5
@@ -243,12 +243,14 @@ def integrate(
     and time budget ``max_time``, both strictly positive.
 
     ``start`` must be a finite point of the closed positive quadrant.  The
-    orbit record switches to the S chart beyond affine radius 10, and back
-    inside radius 9, and terminates on max-time, convergence to an
-    equilibrium, escape to infinity (Z <= 1e-9, at O1 when Y < X/2), the
-    located first crossing of the line y = ``section`` in the affine chart
-    after time 1e-9, upward forward and downward backward (hit-section), or
-    the excluded neighbourhood of the degenerate O2 (chart-boundary-loop).
+    orbit record switches to the S chart beyond affine radius R, the larger
+    of 10 and twice the distance of the farthest equilibrium from P0, and back
+    inside radius 0.9 R, so the stop tests and the section, which run in the
+    affine chart, see every equilibrium.  It terminates on max-time,
+    convergence to an equilibrium, escape to infinity (Z <= 1e-9, at O1 when
+    Y < X/2), the located first crossing of the line y = ``section`` in the
+    affine chart, upward forward and downward backward (hit-section), or the
+    excluded neighbourhood of the degenerate O2 (chart-boundary-loop).
     An IntegrationFailure names the direction and start of the orbit, then what failed.
     """
     if direction not in ("forward", "backward"):
@@ -272,8 +274,8 @@ def integrate(
     h = max(1e-10, min(max_step, 0.01 * max(abs(x), abs(y), 1.0) / max(abs(k1x), abs(k1y), 1e-10)))
     terminal = ""
     detail = ""
-    r2_out = _CHART_SWITCH_RADIUS**2
-    r2_in = (0.9 * _CHART_SWITCH_RADIUS) ** 2
+    radius = max(_CHART_SWITCH_RADIUS, 2.0 * max(math.hypot(qx, qy) for _, qx, qy, _ in equilibria))
+    r2_out, r2_in = radius**2, (0.9 * radius) ** 2
 
     while True:
         if t >= max_time:
@@ -304,7 +306,7 @@ def integrate(
                 )
         tn = t + h
 
-        if section is not None and chart == "affine" and sgn * y < sgn * section <= sgn * yn and tn > _SECTION_MIN_TIME:
+        if section is not None and chart == "affine" and sgn * y < sgn * section <= sgn * yn:
             te, xe, ye = _locate_section(rhs, sgn, section, x, y, t, h, k1x, k1y, xn, yn)
             samples.append((te, "affine", (xe, ye)))
             terminal = "hit-section"
@@ -485,12 +487,12 @@ def detect_limit_cycle(p: Params) -> CycleResult:
     outer one, that did not return, or where the section map expands.
     """
     x2, _ = interior_point(p)
-    x_outer = _outer_seed(p, x2)
     lam = _points(p)[-1].eigenvalues[1]  # P2's Re + i Im, Im >= 0: where A > 0 it repels at 2 pi Re/Im per turn
     b, c, d = p._float
     if p._case[1][1] > 0 and b >= (1.0 - _HOPF_BAND) * (c - d) / (c + d) and 2.0 * math.pi * lam.real < _HOPF_RATE_FLOOR * lam.imag:
         detail = f"near-hopf: predicted 1 - multiplier ~ {4.0 * math.pi * lam.real / lam.imag:.3g}"
         return CycleResult(False, None, None, None, False, detail)
+    x_outer = _outer_seed(p, x2)
     x_in = x2 + max(1e-6, 1e-3 * (x_outer - x2))
 
     def deflated(s: float) -> tuple[float, float]:

@@ -13,7 +13,7 @@ import json
 import math
 from typing import NamedTuple, Optional
 
-from .compactify import InfinitePoint, family_infinite_points
+from .compactify import family_infinite_points
 from .local import DulacReport, _mu_omega, dulac_check, hopf_analysis
 from .model import (
     AnalysisError,
@@ -94,7 +94,7 @@ class PortraitReport(NamedTuple):
     params: Params
     label: CaseLabel
     finite_points: list[SingularPoint]
-    infinite_points: list[InfinitePoint]
+    infinite_points: list[SingularPoint]
     hopf: Optional[HopfSummary]
     cycle: Optional[CycleResult]
     dulac: DulacReport
@@ -385,21 +385,21 @@ def render_svg(report: PortraitReport) -> str:
     for q in report.finite_points:
         parts.append(glyph(q.name, q.kind, float(q.location[0]), float(q.location[1])))
     for q in report.infinite_points:
-        name = "O1" if q.chart == "U1" else "O2"
+        # O1 ends the x-axis on the arc, O2 the y-axis
         if q.chart == "U1":
             px, py = _MARGIN + scale, _SIZE - _MARGIN
         else:
             px, py = _MARGIN, _SIZE - _MARGIN - scale
         kind = q.kind
-        title = f"{name}: {kind}"
-        if q.sector_data is not None:
+        title = f"{q.name}: {kind}"
+        if q.sector is not None:
             title += (
-                f"; one {q.sector_data.sector} sector in the quadrant, separatrices "
-                f"{q.sector_data.separatrices[0]} and {q.sector_data.separatrices[1]}"
+                f"; one {q.sector.sector} sector in the quadrant, separatrices "
+                f"{q.sector.separatrices[0]} and {q.sector.separatrices[1]}"
             )
         fill = "#ffffff" if kind == "unstable-node" else "#dddddd"
         parts.append(
-            f'<g class="pt infinite" data-name="{name}" data-kind="{kind}">'
+            f'<g class="pt infinite" data-name="{q.name}" data-kind="{kind}">'
             f"<title>{title}</title>"
             f'<circle cx="{_fmt_px(px)}" cy="{_fmt_px(py)}" r="{_fmt_px(_POINT_SIZE)}" fill="{fill}"/>'
             "</g>"
@@ -469,17 +469,14 @@ def report_to_dict(report: PortraitReport) -> dict:
         ],
         "infinite_singular_points": [
             {
-                "name": "O1" if q.chart == "U1" else "O2",
+                "name": q.name,
                 "chart": q.chart,
                 "u": float(q.location[0]),
                 "v": float(q.location[1]),
                 "kind": q.kind,
                 "sector": None
-                if q.sector_data is None
-                else {
-                    "sector": q.sector_data.sector,
-                    "separatrices": list(q.sector_data.separatrices),
-                },
+                if q.sector is None
+                else {"sector": q.sector.sector, "separatrices": list(q.sector.separatrices)},
             }
             for q in report.infinite_points
         ],

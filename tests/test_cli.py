@@ -600,7 +600,7 @@ def _converted_records() -> list:
     return [
         kportrait.discriminants(p),
         kportrait.finite_singular_points(p)[2],
-        kportrait.family_infinite_points(p)[1].sector_data,
+        kportrait.family_infinite_points(p)[1].sector,
         kportrait.family_infinite_points(p)[1],
         hd,
         kportrait.dulac_check(p),
@@ -616,7 +616,7 @@ def _converted_records() -> list:
 def test_records_keep_the_dataclass_behaviour():
     records = _converted_records()
     assert sorted(type(r).__name__ for r in records) == sorted(
-        ["Discriminants", "SingularPoint", "SectorData", "InfinitePoint", "HopfData", "DulacReport",
+        ["Discriminants", "SingularPoint", "SectorData", "SingularPoint", "HopfData", "DulacReport",
          "CycleResult", "GridSpec", "ScanEvidence", "HopfSummary", "UniquenessReport"]
     )
     assert repr(records[2]) == "SectorData(sector='hyperbolic', separatrices=('infinity-equator', 'x=0-axis'))"
@@ -665,7 +665,11 @@ def test_lazy_exports_resolve_to_their_home_objects():
     assert set(kportrait.__all__) <= set(vars(kportrait)), "a resolved name was not cached"
     assert not hasattr(kportrait, "no_such_name")
     # the sparse polynomial engine and the U1/U2 chart maps live in tests/poincare_engine.py
-    assert kportrait._EXPORTS["compactify"] == ("InfinitePoint", "SectorData", "family_infinite_points")
+    assert kportrait._EXPORTS["compactify"] == ("family_infinite_points",)
+    # O1 and O2 are SingularPoints, so compactify defines no record of its own
+    assert "InfinitePoint" not in kportrait.__all__ and not hasattr(kportrait.compactify, "InfinitePoint")
+    assert not [v for v in vars(kportrait.compactify).values() if isinstance(v, type) and v.__module__ == "kportrait.compactify"]
+    assert len(kportrait.__all__) == 41
     for name in ("PolySystem", "ChartDomainError", "chart_transition", "family_system"):
         assert name not in kportrait.__all__ and not hasattr(kportrait.compactify, name), name
     # the from-scratch Hopf route keeps its coefficient tuples in a private dict

@@ -13,8 +13,8 @@ sampled triples:
     invariant, and on Z = 0 the flow runs from O1 = (1, 0) to O2 = (0, 1);
 (b) each Poincare chart field is v^2 times the affine field pushed forward, so
     the charts keep the orientation off the equator;
-(c) on the equator of U1 the flow is u' = u, O1 has linear part I and O2
-    linear part 0;
+(c) on the equator of U1 the flow is u' = u, O1 has linear part I, with
+    eigenvalues 1 and 1, and O2 linear part 0;
 (d) the horizontal blow-up u = v w1 of O2, with one factor v divided out, has
     a saddle-node at its origin, which gives O2's one hyperbolic sector;
 (e) on the case-2 surface c - delta = b delta, P1 is a saddle-node;
@@ -184,13 +184,15 @@ def test_family_infinite_points():
     assert [f.subs(V, 0) for f in u1] == [U, 0]
     assert [f.subs({U: 0, V: 0}) for f in u2] == [0, 0]
     o1, o2 = family_infinite_points(SYMBOLIC)
-    for point, charted in ((o1, u1), (o2, u2)):
-        linear = sp.Matrix(charted).jacobian([U, V]).subs({U: 0, V: 0})
-        # no parameter survives, so float() of each entry is the linear part for every triple
-        assert tuple(tuple(float(e) for e in row) for row in linear.tolist()) == point.linear_part
-    # linear part I: both eigenvalues are 1
-    assert (o1.chart, o1.location, o1.kind) == ("U1", (0.0, 0.0), "unstable-node")
-    assert (o2.chart, o2.location, o2.kind) == ("U2", (0.0, 0.0), "degenerate")
+    linears = [sp.Matrix(charted).jacobian([U, V]).subs({U: 0, V: 0}) for charted in (u1, u2)]
+    # linear part I at O1, an unstable star node, and 0 at O2, which is degenerate
+    assert linears == [sp.eye(2), sp.zeros(2)]
+    for point, linear in zip((o1, o2), linears):
+        # no parameter survives, so the eigenvalues of the linear part hold for every triple
+        eigs = [complex(ev) for ev, mult in linear.eigenvals().items() for _ in range(mult)]
+        assert eigs == list(point.eigenvalues), point.name
+    assert (o1.name, o1.chart, o1.location, o1.kind, o1.sector) == ("O1", "U1", (0.0, 0.0), "unstable-node", None)
+    assert (o2.name, o2.chart, o2.location, o2.kind) == ("O2", "U2", (0.0, 0.0), "degenerate")
 
 
 def test_blowup_golden_coefficients():
@@ -224,7 +226,7 @@ def test_blowup_origin_classification():
     # so the origin is a saddle-node; in the quarter w1, v > 0 orbits arrive
     # along the equator and leave along x = 0: one hyperbolic sector
     _, o2 = family_infinite_points(SYMBOLIC)
-    assert o2.sector_data == SectorData("hyperbolic", ("infinity-equator", "x=0-axis"))
+    assert o2.sector == SectorData("hyperbolic", ("infinity-equator", "x=0-axis"))
 
 
 def test_p1_is_a_saddle_node_on_the_case2_surface():

@@ -663,8 +663,8 @@ def _analysis_digest(n):
     """sha256 over the repr of every analysis result, or the type and message of the
     error raised, for ``n`` seeded triples.  The records are rewritten in the fields they
     had when the digest was recorded: HopfData's closure mu_at as None and omega_at as its
-    value at b0, DulacReport's closure as None, and UniquenessReport with K = 1 and its
-    conditions as a dict."""
+    value at b0, DulacReport's closure as None, UniquenessReport with K = 1 and its
+    conditions as a dict, and SingularPoint without its sector."""
     from collections import namedtuple
 
     from kportrait import lyapunov_procedural
@@ -673,6 +673,7 @@ def _analysis_digest(n):
     old_hopf = namedtuple("HopfData", "b0 mu_at omega_at dmu_db_at_b0 equilibrium g20 g11 g21 ell1 p_vec q_vec")
     old_dulac = namedtuple("DulacReport", "applicable margin bound_expression_value_at conclusion")
     old_uniqueness = namedtuple("UniquenessReport", "g_slope a lam x_star K conditions_hold")
+    old_point = namedtuple("SingularPoint", "name chart location kind eigenvalues")
     h = hashlib.sha256()
 
     def record(f, *args):
@@ -695,6 +696,9 @@ def _analysis_digest(n):
         *values, conditions = uniqueness_check(p)
         return old_uniqueness(*values, 1, dict(zip(("i", "ii", "iii", "iv"), conditions)))
 
+    def points(p):
+        return [old_point(*q[:-1]) for q in finite_singular_points(p)]
+
     rng = random.Random(2020)
     for _ in range(n):
         b, c, d = _draw_triple(rng)
@@ -704,7 +708,7 @@ def _analysis_digest(n):
         record(lyapunov_procedural, c, d)
         p = record(Params, b, c, d)
         if isinstance(p, Params):
-            for f in (classify_case, finite_singular_points, discriminants, dulac, uniqueness):
+            for f in (classify_case, points, discriminants, dulac, uniqueness):
                 record(f, p)
     return h.hexdigest()
 

@@ -578,6 +578,23 @@ def test_outer_bracket_has_one_fallback(monkeypatch):
         assert numerics._outer_seed(P_DULAC, x2) == fallback
 
 
+def test_the_near_hopf_verdict_integrates_nothing(monkeypatch):
+    # the verdict reads P2's eigenvalues alone, so it comes before the P1 separatrix turn
+    # that seeds the outer bracket: here b = b0 (1 - 2e-6) with b0 = 0.6
+    import kportrait.numerics as numerics
+
+    calls = []
+    real = numerics.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", counted)
+    res = detect_limit_cycle(Params(0.5999988, 1.0, 0.25))
+    assert res.detail.startswith("near-hopf:") and calls == []
+
+
 def test_cycle_search_builds_the_stop_table_once(monkeypatch):
     # the equilibria and their stop modes depend only on the parameters, so
     # the dozen or more orbits of one cycle search share one classification,

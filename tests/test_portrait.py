@@ -49,7 +49,7 @@ def _analysis_records(p: Params) -> list:
     """Every analysis record of ``p`` that its parameters admit."""
     out = [p, classify_case(p), discriminants(p), dulac_check(p), *finite_singular_points(p)]
     for q in family_infinite_points(p):
-        out += [q, q.sector_data] if q.sector_data is not None else [q]
+        out += [q, q.sector] if q.sector is not None else [q]
     for call in (lambda: uniqueness_check(p), lambda: hopf_analysis(p.c, p.delta)):
         try:
             out.append(call())
@@ -76,7 +76,7 @@ def test_analysis_records_and_portraits_are_plain_values():
             assert type(copy) is type(r) and copy == r, r
             assert hash(r) == hash(twin) == hash(copy), r
     assert seen == {
-        "Params", "CaseLabel", "Discriminants", "DulacReport", "SingularPoint", "InfinitePoint", "SectorData",
+        "Params", "CaseLabel", "Discriminants", "DulacReport", "SingularPoint", "SectorData",
         "UniquenessReport", "HopfData",
     }
     # portraits A, B and C of the README
@@ -258,6 +258,20 @@ def test_p1_separatrix_limits(triple, stability, alpha, omega):
 
 
 @pytest.mark.parametrize(
+    "triple, p2",
+    [((20.0, 41.0, 1.0), (0.5, 10.25)), ((40.0, 81.0, 1.0), (0.5, 20.25)), ((100.0, 201.0, 1.0), (0.5, 50.25))],
+)
+def test_p2_beyond_radius_ten_is_reached(triple, p2):
+    # in cases 4, 6 and 7 x2 < 1 but y2 grows toward c/(4 delta); the stop tests and the section
+    # run in the affine chart, so an orbit stays there out to twice the farthest equilibrium
+    rep = build_portrait(Params(*triple))
+    assert rep.label.case == 6 and rep.finite_points[2].location == p2
+    (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
+    assert [sep.omega_limit] + [tr.omega_limit for tr in rep.representatives] == ["P2", "P2"]
+    assert not [w for w in rep.warnings if w.startswith("portrait-corroboration-mismatch")], rep.warnings
+
+
+@pytest.mark.parametrize(
     "triple, limit",
     [
         ((F(3, 5), 1, F(1, 4)), "P2"),  # case 7: A = 0 exactly, P2 a weak focus
@@ -375,7 +389,9 @@ def test_render_svg_deterministic(report_b):
 
 
 def test_render_svg_well_formed(report_a, report_b, report_c):
-    for rep, letter in ((report_a, "A"), (report_b, "B"), (report_c, "C")):
+    # case 2 (b delta = c - delta) draws P1 as a saddle-node
+    report_case2 = build_portrait(Params(3.0, 1.0, 0.25))
+    for rep, letter in ((report_a, "A"), (report_b, "B"), (report_c, "C"), (report_case2, "A")):
         doc = render_svg(rep)
         root = ET.fromstring(doc)
         assert root.tag.endswith("svg")
@@ -387,6 +403,13 @@ def test_render_svg_well_formed(report_a, report_b, report_c):
         # singular point glyphs present
         assert 'data-name="P0"' in doc
         assert 'data-name="O1"' in doc and 'data-name="O2"' in doc
+    (p1,) = [g for g in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}g") if g.get("data-name") == "P1"]
+    assert '<g class="pt saddle-node" data-name="P1" data-kind="saddle-node">' in doc
+    assert [child.tag.split("}")[1] for child in p1] == ["title", "circle", "path"]
+    # the filled half-disc: an arc from the top of the circle to its bottom, closed by its chord
+    x0, y0, x1, y1 = map(float, re.fullmatch(r"M (\S+) (\S+) A 5\.00 5\.00 0 0 1 (\S+) (\S+) Z", p1[2].get("d")).groups())
+    cx, cy = float(p1[1].get("cx")), float(p1[1].get("cy"))
+    assert x0 == x1 == cx and (y0, y1) == pytest.approx((cy - 5.0, cy + 5.0), abs=0.006)
 
 
 def test_render_svg_empty_orbits_is_valid(report_a):
