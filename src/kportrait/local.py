@@ -119,15 +119,12 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     b0: Number = Fraction(cn - dn, cn + dn) if exact else (c - delta) / (c + delta)
     try:
         b0f, cf, df = _to_float(b0), _to_float(c), _to_float(delta)
-        a0, bb0 = _ab(b0f, cf, df)
-        if not bb0 < 0:
-            raise AnalysisError("B(b0) must be negative for a complex pair at b0")
-        _, w = _mu_omega(b0f, cf, df)
-        if w is None:
-            raise AnalysisError(f"eigenvalues at b={b0f} are not a complex pair")
+        # B(b0) = -4c^2(c-d)^3/(c+d) < 0 for every c > d, so w is None or not finite only
+        # where B(b0) overflows to nan or underflows to 0; None divides by zero below
+        w = _mu_omega(b0f, cf, df)[1] or 0.0
         # w, dmu/db and p = (-(c+d)/(2d), i/(2w)) must be nonzero doubles for <p, q> = 1 to mean anything
         dmu, p1, p2 = -df / (2 * (cf - df)), -(cf + df) / (2 * df), 1.0 / (2.0 * w)
-        in_range = w and dmu and all(map(math.isfinite, (b0f, cf, df, a0, bb0, w, dmu, p1, p2)))
+        in_range = dmu and all(map(math.isfinite, (b0f, cf, df, w, dmu, p1, p2)))
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:

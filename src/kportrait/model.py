@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
@@ -197,7 +198,7 @@ class Params(_Record):
 
         Exact mode takes the signs on the integer numerators; in float mode a value
         within ZERO_BAND of the magnitude of its terms counts as zero, and an
-        overflow is an AnalysisError.
+        overflow, or a magnitude that underflows, is an AnalysisError.
         """
         b, c, d, L, _ = self._lifted
         try:
@@ -214,8 +215,10 @@ class Params(_Record):
             )
         except OverflowError:  # float arithmetic out of range
             vals = scales = (math.inf,)
-        # an overflow passes every band test and would read as a boundary case
-        if not all(map(math.isfinite, vals + scales)):
+        # an overflow passes every band test and would read as a boundary case; so does an
+        # underflow: each scale is a sum of positive terms, so one below the least normal
+        # double (0.0 included) has underflowed and its band reads any value as zero
+        if not all(map(math.isfinite, vals + scales)) or min(scales) < sys.float_info.min:
             raise AnalysisError(f"float arithmetic leaves the range of doubles for {self}; classify it exactly (--exact)")
 
         def sign(v, s) -> int:
@@ -377,90 +380,64 @@ def _sorted_eig(j: tuple[tuple[float, float], tuple[float, float]]) -> tuple[com
     return complex(lo * half), complex(hi * half)
 
 
-def finite_singular_points(p: Params) -> list[SingularPoint]:
-    """Equilibria of the family in the closed positive quadrant.
+# the paper's cases: (portrait, P1 kind, P2 kind); P2 lies in the open quadrant from case 3 on
+_CASES = {
+    1: ("A", "stable-node", None),
+    2: ("A", "saddle-node", None),
+    3: ("B", "saddle", "unstable-node"),
+    4: ("C", "saddle", "stable-node"),
+    5: ("B", "saddle", "unstable-focus"),
+    6: ("C", "saddle", "stable-focus"),
+    7: ("C", "saddle", "weak-stable-focus"),
+}
 
-    Always contains P0 = (0,0) (saddle) and P1 = (1,0); P2 is included only
-    when it lies strictly inside the open quadrant.  When b*delta = c - delta
-    the collision P1 = P2 is reported once, as a saddle-node at (1,0).
+
+def finite_singular_points(p: Params) -> list[SingularPoint]:
+    """Equilibria of the family in the closed positive quadrant, with the kinds that
+    :func:`classify_case`'s case fixes.
+
+    Always contains P0 = (0,0) (saddle) and P1 = (1,0); P2 is included from case 3
+    on, when it lies strictly inside the open quadrant.  When b*delta = c - delta
+    (case 2) the collision P1 = P2 is reported once, as a saddle-node at (1,0).
     """
     bf, cf, df = p._float
-    pts = [SingularPoint("P0", "affine", (0, 0), "saddle", (complex(bf), complex(-df * bf)))]
-
-    _, (s_q1, s_A, s_B, _) = p._case
+    case = classify_case(p).case
+    _, p1_kind, p2_kind = _CASES[case]
     lam1, lam2 = complex(-bf - 1.0), complex(cf - df - bf * df)
-    if s_q1 > 0:
-        pts.append(SingularPoint("P1", "affine", (1, 0), "stable-node", (lam1, lam2)))
-        return pts
-    if s_q1 == 0:
-        pts.append(SingularPoint("P1", "affine", (1, 0), "saddle-node", (lam1, 0j)))
-        return pts
-
-    pts.append(SingularPoint("P1", "affine", (1, 0), "saddle", (lam1, lam2)))
-
-    loc = p._p2
-    if s_B < 0:
-        kind = {1: "unstable-focus", -1: "stable-focus", 0: "weak-stable-focus"}[s_A]
-    else:
-        # B >= 0 with A = 0 cannot happen: A = 0 forces B < 0.
-        kind = "unstable-node" if s_A > 0 else "stable-node"
-    # the Jacobian at the float images of the parameters and of P2
-    eig = _sorted_eig(_jacobian_at(bf, cf, df, _to_float(loc[0]), _to_float(loc[1])))
-    pts.append(SingularPoint("P2", "affine", loc, kind, eig))
+    pts = [
+        SingularPoint("P0", "affine", (0, 0), "saddle", (complex(bf), complex(-df * bf))),
+        SingularPoint("P1", "affine", (1, 0), p1_kind, (lam1, 0j if case == 2 else lam2)),
+    ]
+    if p2_kind:
+        loc = p._p2
+        # the Jacobian at the float images of the parameters and of P2
+        eig = _sorted_eig(_jacobian_at(bf, cf, df, _to_float(loc[0]), _to_float(loc[1])))
+        pts.append(SingularPoint("P2", "affine", loc, p2_kind, eig))
     return pts
 
 
 def classify_case(p: Params) -> CaseLabel:
     """Map parameters to (case, region, portrait, status, boundary tags).
 
-    Total and deterministic.  Boundary tags fire exactly when the separating
-    quantity is zero (exact mode) or within the epsilon band (float mode):
-    ``case2-boundary`` for b*delta = c - delta, ``A-zero`` for A = 0 and
-    ``B-zero`` for B = 0.
+    Total and deterministic: one decision over the signs of b*delta - (c - delta),
+    A, B and the S2 margin 1 + c - delta - b - b*delta gives case, region and tags;
+    the case fixes the portrait letter, and a portrait C is proven only below S2.
+    Boundary tags fire exactly when the separating quantity is zero (exact mode)
+    or within the epsilon band (float mode): ``case2-boundary`` for
+    b*delta = c - delta, ``A-zero`` for A = 0 off it, and ``B-zero`` for B = 0
+    off both.
     """
     _, (s_q1, s_A, s_B, s_s2) = p._case
-
-    boundary: list[str] = []
-    if s_q1 == 0:
-        boundary.append("case2-boundary")
-    elif s_q1 < 0:
-        if s_A == 0:
-            boundary.append("A-zero")
-        elif s_B == 0:
-            boundary.append("B-zero")
-
     if s_q1 > 0:
-        case = 1
+        case, region, boundary = 1, "I", ()
     elif s_q1 == 0:
-        case = 2
+        case, region, boundary = 2, "S1", ("case2-boundary",)
     elif s_A == 0:
-        case = 7
-    elif s_B < 0:
-        case = 5 if s_A > 0 else 6
+        case, region, boundary = 7, "S3", ("A-zero",)
     else:
-        case = 3 if s_A > 0 else 4
-
-    if s_q1 > 0:
-        region = "I"
-    elif s_q1 == 0:
-        region = "S1"
-    elif s_A > 0:
-        region = "III"
-    elif s_A == 0:
-        region = "S3"
-    elif s_s2 > 0:
-        region = "II-b"
-    elif s_s2 == 0:
-        region = "S2"
-    else:
-        region = "II-a"
-
-    if case in (1, 2):
-        portrait, status = "A", "proven"
-    elif case in (3, 5):
-        portrait, status = "B", "proven"
-    else:
-        portrait = "C"
-        status = "proven" if s_s2 < 0 else "conjectured"
-
-    return CaseLabel(case, region, portrait, status, tuple(boundary))
+        case = (5 if s_B < 0 else 3) if s_A > 0 else (6 if s_B < 0 else 4)
+        region = "III" if s_A > 0 else ("II-a", "S2", "II-b")[s_s2 + 1]
+        boundary = ("B-zero",) if s_B == 0 else ()
+    portrait = _CASES[case][0]
+    status = "conjectured" if portrait == "C" and s_s2 >= 0 else "proven"
+    return CaseLabel(case, region, portrait, status, boundary)

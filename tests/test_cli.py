@@ -132,6 +132,12 @@ def test_classify_float_overflow_is_exit_1(capsys):
         # at b0, p = (-(c+delta)/(2 delta), i/(2 omega)) overflows; then omega does
         ("hopf", "--c", "2.6004607454220134e+53", "--delta", "2.7284730497909304e-263"),
         ("hopf", "--c", "2.961503700683393e+70", "--delta", "3.110359770482965e+58"),
+        # a scale of the zero band underflows, so every value would read as a zero
+        ("classify", "--b", "1e-200", "--c", "1e-200", "--delta", "1e-200"),
+        ("classify", "--b", "1.1683229682558197e-122", "--c", "7.956599072006431e-142", "--delta", "2.3455979493381626e-215"),
+        # B(b0) < 0 for every c > delta, yet in floats it overflows to nan or underflows to 0
+        ("hopf", "--c", "1e120", "--delta", "1e119"),
+        ("hopf", "--c", "1e-200", "--delta", "1e-201"),
     ],
 )
 def test_float_range_errors_are_exit_1(capsys, args):

@@ -245,6 +245,9 @@ def test_exact_input_gives_what_float_images_give(monkeypatch):
         (lambda: Params(F(1, 10**400), F(3, 10), 1)._float, "(b, c, delta) = (~1e-400, 0.3, 1.0)"),
         (lambda: Params(F(3, 10**330), F(10**400, 7), F(1, 4))._float, "(b, c, delta) = (~1e-330, ~1e+399, 0.25)"),
         (lambda: hopf_analysis(1e200, 1.0), "(b0, c, delta) = (1.0, 1e+200, 1.0)"),  # float input, as before
+        # B(b0) overflows to nan, or underflows to 0, though it is negative for every c > delta
+        (lambda: hopf_analysis(1e120, 1e119), "(b0, c, delta) = (0.8181818181818182, 1e+120, 1e+119)"),
+        (lambda: hopf_analysis(1e-200, 1e-201), "(b0, c, delta) = (0.8181818181818182, 1e-200, 1e-201)"),
     ],
 )
 def test_range_errors_name_each_value_in_one_short_line(call, at):

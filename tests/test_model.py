@@ -1,6 +1,7 @@
 """Field, Jacobian, discriminants and case classification."""
 
 import hashlib
+import itertools
 import pickle
 import random
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from kportrait import (
     AnalysisError,
+    CaseLabel,
     Params,
     classify_case,
     discriminants,
@@ -299,6 +301,48 @@ def test_classify_frozen_examples():
     assert (lab.case, lab.region, lab.portrait, lab.status) == (4, "II-b", "C", "conjectured")
 
 
+# the paper's case list: (case, the signs of b*delta - (c-delta), A and B it holds on,
+# portrait, P1 kind, P2 kind); P2 lies in the open quadrant from case 3 on
+PAPER_CASES = [
+    (1, lambda q1, A, B: q1 > 0, "A", "stable-node", None),
+    (2, lambda q1, A, B: q1 == 0, "A", "saddle-node", None),
+    (3, lambda q1, A, B: q1 < 0 and A > 0 and B >= 0, "B", "saddle", "unstable-node"),
+    (4, lambda q1, A, B: q1 < 0 and A < 0 and B >= 0, "C", "saddle", "stable-node"),
+    (5, lambda q1, A, B: q1 < 0 and A > 0 and B < 0, "B", "saddle", "unstable-focus"),
+    (6, lambda q1, A, B: q1 < 0 and A < 0 and B < 0, "C", "saddle", "stable-focus"),
+    (7, lambda q1, A, B: q1 < 0 and A == 0, "C", "saddle", "weak-stable-focus"),
+]
+
+# the regions of parameter space and the surfaces between them, by the signs of
+# b*delta - (c-delta), A and the S2 margin 1 + c - delta - b - b*delta
+PAPER_REGIONS = [
+    ("I", lambda q1, A, s2: q1 > 0),
+    ("S1", lambda q1, A, s2: q1 == 0),
+    ("III", lambda q1, A, s2: q1 < 0 and A > 0),
+    ("S3", lambda q1, A, s2: q1 < 0 and A == 0),
+    ("II-a", lambda q1, A, s2: q1 < 0 and A < 0 and s2 < 0),
+    ("S2", lambda q1, A, s2: q1 < 0 and A < 0 and s2 == 0),
+    ("II-b", lambda q1, A, s2: q1 < 0 and A < 0 and s2 > 0),
+]
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((-1, 0, 1), repeat=4)), ids=str)
+def test_every_sign_tuple_gets_the_papers_case_region_tags_and_kinds(signs):
+    q1, A, B, s2 = signs
+    p = Params(F(1, 2), 1, F(1, 4))  # case 5, so P2 lies in the quadrant whatever the signs say
+    vars(p)["_case"] = ((0, 0, 0, 0), signs)
+    [(case, _, portrait, p1_kind, p2_kind)] = [row for row in PAPER_CASES if row[1](q1, A, B)]
+    [region] = [name for name, holds in PAPER_REGIONS if holds(q1, A, s2)]
+    # at most one tag: the first surface of the three that the signs sit on
+    tags = tuple(tag for tag, on in (("case2-boundary", q1 == 0), ("A-zero", q1 < 0 and A == 0),
+                                     ("B-zero", q1 < 0 and A != 0 and B == 0)) if on)
+    # portraits A and B are proven; C only below S2
+    status = "conjectured" if portrait == "C" and s2 >= 0 else "proven"
+    assert classify_case(p) == CaseLabel(case, region, portrait, status, tags)
+    kinds = [(q.name, q.kind) for q in finite_singular_points(p)]
+    assert kinds == [("P0", "saddle"), ("P1", p1_kind)] + [("P2", p2_kind)] * (p2_kind is not None)
+
+
 def test_classify_total_and_deterministic():
     rng = np.random.default_rng(5)
     for _ in range(500):
@@ -395,8 +439,9 @@ def test_exact_and_float_modes_agree_off_boundaries():
             lf.portrait,
             lf.status,
         )
-    # where float products overflow, float mode refuses instead of guessing
-    for trip, case in (((1e160, 1e160, 1e160), 1), ((1.0, 1e308, 1e-308), 6)):
+    # where float products overflow, or a scale of the band underflows, float mode refuses instead of guessing
+    underflows = (((1e-200, 1e-200, 1e-200), 1), ((1.1683229682558197e-122, 7.956599072006431e-142, 2.3455979493381626e-215), 3))
+    for trip, case in (((1e160, 1e160, 1e160), 1), ((1.0, 1e308, 1e-308), 6), *underflows):
         assert classify_case(Params(*map(F, trip))).case == case
         with pytest.raises(AnalysisError, match="--exact"):
             classify_case(Params(*trip))
@@ -716,8 +761,11 @@ def _analysis_digest(n):
 def test_analysis_results_and_errors_match_the_recorded_digest():
     # recorded before the straight-line forms, the lock-free caches and the integer
     # sign tests: each must leave every bit, error type and message as it was; re-recorded
-    # when hopf_analysis's range errors began to name the Hopf point (b0, c, delta)
-    assert _analysis_digest(2400) == "aa178b20cb20db7a590bf0dc8d090cad0a19c534f6e292c040a8eb57bca81452"
+    # when hopf_analysis's range errors began to name the Hopf point (b0, c, delta), and
+    # when float classification began to refuse an underflowed scale and hopf_analysis to
+    # name an overflow or underflow of B(b0) as a range error: the triples with such a scale
+    # and those hopf records alone moved
+    assert _analysis_digest(2400) == "72602944df51b1b363b0a59950c640a6099300ee8c8f4cc4f38caca3a07f1933"
 
 
 def _record_twins():
