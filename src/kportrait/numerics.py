@@ -1,29 +1,33 @@
 """Orbit integration, return maps, limit-cycle detection and the grid scanner.
 
-Integration uses an embedded Dormand-Prince 5(4) pair with PI-free step
-control and FSAL.  When an orbit leaves the ball of radius 10, or of twice
-the farthest equilibrium's radius, the state transfers to the barycentric
-chart "S", (X, Y) = (x, y)/(1 + x + y), which maps the whole closed
-quadrant, infinity included, onto the triangle X, Y >= 0, X + Y <= 1.
-There the line at infinity is Z = 1 - X - Y = 0, the equator points are
-O1 = (1, 0) and O2 = (0, 1), and integration continues on the family's
-closed-form field in that chart; the recorded ``time`` is the orbit
-parameter of the rescaled flow, which preserves orientation on Z > 0.
+The family is a Kolmogorov system, x' = x F and y' = y G, so in the log
+chart (u, v) = (ln x, ln y) its field is (F, G) (Hofbauer and Sigmund,
+*Evolutionary Games and Population Dynamics*, 1998).  Integration runs there,
+on the field divided by w = 1 + x^2 + y: the clock ds = w dt is a weighted
+Poincare-Lyapunov compactification (weights 1 and 2 on x and y; Dumortier,
+Llibre and Artes, *Qualitative Theory of Planar Differential Systems*, ch. 5),
+so the field is bounded on the whole quadrant and one chart reaches infinity.
+True time rides along as dt/ds = 1/w, so time budgets, sample times and
+periods keep their units.  Steps are embedded Dormand-Prince 5(4) with FSAL;
+the error scale of ln x and ln y is relative, and near the interior
+equilibrium P2 it shrinks with the distance from P2, where the return map's
+displacement is a small share of that distance.
 
 ``integrate(..., section=y)`` stops an orbit at its first crossing of that
-horizontal line in the affine chart, upward forward and downward backward.
-The crossing is the end of one controlled sub-step from the step start, its
-length found by regula falsi, so the event state carries one local error, not
-an interpolation error.  Return maps use the ray of that line right of the
+horizontal line, upward forward and downward backward.  The crossing is the
+end of one controlled sub-step from the step start, its length found by
+regula falsi, so the event state carries one local error, not an
+interpolation error.  Return maps use the ray of that line right of the
 interior equilibrium, which the forward flow crosses upward and transversally;
 a walk repeats such turns in either time direction until the crossings
-settle.  Orbits and cycle loops leave this module as affine (x, y) tuples.
+settle.  Orbits and cycle loops leave this module as affine (x, y) points.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
@@ -70,34 +74,34 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 _CONVERGE_DIST2 = 1e-14  # squared distance to an equilibrium that ends an orbit
-_V_ESCAPE = 1e-9  # Z at or below this in the S chart counts as reaching infinity
-_O2_RADIUS2 = 1e-4  # squared S-chart radius around the degenerate O2 that is never entered
+_ESCAPE = math.log(1e9)  # ln x or ln y past this counts as reaching infinity
 _MAX_SAMPLES = 2_000_000
-_AFFINE_CLAMP = 1e12  # S samples with Z < 1/_AFFINE_CLAMP map as if at that Z
+_LOG_FLOOR = math.log(sys.float_info.min)  # ln x or ln y below which x or y is no normal double
 _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
-_LOOP_MAX_STEP = 0.2  # step cap that keeps a sampled cycle loop dense
-_CHART_SWITCH_RADIUS = 10.0  # least affine radius beyond which an orbit moves to the S chart
+_LOOP_MAX_STEP = 0.5  # step cap on the clock s that keeps a sampled cycle loop dense
 _EVENT_TOL = 1e-12  # relative width of the event-time bracket
-# P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at _REL_TOL 1e-8:
-# (1 - multiplier)/(2 rate) was 0.986 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.892 at 7.6e-6 for (2, 1/2)
+# P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at _REL_TOL:
+# (1 - multiplier)/(2 rate) was 0.978 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.974 at 7.6e-6 for (2, 1/2)
 _HOPF_RATE_FLOOR = 1e-5
 # the share of b0 = (c - delta)/(c + delta) below b0 (A > 0 puts b there) where that normal form is trusted: the
 # floor binds at (b0 - b)/b0 <= 1.2e-5 on the tests' Hopf grid, and found multipliers follow it within 5% to 1.7e-3
 _HOPF_BAND = 1e-3
 _SETTLED = 1e-3  # successive crossings this close end a walk: the disc projection draws them within a pixel
-_ABS_TOL = 1e-10  # absolute part of the error scale of a step
-_REL_TOL = 1e-8  # relative part of the error scale of a step
-_MAX_STEP = 0.5  # default step cap of integrate
+_ABS_TOL = 1e-10  # absolute part of the error scale of ln x and ln y in a step
+_REL_TOL = 1e-7  # relative part of that scale, of max(|ln z|, 1) or of the log-chart distance from P2 if smaller
 _MAX_TIME = 400.0  # default time budget of an orbit, and the budget that a walk's turns share
+_DISC_CHORD = 0.05  # longest chord of the Poincare disc that a step is sized for, so drawn orbits stay smooth
 
 
 class Orbit(NamedTuple):
     """Recorded trajectory: (time, chart, point) triples plus a terminal tag.
 
-    The chart of a sample is "affine" or "S".  Terminal is one of max-time,
-    converged-to-point, escaped, hit-section, chart-boundary-loop.  ``detail``
-    names the limit point when known: the equilibrium an orbit converged to,
-    "O1" or "infinity" for an escape, "O2" at the chart boundary.
+    A sample is "affine", the point (x, y), unless x or y is too small for a
+    normal double, which the deep passages of slow-fast orbits reach; there it
+    is "log", the point (ln x, ln y).  Terminal is one of max-time,
+    converged-to-point, escaped, hit-section.  ``detail`` names the limit point
+    when known: the equilibrium an orbit converged to, "O1" or "infinity" for
+    an escape.
     """
 
     samples: list[tuple[float, str, tuple[float, float]]]
@@ -105,40 +109,41 @@ class Orbit(NamedTuple):
     detail: str = ""
 
     def affine_points(self) -> list[tuple[float, float]]:
-        """Samples pushed to affine (x, y) points; S samples map through
-        (x, y) = (X, Y)/Z with Z = 1 - X - Y clamped away from zero."""
-        pts = []
-        for _, chart, (a, b) in self.samples:
-            if chart == "affine":
-                pts.append((a, b))
-            else:
-                z = max(1.0 - a - b, 1.0 / _AFFINE_CLAMP)
-                pts.append((a / z, b / z))
-        return pts
+        """Samples as affine (x, y) points; a "log" sample maps through (e^u, e^v)."""
+        return [(math.exp(a), math.exp(b)) if chart == "log" else (a, b) for _, chart, (a, b) in self.samples]
 
 
-def _dp_step(f, x, y, h, k1x, k1y):
-    """One Dormand-Prince step from (x, y); returns state, error, FSAL stage."""
-    k2x, k2y = f(x + h * (_A21 * k1x), y + h * (_A21 * k1y))
-    k3x, k3y = f(x + h * (_A31 * k1x + _A32 * k2x), y + h * (_A31 * k1y + _A32 * k2y))
-    k4x, k4y = f(
-        x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-        y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y),
+def _project(x: float, y: float) -> tuple[float, float]:
+    """The affine quadrant into the closed quarter disc: (x, y) / sqrt(1 + x^2 + y^2)."""
+    r = math.sqrt(1.0 + x * x + y * y)
+    return x / r, y / r
+
+
+def _dp_step(f, u, v, h, k1):
+    """One Dormand-Prince step of clock length ``h`` from (``u``, ``v``), where ``k1`` is ``f(u, v)``;
+    returns the new (u, v), the true time it takes, the error estimates of u and v, and the FSAL stage."""
+    k1u, k1v, k1t = k1
+    k2u, k2v, _ = f(u + h * (_A21 * k1u), v + h * (_A21 * k1v))
+    k3u, k3v, k3t = f(u + h * (_A31 * k1u + _A32 * k2u), v + h * (_A31 * k1v + _A32 * k2v))
+    k4u, k4v, k4t = f(
+        u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+        v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v),
     )
-    k5x, k5y = f(
-        x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-        y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+    k5u, k5v, k5t = f(
+        u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+        v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
     )
-    k6x, k6y = f(
-        x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-        y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y),
+    k6u, k6v, k6t = f(
+        u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
+        v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
     )
-    xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-    yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-    k7x, k7y = f(xn, yn)
-    ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-    ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-    return xn, yn, ex, ey, k7x, k7y
+    un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+    vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+    k7 = k7u, k7v, _ = f(un, vn)
+    dt = h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
+    eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+    ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+    return un, vn, dt, eu, ev, k7
 
 
 # the kinds of finite_singular_points that attract an orbit in each time direction: the
@@ -172,33 +177,24 @@ def _stops(p: Params, sgn: float) -> tuple[tuple[str, float, float, str], ...]:
     return tables[sgn]
 
 
-def _rhs(b: float, c: float, d: float, sgn: float, chart: str) -> Callable:
-    """The family field in ``chart`` ("affine" or "S"), time-reversed when
-    ``sgn`` is -1.  The S field is Z^2 times the affine field pushed forward
-    by (x, y) -> (x, y)/(1 + x + y), with Z = 1 - X - Y, so it keeps the
-    orientation off the line at infinity Z = 0, which it leaves invariant
-    together with both axes; ``tests/test_compactify.py`` proves this with
-    sympy for all positive parameters.  The grouping of the coefficients and
-    the order of the terms fix the orbit bytes, which the byte golden in
-    ``tests/test_cli.py`` pins."""
-    if chart == "S":
-        def f_s(u: float, v: float) -> tuple[float, float]:
-            z = 1.0 - u - v
-            f = -u * u + (1.0 - b) * u * z - v * z + b * z * z
-            g = (c - d) * u - d * b * z
-            return (
-                sgn * (u * ((z + v) * f - z * v * g)),
-                sgn * (v * (z * (z + u) * g - u * f)),
-            )
-        return f_s
+def _rhs(b, c, d, sgn: float, exp=math.exp) -> Callable:
+    """The family field (F, G) in (u, v) = (ln x, ln y), divided by w = 1 + x^2 + y and
+    time-reversed when ``sgn`` is -1, with dt/ds = 1/w as a third component.
 
-    def f_affine(u: float, v: float) -> tuple[float, float]:
-        return (
-            sgn * (u * (-u * u + (1.0 - b) * u - v + b)),
-            sgn * (v * ((c - d) * u - d * b)),
-        )
+    1/w > 0, so the field keeps the orbits and their orientation and changes only the
+    clock; ``tests/test_compactify.py`` proves with sympy, passing its own ``exp``, that
+    it is the family's field pushed to (u, v) for all positive parameters.  The grouping
+    of the coefficients and the order of the terms fix the orbit bytes, which the byte
+    golden in ``tests/test_cli.py`` pins."""
+    ob, k, db = 1.0 - b, c - d, d * b
 
-    return f_affine
+    def f(u, v):
+        x, y = exp(u), exp(v)
+        iw = 1.0 / (1.0 + x * x + y)
+        s = sgn * iw
+        return s * (x * (ob - x) - y + b), s * (k * x - db), iw
+
+    return f
 
 
 def _bracket_root(fn, lo, f_lo, hi, f_hi, payload, tol):
@@ -222,36 +218,37 @@ def _bracket_root(fn, lo, f_lo, hi, f_hi, payload, tol):
     return hi, payload
 
 
-def _locate_section(rhs, sgn, section, x0, y0, t0, h, k1x, k1y, xn, yn):
-    """Time and state at which an accepted step from (``x0``, ``y0``), short of y = ``section``
-    in the direction ``sgn`` of y, to (``xn``, ``yn``) on or past it reaches it: the end of one
-    controlled sub-step from the step start, so the state carries one local truncation error
-    rather than an interpolation error, and lies on or past the section."""
+def _locate(rhs, event, u, v, t, h, k1, step):
+    """The sub-step of an accepted step ``step`` = :func:`_dp_step` (``rhs``, ``u``, ``v``, ``h``,
+    ``k1``) at which ``event`` (u, v, t), > 0 at the step start and <= 0 at its end, reaches 0,
+    as its length and its :func:`_dp_step` result: the end of one controlled sub-step from the
+    step start, so the state carries one local truncation error rather than an interpolation
+    error, and lies on or past the event."""
 
     def probe(s):
-        xe, ye, _, _, _, _ = _dp_step(rhs, x0, y0, s, k1x, k1y)
-        return sgn * (section - ye), (xe, ye)
+        got = _dp_step(rhs, u, v, s, k1)
+        return event(got[0], got[1], t + got[2]), got
 
-    s, (xe, ye) = _bracket_root(probe, 0.0, sgn * (section - y0), h, sgn * (section - yn), (xn, yn), _EVENT_TOL * max(1.0, abs(t0)))
-    return t0 + s, xe, ye
+    end = event(step[0], step[1], t + step[2])
+    return _bracket_root(probe, 0.0, event(u, v, t), h, end, step, _EVENT_TOL * max(1.0, abs(t)))
 
 
 def integrate(
-    p: Params, start, direction: str = "forward", *, section: Optional[float] = None, max_step=_MAX_STEP, max_time=_MAX_TIME
+    p: Params, start, direction: str = "forward", *, section: Optional[float] = None, max_step=math.inf, max_time=_MAX_TIME
 ) -> Orbit:
-    """Adaptive trajectory of the family field from ``start``, with step cap ``max_step``
-    and time budget ``max_time``, both strictly positive.
+    """Adaptive trajectory of the family field from ``start``, with time budget ``max_time``
+    and step cap ``max_step`` on the clock s, both strictly positive; the step is uncapped
+    by default.
 
-    ``start`` must be a finite point of the closed positive quadrant.  The
-    orbit record switches to the S chart beyond affine radius R, the larger
-    of 10 and twice the distance of the farthest equilibrium from P0, and back
-    inside radius 0.9 R, so the stop tests and the section, which run in the
-    affine chart, see every equilibrium.  It terminates on max-time,
-    convergence to an equilibrium, escape to infinity (Z <= 1e-9, at O1 when
-    Y < X/2), the located first crossing of the line y = ``section`` in the
-    affine chart, upward forward and downward backward (hit-section), or the
-    excluded neighbourhood of the degenerate O2 (chart-boundary-loop).
-    An IntegrationFailure names the direction and start of the orbit, then what failed.
+    ``start`` must be a finite point of the closed positive quadrant.  The orbit runs in
+    (ln x, ln y) on the clock ds = (1 + x^2 + y) dt, so one chart holds the whole open
+    quadrant and infinity; a start on an axis keeps that coordinate at exactly 0, and
+    runs as the flow of the other one along the axis.  The stop tests and the section
+    compare in x and y.  It terminates on max-time (true time), convergence to an
+    equilibrium, escape to infinity (ln x or ln y past ln 1e9, at O1 when y < x/2), or
+    the located first crossing of the line y = ``section``, upward forward and downward
+    backward (hit-section).  An IntegrationFailure names the direction and start of the
+    orbit, then what failed.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -259,98 +256,90 @@ def integrate(
     # the comparisons also reject nan
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
         raise ValueError(f"start {start} is not a finite point of the closed positive quadrant")
-    for name, v in (("max_step", max_step), ("max_time", max_time)):
-        if not v > 0:
+    for name, val in (("max_step", max_step), ("max_time", max_time)):
+        if not val > 0:
             raise ValueError(f"{name} must be strictly positive")
     sgn = 1.0 if direction == "forward" else -1.0
     b, c, d = p._float
-    equilibria = _stops(p, sgn)
-
-    chart = "affine"
-    rhs = _rhs(b, c, d, sgn, chart)
+    rhs = _rhs(b, c, d, sgn)
+    # an axis coordinate is ln 0 = -inf, which every stage of a step keeps
+    u, v = (math.log(z) if z > 0.0 else -math.inf for z in (x, y))
+    on_axis = x == 0.0 or y == 0.0
+    # off an axis, only the points that attract in this direction can stop the orbit
+    stops = [q for q in _stops(p, sgn) if on_axis or q[3] == "always"]
+    # the log-chart position of P2, the centre of the return map; without P2 the error scale is relative
+    p2 = [(qx, qy) for name, qx, qy, _ in _stops(p, sgn) if name == "P2" and qx > 0.0 < qy]
+    ou, ov = (math.log(p2[0][0]), math.log(p2[0][1])) if p2 else (math.inf, math.inf)
     t = 0.0
     samples: list[tuple[float, str, tuple[float, float]]] = [(0.0, "affine", (x, y))]
-    k1x, k1y = rhs(x, y)
-    h = max(1e-10, min(max_step, 0.01 * max(abs(x), abs(y), 1.0) / max(abs(k1x), abs(k1y), 1e-10)))
-    terminal = ""
-    detail = ""
-    radius = max(_CHART_SWITCH_RADIUS, 2.0 * max(math.hypot(qx, qy) for _, qx, qy, _ in equilibria))
-    r2_out, r2_in = radius**2, (0.9 * radius) ** 2
+    k1 = rhs(u, v)
+    h = 0.01 / max(abs(k1[0]), abs(k1[1]), 1e-10)
+    disc = _project(x, y)
 
     while True:
+        hit = ""
+        for name, qx, qy, mode in stops:
+            dx, dy = x - qx, y - qy
+            # an axis-only point stops an orbit on an axis that moves toward it: x' and y' have the signs of x k1[0]
+            # and y k1[1]
+            if dx * dx + dy * dy <= _CONVERGE_DIST2 and (mode == "always" or dx * x * k1[0] + dy * y * k1[1] < 0.0):
+                hit = name
+                break
+        if hit:
+            terminal, detail = "converged-to-point", hit
+            break
+        if u > _ESCAPE or v > _ESCAPE:
+            terminal, detail = "escaped", "O1" if y < 0.5 * x else "infinity"
+            break
         if t >= max_time:
-            terminal = "max-time"
+            terminal, detail = "max-time", ""
             break
         if len(samples) > _MAX_SAMPLES:
             raise IntegrationFailure(
                 f"{direction} orbit from {samples[0][2]}: sample budget exhausted", Orbit(samples, "failed", "sample-budget")
             )
-        h = min(h, max_step, max_time - t)
+        # near P2 the flow is nearly linear and a turn's displacement is a small share of the distance r
+        # from P2, so the error scale shrinks with r; an axis coordinate, at -inf, has an infinite scale
+        r = max(abs(u - ou), abs(v - ov))
+        su = _ABS_TOL + _REL_TOL * min(r, max(abs(u), 1.0))
+        sv = _ABS_TOL + _REL_TOL * min(r, max(abs(v), 1.0))
+        if h > max_step:
+            h = max_step
 
         while True:
-            xn, yn, ex, ey, k7x, k7y = _dp_step(rhs, x, y, h, k1x, k1y)
-            scx = _ABS_TOL + _REL_TOL * max(abs(x), abs(xn))
-            scy = _ABS_TOL + _REL_TOL * max(abs(y), abs(yn))
             try:
-                err = math.sqrt(0.5 * ((ex / scx) ** 2 + (ey / scy) ** 2))
-            except OverflowError:  # a float ** 2 overflow raises instead of giving inf
+                step = _dp_step(rhs, u, v, h, k1)
+                eu, ev = step[3] / su, step[4] / sv
+                err = math.sqrt(0.5 * (eu * eu + ev * ev))
+            except OverflowError:  # e^u of a trial stage overflows instead of giving inf
                 err = math.inf
-            if err <= 1.0 and math.isfinite(xn) and math.isfinite(yn):
+            if err <= 1.0:
                 break
-            if not math.isfinite(err):
-                err = 1e6
-            h *= max(0.1, min(0.9, 0.9 * err**-0.2))
-            if h < 1e-14 * max(1.0, abs(t)):
+            h *= max(0.1, min(0.9, 0.9 * err**-0.2)) if err < math.inf else 0.1  # nan also takes 0.1
+            if h < 1e-14 * max(1.0, t):
                 raise IntegrationFailure(
                     f"{direction} orbit from {samples[0][2]}: step size underflow", Orbit(samples, "failed", "step-underflow")
                 )
-        tn = t + h
+        growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+        if t + step[2] > max_time:
+            h, step = _locate(rhs, lambda _u, _v, te: max_time - te, u, v, t, h, k1, step)
+        un, vn, dt, _, _, k7 = step
+        xn, yn = math.exp(un), math.exp(vn)
 
-        if section is not None and chart == "affine" and sgn * y < sgn * section <= sgn * yn:
-            te, xe, ye = _locate_section(rhs, sgn, section, x, y, t, h, k1x, k1y, xn, yn)
-            samples.append((te, "affine", (xe, ye)))
-            terminal = "hit-section"
+        if section is not None and sgn * y < sgn * section <= sgn * yn:
+            _, (ue, ve, dte, _, _, _) = _locate(rhs, lambda _u, ve, _t: sgn * (section - math.exp(ve)), u, v, t, h, k1, step)
+            samples.append((t + dte, "affine", (math.exp(ue), math.exp(ve))))
+            terminal, detail = "hit-section", ""
             break
 
-        x, y, t = xn, yn, tn
-        k1x, k1y = k7x, k7y
-        h = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2)))
-        samples.append((t, chart, (x, y)))
-
-        if chart == "affine":
-            hit = ""
-            for name, qx, qy, mode in equilibria:
-                if (x - qx) ** 2 + (y - qy) ** 2 <= _CONVERGE_DIST2 and (
-                    mode == "always"
-                    or ((x == 0.0 or y == 0.0) and (qx - x) * k1x + (qy - y) * k1y > 0.0)
-                ):
-                    hit = name
-                    break
-            if hit:
-                terminal, detail = "converged-to-point", hit
-                break
-            if x * x + y * y > r2_out:
-                w = 1.0 + x + y
-                chart, x, y = "S", x / w, y / w
-        else:
-            z = 1.0 - x - y
-            if z <= _V_ESCAPE:
-                # u = Y/X is the U1 coordinate of the escape direction
-                terminal, detail = "escaped", "O1" if y < 0.5 * x else "infinity"
-                break
-            # X = 0 is the invariant x = 0 ray, a separatrix of the degenerate
-            # point O2 = (0, 1); the cubic-flat field there is never integrated
-            # through
-            if x == 0.0 or x * x + z * z <= _O2_RADIUS2:
-                terminal, detail = "chart-boundary-loop", "O2"
-                break
-            if (x * x + y * y) / (z * z) < r2_in:
-                chart, x, y = "affine", x / z, y / z
-        if chart != samples[-1][1]:
-            samples[-1] = (t, chart, (x, y))
-            rhs = _rhs(b, c, d, sgn, chart)
-            k1x, k1y = rhs(x, y)
-            h = min(h, 0.05)
+        disc_n = _project(xn, yn)
+        chord = math.dist(disc, disc_n)
+        u, v, t, x, y, k1, disc = un, vn, t + dt, xn, yn, k7, disc_n
+        # the next step's chord on the disc is kept near at most _DISC_CHORD, judged from this one
+        h *= min(growth, _DISC_CHORD / chord) if chord > 0.0 else growth
+        # a coordinate that is no normal double off its axis keeps the sample in the log chart
+        deep = -math.inf < u < _LOG_FLOOR or -math.inf < v < _LOG_FLOOR
+        samples.append((t, "log", (u, v)) if deep else (t, "affine", (x, y)))
 
     return Orbit(samples=samples, terminal=terminal, detail=detail)
 
@@ -382,7 +371,7 @@ def return_map(p: Params, x: float) -> tuple[float, float]:
     return float(xn), float(t)
 
 
-def _turn(p: Params, start, y2: float, what: str, direction: str = "forward", max_step=_MAX_STEP, max_time=_MAX_TIME) -> Orbit:
+def _turn(p: Params, start, y2: float, what: str, direction: str = "forward", max_step=math.inf, max_time=_MAX_TIME) -> Orbit:
     """The orbit from ``start`` in ``direction`` to its next located crossing of
     y = ``y2``, under the limits of :func:`integrate`; NoReturnError "``what``
     (terminal detail)" on any other terminal.
@@ -421,7 +410,8 @@ def _walk(p: Params, start, direction: str = "forward") -> tuple[Orbit, list[flo
             orbit = _turn(p, start, y2, "", direction, max_time=_MAX_TIME - t0)
         except NoReturnError as err:
             orbit = err.orbit
-        # a later turn starts at the crossing that ended the one before
+        # a later turn starts at the crossing that ended the one before, whose own y is its first
+        # section test, so the turn neither finds that crossing again nor misses the next one
         samples += [(t0 + t, chart, pt) for t, chart, pt in orbit.samples[bool(samples):]]
         if orbit.terminal != "hit-section":
             return Orbit(samples, orbit.terminal, orbit.detail), xs

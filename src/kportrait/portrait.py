@@ -29,8 +29,9 @@ from .numerics import (
     IntegrationFailure,
     NoReturnError,
     Orbit,
-    _CHART_SWITCH_RADIUS,
+    _SETTLED,
     _p1_separatrix_start,
+    _project,
     _stops,
     _walk,
     cycle_loop,
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _THIN_TO = 600  # most points stored per orbit trace and cycle loop
+_AXIS_TRACE_END = 10.0  # the y at which the drawn trace of the y-axis, O2 -> P0, begins
 
 # SVG canvas side and margin in pixels, glyph radius and stroke colours
 _SIZE = 640
@@ -59,12 +61,6 @@ _ORBIT_COLOR = "#4477aa"
 _SEPARATRIX_COLOR = "#111111"
 _CYCLE_COLOR = "#cc3311"
 _SKELETON_COLOR = "#000000"
-
-
-def _project(x: float, y: float) -> tuple[float, float]:
-    """The affine quadrant into the closed quarter disc: (x, y) / sqrt(1 + x^2 + y^2)."""
-    r = math.sqrt(1.0 + x * x + y * y)
-    return x / r, y / r
 
 
 class OrbitTrace(NamedTuple):
@@ -157,8 +153,8 @@ def build_portrait(p: Params) -> PortraitReport:
         except (NoReturnError, IntegrationFailure) as err:
             warnings.append(f"cycle-detection-failed: {err}")
 
-    def limit_of(orbit: Orbit, sgn: float, xs: list[float]) -> str:
-        if orbit.terminal in ("converged-to-point", "escaped", "chart-boundary-loop"):
+    def limit_of(orbit: Orbit, points: list[tuple[float, float]], sgn: float, xs: list[float]) -> str:
+        if orbit.terminal in ("converged-to-point", "escaped"):
             return orbit.detail
         if len(xs) > 1:
             # the return map is monotone, so the crossings converge: forward in cases 3 and 5 onto the
@@ -166,30 +162,29 @@ def build_portrait(p: Params) -> PortraitReport:
             # cycle and in cases 4, 6 and 7, which the Dulac function y^(gamma-1)/x clears of cycles
             steps = [v - u for u, v in zip(xs, xs[1:])]
             if sgn > 0 and label.case in (3, 5):
-                toward = cycle is None or cycle.section_x is None or (cycle.section_x - xs[-1]) * steps[-1] > 0
+                # a crossing within _SETTLED of the found cycle is on it, whichever side the rounding puts it
+                gap = None if cycle is None or cycle.section_x is None else cycle.section_x - xs[-1]
+                toward = gap is None or gap * steps[-1] > 0 or abs(gap) <= _SETTLED
                 if toward and (min(steps) > 0 or max(steps) < 0):
                     return "cycle"
             elif max(steps) < 0 and ("P2", "always") in [(name, mode) for name, _, _, mode in _stops(p, sgn)]:
                 return "P2"
             return "unresolved"
-        _, ch, (ax, ay) = orbit.samples[-1]
-        if ch == "affine":
-            # a limit attracts in the orbit's time direction
-            affine = [s for s in orbit.samples if s[1] == "affine"]
-            mx, my = affine[(3 * len(affine)) // 4][2]
-            near = [
-                (name, math.hypot(ax - qx, ay - qy), math.hypot(mx - qx, my - qy))
-                for name, qx, qy, mode in _stops(p, sgn)
-                if mode == "always"
-            ]
-            for name, d_end, _ in near:
-                if d_end <= 1e-3:
-                    return name
-            # still settling (slow foci, saddle-node centre directions):
-            # accept a close and strictly shrinking approach
-            for name, d_end, d_mid in near:
-                if d_end <= 0.05 and d_end <= 0.9 * d_mid:
-                    return name
+        # a limit attracts in the orbit's time direction
+        (ax, ay), (mx, my) = points[-1], points[(3 * len(points)) // 4]
+        near = [
+            (name, math.hypot(ax - qx, ay - qy), math.hypot(mx - qx, my - qy))
+            for name, qx, qy, mode in _stops(p, sgn)
+            if mode == "always"
+        ]
+        for name, d_end, _ in near:
+            if d_end <= 1e-3:
+                return name
+        # still settling (slow foci, saddle-node centre directions):
+        # accept a close and strictly shrinking approach
+        for name, d_end, d_mid in near:
+            if d_end <= 0.05 and d_end <= 0.9 * d_mid:
+                return name
         return "unresolved"
 
     def half(start, direction: str) -> tuple[list[tuple[float, float]], str]:
@@ -204,7 +199,8 @@ def build_portrait(p: Params) -> PortraitReport:
         except IntegrationFailure as err:
             warnings.append(f"integration-failure: {err}")
             orbit = err.orbit
-        return orbit.affine_points(), limit_of(orbit, 1.0 if direction == "forward" else -1.0, xs)
+        points = orbit.affine_points()
+        return points, limit_of(orbit, points, 1.0 if direction == "forward" else -1.0, xs)
 
     def trace(role: str, origin: str, stability: Optional[str], start, alpha: Optional[str] = None) -> OrbitTrace:
         """Both halves of the orbit through ``start``; the forward half alone when
@@ -217,7 +213,7 @@ def build_portrait(p: Params) -> PortraitReport:
 
     # P0's separatrices are the invariant axes: x' = -x(x - 1)(x + b) on y = 0 and y' = -delta*b*y on x = 0
     # give P0 -> P1 and O2 -> P0 for all parameters, drawn through 16 even steps on the disc from y = 10 down
-    steps = [t / math.sqrt(1.0 - t * t) for t in (_project(0.0, _CHART_SWITCH_RADIUS)[1] * k / 16 for k in range(16, 0, -1))]
+    steps = [t / math.sqrt(1.0 - t * t) for t in (_project(0.0, _AXIS_TRACE_END)[1] * k / 16 for k in range(16, 0, -1))]
     separatrices: list[OrbitTrace] = [
         OrbitTrace("axis", "P0", "unstable", "P0", "P1", [(v, 0.0) for v in steps[::-1] if v < 1.0]),
         OrbitTrace("axis", "P0", "stable", "O2", "P0", [(0.0, v) for v in steps]),

@@ -6,8 +6,8 @@ Polynomials are sparse maps from exponent pairs (i, j) to nonzero
 coefficients; arithmetic follows the input number types, so rational inputs
 stay exact and sympy symbols stay symbolic.  U3 is the affine plane, U1
 covers the x-directions at infinity and U2 the y-directions.  The package
-does not integrate in these charts (beyond radius 10 it runs in the
-barycentric chart of ``kportrait.numerics``); ``test_compactify`` builds the
+does not integrate in these charts (it runs in the log chart of
+``kportrait.numerics`` on a weighted clock); ``test_compactify`` builds the
 U1 and U2 certificates on this engine, and ``test_local`` checks
 ``local._taylor_at`` against ``PolySystem.translate`` to the bit.
 """

@@ -229,28 +229,28 @@ BYTE_GOLDEN = {
     "portrait-A": (
         ["portrait", "--b", "2", "--c", "1", "--delta", "1"],
         {
-            "svg": "28fe565e23aa12491fc346b68830439ca2f29799dc1a84146727c449224d6ce6",
-            "json": "e9ef068f747f368f9ad42ad0ad6e1419c53ecf7887db9e45cdf2c5092fa2fa1b",
+            "svg": "8c46b58f4d2d6afc9db64a6a9a98056d0af7702ee86acfe4c1759334956b5e75",
+            "json": "475e67bd7b4d27ce1b9eec6d67e8539c233ceb6f6463e89dc0c0fd0be607a720",
         },
     ),
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "08fb5957878c3c0e5298b8c71543627e3519fea3f646a2d6eba2f213203652f2",
-            "json": "f7308850f96190bc3b655692e53d00ee169f379db82990f8fa9cf51c07ec0518",
+            "svg": "5fd39a83c24ddda2c40c239cd88d527fa33b9a628d898b54c68ab5d47fd75028",
+            "json": "02bbdcb2d5467696952b8db3decb731817d88ded947d711b64c39e34b69606e7",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
-            "svg": "365f0773293704066a445ea882a860fba106e281d7dba943c14831fcfc3d3b76",
-            "json": "96ce4b02b81075da327da25fb89bcb07835fb707faf669e6985236c860727826",
+            "svg": "58bfbaee64ca42b9752d016c0b6abca1f58238c51bb5e60f964232321256a7c5",
+            "json": "9cd79332f1e75f3fa014347504d8ec03db1994b59ab00a0edcf19264a7b22a8b",
         },
     ),
     **{
         f"scan-jobs{jobs}": (
             ["scan", "--grid", "0.65:1.3:3,0.9:1.5:3,0.15:0.4:3", "--jobs", jobs],
-            {"csv": "d9d3a30af871fd7d124ebd4f7ccb591de07c787d3294bed85a55e5bfd0bc589b"},
+            {"csv": "481a989871fa0864f6ddc257a7d749a41d3754781a9e0db421fc4565d54ab699"},
         )
         for jobs in ("1", "2")
     },

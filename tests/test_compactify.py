@@ -1,16 +1,15 @@
 """Symbolic certificates for the charts, O1, O2 and P1; PolySystem and chart transitions of ``poincare_engine``.
 
 The U1 and U2 fields are built here from the affine family by the Poincare
-formulas, and the field of the barycentric chart (X, Y) = (x, y)/(1 + x + y)
-by pushing the affine field forward, with sympy, for symbolic positive
-(b, c, delta).  The tests prove, for every positive parameter set and with no
-sampled triples:
+formulas, and the field of the log chart (u, v) = (ln x, ln y) by pushing the
+affine field forward, with sympy, for symbolic positive (b, c, delta).  The
+tests prove, for every positive parameter set and with no sampled triples:
 
-(a) the integrator's closed-form outer-chart field ``numerics._rhs(..., "S")``
-    is Z^2 times the affine field pushed forward into the barycentric chart,
-    with Z = 1 - X - Y, times the time direction, so it keeps the orientation
-    off the line at infinity Z = 0; the lines X = 0, Y = 0 and Z = 0 are
-    invariant, and on Z = 0 the flow runs from O1 = (1, 0) to O2 = (0, 1);
+(a) the integrator's field ``numerics._rhs`` is the affine field pushed forward
+    into the log chart, divided by w = 1 + x^2 + y and times the time direction,
+    with dt/ds = 1/w as its third component; the chart map has Jacobian
+    determinant 1/(x y) > 0 on the open quadrant and w > 0, so the integrator
+    keeps the orientation;
 (b) each Poincare chart field is v^2 times the affine field pushed forward, so
     the charts keep the orientation off the equator;
 (c) on the equator of U1 the flow is u' = u, O1 has linear part I, with
@@ -38,8 +37,7 @@ from poincare_engine import ChartDomainError, PolySystem, chart_transition, fami
 
 B, C, D = sp.symbols("b c delta", positive=True)
 X, Y, U, V, W1 = sp.symbols("x y u v w1")
-XS, YS = sp.symbols("X Y")  # the barycentric chart
-ZS = 1 - XS - YS
+LU, LV = sp.symbols("u v", real=True)  # the log chart
 SYMBOLIC = Params(B, C, D)
 # the affine family, written out independently of the package
 P = X * (-X**2 + (1 - B) * X - Y + B)
@@ -72,12 +70,23 @@ def poincare_chart(chart):
     return sp.expand(V**3 * (p - U * q)), sp.expand(-(V**4) * q)
 
 
-def barycentric_chart():
-    """Z^2 times the affine family pushed forward by (x, y) -> (x, y)/(1 + x + y),
-    at (x, y) = (X, Y)/Z with Z = 1 - X - Y."""
-    jacobian = sp.Matrix([X / (1 + X + Y), Y / (1 + X + Y)]).jacobian([X, Y])
-    pushed = (jacobian * sp.Matrix([P, Q])).subs({X: XS / ZS, Y: YS / ZS}, simultaneous=True)
-    return tuple(sp.expand(sp.cancel(ZS**2 * f)) for f in pushed)
+def log_chart():
+    """The affine family pushed forward by (x, y) -> (ln x, ln y), at (x, y) = (e^u, e^v), the
+    weight w = 1 + x^2 + y of the integrator's clock ds = w dt there, and the Jacobian
+    determinant of the chart map on the open quadrant."""
+    xp, yp = sp.symbols("x y", positive=True)
+    jacobian = sp.Matrix([sp.log(xp), sp.log(yp)]).jacobian([xp, yp])
+    at = {xp: sp.exp(LU), yp: sp.exp(LV)}
+    pushed = (jacobian * sp.Matrix([P, Q]).subs({X: xp, Y: yp}, simultaneous=True)).subs(at)
+    return [sp.expand(f) for f in pushed], (1 + xp**2 + yp).subs(at), jacobian.det()
+
+
+def integrator_field_is_the_log_chart(sgn) -> bool:
+    """Whether ``numerics._rhs`` in direction ``sgn`` is ``sgn``/w times the log chart field, with
+    dt/ds = 1/w as its third component."""
+    pushed, w, _ = log_chart()
+    *field_uv, dt_ds = numerics._rhs(B, C, D, sgn, exp=sp.exp)(LU, LV)
+    return all(sp.simplify(f * w - sgn * g) == 0 for f, g in zip(field_uv, pushed, strict=True)) and sp.simplify(dt_ds * w - 1) == 0
 
 
 def horizontal_blowup():
@@ -150,18 +159,15 @@ def test_charted_systems_match_goldens_exactly():
         assert same(poincare_chart(chart), field(golden(SYMBOLIC), U, V))
 
 
-def test_closed_form_chart_field_is_the_barycentric_chart():
-    # (a): sgn = -1 is the time-reversed field; Z^2 > 0 off the line at infinity
-    dx, dy = barycentric_chart()
+def test_integrator_field_is_the_family_field_in_the_log_chart():
+    # (a): sgn = -1 is the time-reversed field
+    (du, dv), w, det = log_chart()
     for sgn in (1, -1):
-        closed_form = numerics._rhs(B, C, D, sgn, "S")(XS, YS)
-        assert same(closed_form, [sgn * dx, sgn * dy]), sgn
-    # X' vanishes on X = 0, Y' on Y = 0, and Z' = -(X' + Y') on Z = 0
-    assert dx.subs(XS, 0) == 0 and dy.subs(YS, 0) == 0
-    at_infinity = {YS: 1 - XS}
-    assert sp.expand((dx + dy).subs(at_infinity)) == 0
-    # X' = -X^3 Y there: from O1 = (1, 0) toward O2 = (0, 1), as u' = u in U1
-    assert sp.expand(dx.subs(at_infinity) + XS**3 * (1 - XS)) == 0
+        assert integrator_field_is_the_log_chart(sgn), sgn
+    # the clock and the chart map keep the orientation: w > 0 and det = 1/(x y) > 0
+    assert w.is_positive and det.is_positive
+    # a Kolmogorov system: x' = x F and y' = y G push forward to (F, G)
+    assert same((du, dv), [(-X**2 + (1 - B) * X - Y + B).subs({X: sp.exp(LU), Y: sp.exp(LV)}), ((C - D) * sp.exp(LU) - D * B)])
 
 
 def test_chart_consistency_with_affine_field():

@@ -263,12 +263,41 @@ def test_p1_separatrix_limits(triple, stability, alpha, omega):
 )
 def test_p2_beyond_radius_ten_is_reached(triple, p2):
     # in cases 4, 6 and 7 x2 < 1 but y2 grows toward c/(4 delta); the stop tests and the section
-    # run in the affine chart, so an orbit stays there out to twice the farthest equilibrium
+    # compare in x and y in the one chart that holds the whole quadrant, so an orbit reaches P2
     rep = build_portrait(Params(*triple))
     assert rep.label.case == 6 and rep.finite_points[2].location == p2
     (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
     assert [sep.omega_limit] + [tr.omega_limit for tr in rep.representatives] == ["P2", "P2"]
     assert not [w for w in rep.warnings if w.startswith("portrait-corroboration-mismatch")], rep.warnings
+
+
+@pytest.mark.parametrize("triple", [(5.0, 100.0, 2.0), (2.0, 50.0, 1.0), (1.0, 30.0, 0.5)])
+def test_p1_separatrix_passes_near_o2_and_settles_into_p2(triple):
+    # P1's separatrix climbs to y = 28 .. 69 along the y-axis, toward the degenerate O2, with
+    # x down to 1e-24, before it turns; its walk, budgeted in true time, settles into P2
+    rep = build_portrait(Params(*triple))
+    assert (rep.label.case, rep.label.portrait) == (6, "C")
+    (sep,) = [tr for tr in rep.separatrices if tr.origin == "P1"]
+    assert sep.omega_limit == "P2" and max(y for _, y in sep.points) > 25.0
+    assert not [w for w in rep.warnings if w.startswith("portrait-corroboration-mismatch")], rep.warnings
+
+
+@pytest.mark.parametrize(
+    "triple", [(0.19995720197436545, 0.14476629985548972, 0.05006896677288789), (0.10407548250921636, 0.28197638086039284, 0.1587655420016215)]
+)
+def test_a_return_onto_the_cycle_reads_cycle_on_either_side_of_it(triple):
+    # the section map contracts about 1e-6-fold per turn here, so the one return that the time budget
+    # allows lands within 1e-9 of the found cycle, past it; within _SETTLED a crossing is on the cycle
+    rep = build_portrait(Params(*triple))
+    assert [tr.omega_limit for tr in rep.representatives] == ["cycle", "cycle"]
+    assert rep.warnings == []
+
+
+def test_no_trace_ends_at_the_degenerate_o2():
+    # O2 attracts no interior orbit: at (0.3, 1e6, 0.25), where P2 = (7.5e-8, 0.3) and the orbits
+    # dip toward the y-axis deeper than any double, none of them reads omega = O2
+    rep = build_portrait(Params(0.3, 1e6, 0.25))
+    assert [tr.omega_limit for tr in rep.separatrices + rep.representatives].count("O2") == 0
 
 
 @pytest.mark.parametrize(
