@@ -7,7 +7,7 @@ of the Poincare disc.
 
 ``model`` and ``compactify`` are imported with the package; ``classify`` and ``hopf`` never call
 ``compactify``, which is loaded for its public names and the benchmark's ``sys.modules`` lookup
-(ROADMAP item 9).  ``local``, ``numerics`` and ``portrait`` are imported on first use (PEP 562).
+(ROADMAP item 22).  ``local``, ``numerics`` and ``portrait`` are imported on first use (PEP 562).
 """
 
 from .compactify import *  # noqa: F403

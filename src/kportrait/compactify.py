@@ -4,8 +4,8 @@ The cubic field extends to the closed Poincare disc, whose boundary circle
 collects the directions at infinity.  Its chart U1 covers the x-directions
 at infinity and U2 the y-directions; O1 and O2 are their origins, the same
 for every parameter triple.  ``portrait`` draws and reports them.
-The integrator does not use these charts: far out it runs in the
-barycentric chart (x, y)/(1 + x + y) of ``numerics``.  The sparse polynomial
+The integrator does not use these charts: ``numerics`` runs it in
+(ln x, ln y) on the weighted clock ds = (1 + x^2 + y) dt.  The sparse polynomial
 engine and the U1/U2 chart maps live with the tests, in
 ``tests/poincare_engine.py``; ``tests/test_compactify.py`` proves that
 chart's field, and O1 and O2 from the Poincare formulas, with sympy.

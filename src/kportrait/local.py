@@ -11,7 +11,9 @@ The first Lyapunov coefficient is computed twice, by independent routes:
 ``hopf_analysis`` evaluates closed forms, ``lyapunov_procedural`` rebuilds
 everything from the field's Taylor coefficients at the interior point and
 the eigenproblem.  The two must agree to high relative accuracy; that
-cross-check is the main safeguard of this module.
+cross-check is the main safeguard of this module.  Of the fourteen quadratic
+and cubic coefficients only p20, p11, q11 and p30 are nonzero, so the
+from-scratch route evaluates the multilinear forms on those four.
 """
 
 from __future__ import annotations
@@ -35,34 +37,6 @@ __all__ = [
 
 # Largest relative residual accepted for the Hopf eigenvector at b0.
 _RESID_TOL = 1e-10
-
-
-def _bform(quad, e, h) -> tuple:
-    """B(e, h) of F(z) = J z + B(z, z)/2 + C(z, z, z)/6, one component per row of
-    ``quad`` = ((a20, a11, a02) of P, the same of Q), the coefficients of u^2, uv, v^2."""
-    (e0, e1), (h0, h1) = e, h
-    (p20, p11, p02), (q20, q11, q02) = quad
-    return (
-        2 * p20 * e0 * h0 + p11 * (e0 * h1 + e1 * h0) + 2 * p02 * e1 * h1,
-        2 * q20 * e0 * h0 + q11 * (e0 * h1 + e1 * h0) + 2 * q02 * e1 * h1,
-    )
-
-
-def _cform(cubic, e, h, z) -> tuple:
-    """C(e, h, z) of the same expansion, one component per row of ``cubic`` =
-    ((a30, a21, a12, a03) of P, the same of Q), the coefficients of u^3, u^2 v, u v^2, v^3."""
-    (e0, e1), (h0, h1), (z0, z1) = e, h, z
-    (p30, p21, p12, p03), (q30, q21, q12, q03) = cubic
-    return (
-        6 * p30 * e0 * h0 * z0
-        + 2 * p21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
-        + 2 * p12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
-        + 6 * p03 * e1 * h1 * z1,
-        6 * q30 * e0 * h0 * z0
-        + 2 * q21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
-        + 2 * q12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
-        + 6 * q03 * e1 * h1 * z1,
-    )
 
 
 def _mu_omega(b: float, c: float, d: float) -> tuple[float, Optional[float]]:
@@ -123,42 +97,32 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
         # where B(b0) overflows to nan or underflows to 0; None divides by zero below
         w = _mu_omega(b0f, cf, df)[1] or 0.0
         # w, dmu/db and p = (-(c+d)/(2d), i/(2w)) must be nonzero doubles for <p, q> = 1 to mean anything
-        dmu, p1, p2 = -df / (2 * (cf - df)), -(cf + df) / (2 * df), 1.0 / (2.0 * w)
-        in_range = dmu and all(map(math.isfinite, (b0f, cf, df, w, dmu, p1, p2)))
+        cmd, cpd, fin = cf - df, cf + df, math.isfinite
+        dmu, pr, pi = -df / (2 * cmd), -cpd / (2 * df), 1.0 / (2.0 * w)
+        in_range = dmu and fin(b0f) and fin(cf) and fin(df) and fin(w) and fin(dmu) and fin(pr) and fin(pi)
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
         raise _range_error("(b0, c, delta)", (b0, c, delta))
-    x2 = df / (cf + df)
-    y2 = cf * cf / (cf + df) ** 2
-
-    gamma = df * df / (cf + df) ** 2
-    g20 = complex(gamma - df * (cf - df) / (cf + df), -w)
-    g11 = complex(gamma, 0.0)
-    g21 = complex(-3.0 * gamma, 0.0)
-    ell1 = -gamma / w
-
-    q = (complex(-df / (cf + df), 0.0), complex(0.0, w))
+    cpd2 = cpd**2
+    gamma = df * df / cpd2
+    q0, q1 = complex(-df / cpd, 0.0), complex(0.0, w)
     # p solves A^T p = -i w p with <p, q> = 1
-    p = (complex(p1, 0.0), complex(0.0, p2))
-    ip = _vdot(p, q)
+    p0, p1 = complex(pr, 0.0), complex(0.0, pi)
+    ip = p0.conjugate() * q0 + p1.conjugate() * q1
     if abs(ip - 1.0) > 1e-12:
         raise IllConditionedError(f"<p, q> = {ip} deviates from 1")
-
     return HopfData(
-        b0=b0, omega=w, dmu_db_at_b0=dmu, equilibrium=(x2, y2),
-        g20=g20, g11=g11, g21=g21, ell1=ell1, p_vec=p, q_vec=q,
+        b0, w, dmu, (df / cpd, cf * cf / cpd2), complex(gamma - df * cmd / cpd, -w), complex(gamma, 0.0),
+        complex(-3.0 * gamma, 0.0), -gamma / w, (p0, p1), (q0, q1),
     )
-
-
-def _vdot(u, v) -> complex:
-    """<u, v> = conj(u) . v on complex 2-vectors."""
-    return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
 
 def _taylor_at(b, c, d, x0, y0):
     """Jacobian, quadratic (u^2, uv, v^2) and cubic (u^3, u^2 v, u v^2, v^3)
-    coefficients of the family's (P, Q) at (x0, y0).
+    coefficients of the family's (P, Q) at (x0, y0).  Ten of the fourteen quadratic
+    and cubic entries are identically zero; the forms of :func:`_kuznetsov_data`
+    read p20, p11 and q11 of ``quad`` and p30 of ``cubic`` alone.
 
     Each sum adds its terms in the order of the binomial shift of
     ``PolySystem.translate`` in ``tests/poincare_engine.py``, so in floats the
@@ -174,9 +138,11 @@ def _taylor_at(b, c, d, x0, y0):
 
 
 def _kuznetsov_data(c: Number, delta: Number) -> dict:
-    """From-scratch normal-form data at b0: the field's Taylor coefficients at P2, with
-    ``quad`` and ``cubic`` laid out as :func:`_bform` and :func:`_cform` read them, the
-    eigenproblem and the g coefficients."""
+    """From-scratch normal-form data at b0: the Taylor coefficients at P2 as :func:`_taylor_at`
+    lays them out, the eigenproblem (q and p), and g20 = <p, B(q, q)>, g11 = <p, B(q, qbar)> and
+    g21 = <p, C(q, q, qbar)> of F(z) = J z + B(z, z)/2 + C(z, z, z)/6, <u, v> = conj(u) . v.
+    The forms keep the terms of the nonzero coefficients in the order of the full sums and equal
+    their values; only the sign of a zero component can differ, and it never reaches ell1."""
     _check_parameter("c", c)
     _check_parameter("delta", delta)
     try:
@@ -185,12 +151,14 @@ def _kuznetsov_data(c: Number, delta: Number) -> dict:
             raise AnalysisError("the from-scratch ell1 requires c > delta")
         # |b0|, x2, y2 <= 1, so every Taylor coefficient below is bounded by c
         b0, x2, y2 = (cf - df) / (cf + df), df / (cf + df), cf * cf / (cf + df) ** 2
-        in_range = all(map(math.isfinite, (cf, df, b0, x2, y2)))
+        fin = math.isfinite
+        in_range = fin(cf) and fin(df) and fin(b0) and fin(x2) and fin(y2)
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
         raise _range_error("(c, delta)", (c, delta))
-    ((a11, a12), (a21, a22)), quad, cubic = _taylor_at(b0, cf, df, x2, y2)
+    jacobian, quad, cubic = _taylor_at(b0, cf, df, x2, y2)
+    (a11, a12), (a21, a22) = jacobian
     tr, det = a11 + a22, a11 * a22 - a12 * a21
     if not det > tr * tr / 4:
         raise IllConditionedError(f"no complex pair at b0; trace {tr}, determinant {det}")
@@ -201,24 +169,29 @@ def _kuznetsov_data(c: Number, delta: Number) -> dict:
     # first component of q real and negative.
     if a12 == 0.0:
         raise IllConditionedError("top-right Jacobian entry vanished")
-    q = (complex(a12), 1j * omega - a11)
-    aq = (a11 * q[0] + a12 * q[1], a21 * q[0] + a22 * q[1])
-    resid = math.hypot(abs(aq[0] - 1j * omega * q[0]), abs(aq[1] - 1j * omega * q[1]))
-    if resid > _RESID_TOL * max(1.0, math.hypot(a11, a12, a21, a22)) * math.hypot(*map(abs, q)):
+    q0, q1 = complex(a12), 1j * omega - a11
+    resid = math.hypot(abs(a11 * q0 + a12 * q1 - 1j * omega * q0), abs(a21 * q0 + a22 * q1 - 1j * omega * q1))
+    if resid > _RESID_TOL * max(1.0, math.hypot(a11, a12, a21, a22)) * math.hypot(abs(q0), abs(q1)):
         raise IllConditionedError(f"eigenproblem residual {resid} too large")
-    p0 = (complex(a21), -1j * omega - a11)
-    ip = _vdot(p0, q)
+    r0, r1 = complex(a21), -1j * omega - a11
+    ip = r0.conjugate() * q0 + r1.conjugate() * q1
     if ip == 0:
         raise IllConditionedError("degenerate normalisation <p, q> = 0")
     ipc = ip.conjugate()
-    p = (p0[0] / ipc, p0[1] / ipc)
+    p0, p1 = r0 / ipc, r1 / ipc
+    pc0, pc1 = p0.conjugate(), p1.conjugate()
 
-    qbar = (q[0].conjugate(), q[1].conjugate())
-    g20 = _vdot(p, _bform(quad, q, q))
-    g11 = _vdot(p, _bform(quad, q, qbar))
-    g21 = _vdot(p, _cform(cubic, q, q, qbar))
+    (p20, p11, _), (_, q11, _) = quad
+    p30 = cubic[0][0]
+    qb0, qb1 = q0.conjugate(), q1.conjugate()
+    # the cross term e0 h1 + e1 h0 of B(e, h), shared by both rows; row Q of C is zero
+    m = q0 * q1 + q1 * q0
+    g20 = pc0 * (2 * p20 * q0 * q0 + p11 * m) + pc1 * (q11 * m)
+    m = q0 * qb1 + q1 * qb0
+    g11 = pc0 * (2 * p20 * q0 * qb0 + p11 * m) + pc1 * (q11 * m)
+    g21 = pc0 * (6 * p30 * q0 * q0 * qb0)
     ell1 = float((1j * g20 * g11 + omega * g21).real / (2 * omega * omega))
-    return dict(omega=omega, jacobian=((a11, a12), (a21, a22)), quad=quad, cubic=cubic, q=q, g20=g20, g11=g11, g21=g21, ell1=ell1)
+    return dict(omega=omega, jacobian=jacobian, quad=quad, cubic=cubic, q=(q0, q1), p=(p0, p1), g20=g20, g11=g11, g21=g21, ell1=ell1)
 
 
 def lyapunov_procedural(c: Number, delta: Number) -> float:

@@ -173,9 +173,9 @@ class Params(_Record):
     """The positive triple (b, c, delta) driving the whole analysis.
 
     ``is_exact`` (every parameter rational) and the lift are set on construction; the
-    case values and signs, the float image and P2 on first use, and so are the
-    integrator's stop tables and its P1 separatrix turn, with the limits of that turn
-    (``numerics``).  Each is computed once, the turn again only under other limits,
+    case values and signs, the case label, the float image and P2 on first use, and so
+    are the integrator's stop tables and its P1 separatrix turn, with the limits of that
+    turn (``numerics``).  Each is computed once, the turn again only under other limits,
     without a lock, and all live in the instance ``__dict__``: equality and hash see
     the three fields alone, and a pickle carries the caches along.
     """
@@ -226,6 +226,24 @@ class Params(_Record):
 
         (q1, A, B, s2), (t1, tA, tB, t2) = vals, scales
         return vals, (sign(q1, t1), sign(A, tA), sign(B, tB), sign(s2, t2))
+
+    @_cached
+    def _label(self) -> CaseLabel:
+        """The :func:`classify_case` label, decided on the signs of ``_case``."""
+        _, (s_q1, s_A, s_B, s_s2) = self._case
+        if s_q1 > 0:
+            case, region, boundary = 1, "I", ()
+        elif s_q1 == 0:
+            case, region, boundary = 2, "S1", ("case2-boundary",)
+        elif s_A == 0:
+            case, region, boundary = 7, "S3", ("A-zero",)
+        else:
+            case = (5 if s_B < 0 else 3) if s_A > 0 else (6 if s_B < 0 else 4)
+            region = "III" if s_A > 0 else ("II-a", "S2", "II-b")[s_s2 + 1]
+            boundary = ("B-zero",) if s_B == 0 else ()
+        portrait = _CASES[case][0]
+        status = "conjectured" if portrait == "C" and s_s2 >= 0 else "proven"
+        return CaseLabel(case, region, portrait, status, boundary)
 
     @_cached
     def _float(self) -> tuple[float, float, float]:
@@ -401,7 +419,7 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
     (case 2) the collision P1 = P2 is reported once, as a saddle-node at (1,0).
     """
     bf, cf, df = p._float
-    case = classify_case(p).case
+    case = p._label.case
     _, p1_kind, p2_kind = _CASES[case]
     lam1, lam2 = complex(-bf - 1.0), complex(cf - df - bf * df)
     pts = [
@@ -425,19 +443,6 @@ def classify_case(p: Params) -> CaseLabel:
     Boundary tags fire exactly when the separating quantity is zero (exact mode)
     or within the epsilon band (float mode): ``case2-boundary`` for
     b*delta = c - delta, ``A-zero`` for A = 0 off it, and ``B-zero`` for B = 0
-    off both.
+    off both.  Each :class:`Params` derives its label once and returns it on every call.
     """
-    _, (s_q1, s_A, s_B, s_s2) = p._case
-    if s_q1 > 0:
-        case, region, boundary = 1, "I", ()
-    elif s_q1 == 0:
-        case, region, boundary = 2, "S1", ("case2-boundary",)
-    elif s_A == 0:
-        case, region, boundary = 7, "S3", ("A-zero",)
-    else:
-        case = (5 if s_B < 0 else 3) if s_A > 0 else (6 if s_B < 0 else 4)
-        region = "III" if s_A > 0 else ("II-a", "S2", "II-b")[s_s2 + 1]
-        boundary = ("B-zero",) if s_B == 0 else ()
-    portrait = _CASES[case][0]
-    status = "conjectured" if portrait == "C" and s_s2 >= 0 else "proven"
-    return CaseLabel(case, region, portrait, status, boundary)
+    return p._label

@@ -21,7 +21,7 @@ from kportrait import (
     lyapunov_procedural,
     uniqueness_check,
 )
-from kportrait.local import _bform, _cform, _kuznetsov_data, _mu_omega, _taylor_at
+from kportrait.local import _kuznetsov_data, _mu_omega, _taylor_at
 from poincare_engine import PolySystem, family_system
 
 # frozen spot values at (c, delta) = (1, 1/4):
@@ -330,15 +330,43 @@ def test_taylor_coefficients_at_p2_equal_the_sparse_shift_to_the_bit():
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (c, d)
 
 
+def bform_dense(quad, e, h) -> tuple:
+    """B(e, h) of F(z) = J z + B(z, z)/2 + C(z, z, z)/6 on every coefficient, one component per
+    row of ``quad`` = ((a20, a11, a02) of P, the same of Q), the coefficients of u^2, uv, v^2."""
+    (e0, e1), (h0, h1) = e, h
+    (p20, p11, p02), (q20, q11, q02) = quad
+    return (
+        2 * p20 * e0 * h0 + p11 * (e0 * h1 + e1 * h0) + 2 * p02 * e1 * h1,
+        2 * q20 * e0 * h0 + q11 * (e0 * h1 + e1 * h0) + 2 * q02 * e1 * h1,
+    )
+
+
+def cform_dense(cubic, e, h, z) -> tuple:
+    """C(e, h, z) of the same expansion on every coefficient, one component per row of ``cubic`` =
+    ((a30, a21, a12, a03) of P, the same of Q), the coefficients of u^3, u^2 v, u v^2, v^3."""
+    (e0, e1), (h0, h1), (z0, z1) = e, h, z
+    (p30, p21, p12, p03), (q30, q21, q12, q03) = cubic
+    return (
+        6 * p30 * e0 * h0 * z0
+        + 2 * p21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
+        + 2 * p12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
+        + 6 * p03 * e1 * h1 * z1,
+        6 * q30 * e0 * h0 * z0
+        + 2 * q21 * (e0 * h0 * z1 + e0 * h1 * z0 + e1 * h0 * z0)
+        + 2 * q12 * (e0 * h1 * z1 + e1 * h0 * z1 + e1 * h1 * z0)
+        + 6 * q03 * e1 * h1 * z1,
+    )
+
+
 def test_hopf_forms_symmetry():
     kd = _kuznetsov_data(1.3, 0.4)
     quad, cubic = kd["quad"], kd["cubic"]
     rng = np.random.default_rng(53)
     for _ in range(10):
         e, h, z = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3))
-        assert np.allclose(_bform(quad, e, h), _bform(quad, h, e))
-        assert np.allclose(_cform(cubic, e, h, z), _cform(cubic, h, e, z))
-        assert np.allclose(_cform(cubic, e, h, z), _cform(cubic, z, h, e))
+        assert np.allclose(bform_dense(quad, e, h), bform_dense(quad, h, e))
+        assert np.allclose(cform_dense(cubic, e, h, z), cform_dense(cubic, h, e, z))
+        assert np.allclose(cform_dense(cubic, e, h, z), cform_dense(cubic, z, h, e))
 
 
 def bform_reference(quad, e, h):
@@ -379,8 +407,35 @@ def test_straight_line_forms_equal_the_generic_rows_to_the_bit():
     for quad, cubic in tables:
         for _ in range(5):
             e, h, z = vec(), vec(), vec()
-            for got, want in ((_bform(quad, e, h), bform_reference(quad, e, h)), (_cform(cubic, e, h, z), cform_reference(cubic, e, h, z))):
+            for got, want in ((bform_dense(quad, e, h), bform_reference(quad, e, h)), (cform_dense(cubic, e, h, z), cform_reference(cubic, e, h, z))):
                 assert got == want and repr(got) == repr(want), (quad, cubic, e, h, z)
+
+
+def test_g_coefficients_on_the_nonzero_taylor_terms_equal_the_dense_forms():
+    # the forms of _kuznetsov_data skip the ten identically zero Taylor coefficients.  Over the
+    # full tables, with its own q, qbar and p, the dense forms give the same g's: == is every
+    # bit but the sign of a zero component, which the skipped zero terms decide (g11 and g21
+    # are real, so their imaginary parts often cancel to a zero).  That sign never reaches
+    # ell1, which equals the one from the dense g's to the bit.
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(600):
+        c, d = sorted((10 ** rng.uniform(-100, 100), 10 ** rng.uniform(-100, 100)), reverse=True)
+        try:
+            kd = _kuznetsov_data(c, d)
+        except (AnalysisError, IllConditionedError):
+            continue
+        (q0, q1), (p0, p1), quad, cubic, w = kd["q"], kd["p"], kd["quad"], kd["cubic"], kd["omega"]
+        q, qbar = (q0, q1), (q0.conjugate(), q1.conjugate())
+
+        def pdot(v):
+            return p0.conjugate() * v[0] + p1.conjugate() * v[1]
+
+        g20, g11, g21 = pdot(bform_dense(quad, q, q)), pdot(bform_dense(quad, q, qbar)), pdot(cform_dense(cubic, q, q, qbar))
+        assert (kd["g20"], kd["g11"], kd["g21"]) == (g20, g11, g21), (c, d)
+        assert repr(kd["ell1"]) == repr(float((1j * g20 * g11 + w * g21).real / (2 * w * w))), (c, d)
+        checked += 1
+    assert checked >= 500
 
 
 def test_weak_focus_on_a_zero_boundary():

@@ -655,12 +655,21 @@ def test_params_caches_fill_once_into_the_instance_dict():
 
     assert isinstance(Params._case, model._cached) and Params._case is vars(Params)["_case"]
     p = Params(F(1, 2), 1, F(1, 4))
-    for name in ("_case", "_float", "_p2"):
+    for name in ("_case", "_label", "_float", "_p2"):
         assert name not in vars(p)
         value = getattr(p, name)
         assert vars(p)[name] is value and getattr(p, name) is value, name
+    # classify_case hands out the one label, and finite_singular_points reads it, not a second derivation
+    assert classify_case(p) is classify_case(p) is vars(p)["_label"]
+    fresh = Params(0.5, 1, 0.25)
+    assert "_label" not in vars(fresh)
+    finite_singular_points(fresh)
+    label = vars(fresh)["_label"]
+    assert classify_case(fresh) is label
+    # a pickle carries the label to a scan worker (scan --jobs)
     back = pickle.loads(pickle.dumps(p))
     assert back == p and hash(back) == hash(p) and back._case == p._case
+    assert "_label" in vars(back) and vars(back)["_label"] == p._label and classify_case(back) is vars(back)["_label"]
     # equal and equally hashed, yet each keeps the case of its own arithmetic
     pf, pe = Params(0.5, 1, 0.25), Params(F(1, 2), 1, F(1, 4))
     assert pf == pe and hash(pf) == hash(pe)
