@@ -7,9 +7,11 @@ Each command's options are declared once, in ``_COMMANDS``.  :func:`main` reads 
 that starts with a command name and goes on in whole ``--name value`` and ``--flag`` tokens
 from that table into the command's namespace, importing no argparse; any other argv, help
 and usage errors included, goes to the argparse tree built from the same table on demand.
-On one 2-vCPU x86 machine (CPython 3.11, bytecode caching off, medians of 21 fresh
-processes) the import of this module and one ``classify`` took 25 ms, against 52 ms with the
-tree always built and ``model``'s records then dataclasses, and the whole process 242 ms against 258 ms.
+``classify`` and ``hopf`` build their answer and write it with one ``print``, the warning of
+``hopf`` after it on stderr.  On one 2-vCPU x86 machine (CPython 3.11, bytecode caching off,
+medians of 21 fresh processes) the import of this module and one ``classify`` took 25 ms, against
+52 ms with the tree always built and ``model``'s records then dataclasses, and the whole process
+242 ms against 258 ms.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ _LAZY = {
 
 
 def _load(module: str) -> None:
-    """Import ``module`` and bind its names of ``_LAZY`` here; a name already
-    bound, such as a stub set on this module, is kept."""
-    # __import__ rather than importlib.import_module, so -X importtime lists the module
-    home = __import__(f"{__package__}.{module}", fromlist=_LAZY[module])
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(home, name))
+    """Import ``module`` and bind its names of ``_LAZY`` here, unless all are bound; a name
+    already bound, such as a stub set on this module, is kept, and a deleted one bound again."""
+    names, here = _LAZY[module], globals()
+    if not all(map(here.__contains__, names)):
+        # __import__ rather than importlib.import_module, so -X importtime lists the module
+        home = __import__(f"{__package__}.{module}", fromlist=names)
+        for name in names:
+            here.setdefault(name, getattr(home, name))
 
 
 def __getattr__(name: str):
@@ -64,7 +68,7 @@ def _parse_value(name: str, text: str, exact: bool):
 
 
 def _params(ns: SimpleNamespace, exact: bool = False) -> Params:
-    return Params(*(_parse_value(name, getattr(ns, name), exact) for name in ("b", "c", "delta")))
+    return Params(_parse_value("b", ns.b, exact), _parse_value("c", ns.c, exact), _parse_value("delta", ns.delta, exact))
 
 
 def _cmd_classify(ns: SimpleNamespace) -> int:
@@ -76,16 +80,12 @@ def _cmd_classify(ns: SimpleNamespace) -> int:
         a, b = _to_float(disc.A), _to_float(disc.B)
     except OverflowError:
         raise AnalysisError("the float image of A or B leaves the range of doubles") from None
-    print(
-        f"case {label.case} (region {label.region}): portrait {label.portrait} [{label.status}]"
-    )
+    text = f"case {label.case} (region {label.region}): portrait {label.portrait} [{label.status}]\n"
     if label.boundary:
-        print("boundary: " + ", ".join(label.boundary))
-    print(f"A = {disc.A} ({a!r})")
-    print(f"B = {disc.B} ({b!r})")
-    for q in points:
-        x, y = q.location
-        print(f"{q.name}: {q.kind} at ({_to_float(x)!r}, {_to_float(y)!r})")
+        text += f"boundary: {', '.join(label.boundary)}\n"
+    text += f"A = {disc.A} ({a!r})\nB = {disc.B} ({b!r})"
+    text += "".join([f"\n{q.name}: {q.kind} at ({_to_float(q.location[0])!r}, {_to_float(q.location[1])!r})" for q in points])
+    print(text)
     return 0
 
 
@@ -99,18 +99,15 @@ def _cmd_hopf(ns: SimpleNamespace) -> int:
     except IllConditionedError as err:
         # a failed cross-check leaves the closed forms standing, as a disagreement does
         ell1_proc, warning = None, f"the from-scratch ell1 cross-check failed: {err}"
-    print(f"b0 = {float(hd.b0)!r}")
-    print(f"dmu/db(b0) = {hd.dmu_db_at_b0!r}")
-    print(f"omega(b0) = {hd.omega!r}")
-    print(f"g20 = {hd.g20.real!r} + {hd.g20.imag!r}i")
-    print(f"g11 = {hd.g11.real!r} + {hd.g11.imag!r}i")
-    print(f"g21 = {hd.g21.real!r} + {hd.g21.imag!r}i")
-    print(f"ell1 = {hd.ell1!r}")
+    text = (f"b0 = {float(hd.b0)!r}\ndmu/db(b0) = {hd.dmu_db_at_b0!r}\nomega(b0) = {hd.omega!r}\n"
+            f"g20 = {hd.g20.real!r} + {hd.g20.imag!r}i\ng11 = {hd.g11.real!r} + {hd.g11.imag!r}i\n"
+            f"g21 = {hd.g21.real!r} + {hd.g21.imag!r}i\nell1 = {hd.ell1!r}")
     if ell1_proc is not None:
-        print(f"ell1 (from-scratch cross-check) = {ell1_proc!r}")
+        text += f"\nell1 (from-scratch cross-check) = {ell1_proc!r}"
         # 1e-8 relative is the agreement the tests hold the two routes to
         if abs(hd.ell1 - ell1_proc) > 1e-8 * max(abs(hd.ell1), abs(ell1_proc)):
             warning = "the two ell1 routes disagree beyond 1e-8 relative"
+    print(text)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     return 0

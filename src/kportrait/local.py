@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .model import AnalysisError, IllConditionedError, Number, Params, _ab, _check_parameter, _is_exact, _range_error, _to_float
+from .model import AnalysisError, IllConditionedError, Number, Params, _check_parameter, _is_exact, _mu_omega, _range_error, _to_float
 
 __all__ = [
     "IllConditionedError",
@@ -37,16 +37,6 @@ __all__ = [
 
 # Largest relative residual accepted for the Hopf eigenvector at b0.
 _RESID_TOL = 1e-10
-
-
-def _mu_omega(b: float, c: float, d: float) -> tuple[float, Optional[float]]:
-    """mu(b) and omega(b), the real and imaginary part of the interior-point eigenvalues
-    at fixed (c, delta), on doubles: mu = b A / (2 (c-d)^2) and omega = b sqrt(-d B) / (2 (c-d)^2).
-    omega is None where -d B <= 0, so the eigenvalues are not a complex pair."""
-    a, bb = _ab(b, c, d)
-    val = -d * bb
-    den = 2 * (c - d) ** 2
-    return b * a / den, None if val <= 0 else b * math.sqrt(val) / den
 
 
 class HopfData(NamedTuple):

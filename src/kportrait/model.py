@@ -10,8 +10,8 @@ quadrant.  Rational parameters (int / Fraction) are analysed exactly, on
 integer numerators over one common denominator; others in double precision
 with a relative epsilon band, which keeps measure-zero boundary surfaces from
 being misread as open-region cases.  Each :class:`Params` keeps what depends on
-the parameters alone.  Eigenvalues of 2x2 Jacobians come from one closed form,
-:func:`_sorted_eig`, so the analysis needs only the standard library.
+the parameters alone.  P2's eigenvalues come from A and B (:func:`_p2_pair`), those
+of P0 and P1 are diagonal, so the analysis needs only the standard library.
 
 This bottom layer, which every path loads, also declares the errors that the
 CLI maps to exit 1: :class:`AnalysisError`, and the ``IllConditionedError``,
@@ -21,7 +21,6 @@ raise and export.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import sys
@@ -341,15 +340,10 @@ def jacobian(p: Params, pt) -> tuple[tuple[Number, Number], tuple[Number, Number
     """
     x, y = pt
     b, c, d = p.b, p.c, p.delta
-    (j11, j12), (j21, j22) = j = _jacobian_at(b, c, d, x, y)
+    (j11, j12), (j21, j22) = j = (-3 * x * x + 2 * (1 - b) * x - y + b, -x), ((c - d) * y, (c - d) * x - d * b)
     if _is_exact(b, c, d, x, y):
         return j
     return (float(j11), float(j12)), (float(j21), float(j22))
-
-
-def _jacobian_at(b: Number, c: Number, d: Number, x: Number, y: Number) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
-    """The entries of :func:`jacobian` at (x, y), in the arithmetic of the arguments."""
-    return (-3 * x * x + 2 * (1 - b) * x - y + b, -x), ((c - d) * y, (c - d) * x - d * b)
 
 
 def discriminants(p: Params) -> Discriminants:
@@ -382,20 +376,44 @@ def _p2_location(b: Number, c: Number, d: Number, scale: Number = 1, div=operato
     return div(b * d, e), div(b * c * (e - b * d), e**2)
 
 
-def _sorted_eig(j: tuple[tuple[float, float], tuple[float, float]]) -> tuple[complex, complex]:
-    """Eigenvalues (tr -+ sqrt((a-d)^2 + 4bc))/2 of the float 2x2 matrix [[a, b], [c, d]],
-    sorted by (real, imag); the package's one eigenvalue routine.  A real pair
-    takes its smaller root as det over the larger, so no sign is lost to cancellation."""
-    (a, b), (c, d) = j
-    # scaling by a power of two keeps the squares in range and changes no bit
-    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-    a, b, c, d = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), math.ldexp(d, -e)
-    tr, root, half = a + d, cmath.sqrt((a - d) * (a - d) + 4 * b * c), 2.0 ** (e - 1)
-    if root.imag or not (tr or root):
-        return (tr - root) * half, (tr + root) * half
-    big = tr + math.copysign(root.real, tr)
-    lo, hi = sorted((4 * (a * d - b * c) / big, big))
-    return complex(lo * half), complex(hi * half)
+def _mu_omega(b: Number, c: Number, d: Number, ab: Optional[tuple[Number, Number]] = None) -> tuple[float, Optional[float]]:
+    """mu(b) and omega(b) of P2's pair at fixed (c, delta), on doubles from A and B (``ab``, else :func:`_ab`):
+    mu = b A/den, omega = b sqrt(-d B)/den, den = 2 (c-d)^2; omega is None where -d B <= 0, a real pair."""
+    A, B = _ab(b, c, d) if ab is None else ab
+    val, den = -d * B, 2 * (c - d) ** 2
+    return b * A / den, None if val <= 0 else b * math.sqrt(val) / den
+
+
+def _p2_pair(p: Params) -> tuple[complex, complex]:
+    """P2's eigenvalues from A and B, sorted by (real, imag): for a focus mu -+ i omega of :func:`_mu_omega` (mu = 0
+    on A = 0), else big = mu + sign(A) b sqrt(d B)/den and det/big, det = x2 (c-d) y2 > 0.  Exact input, and float
+    input beyond 2^-64 .. 2^64 where a float product could leave the normal doubles, is taken on its lift's integers."""
+    (_, A, B, _), (_, s_A, s_B, _), (b, c, d, L, _) = *p._case, p._lifted
+    real = s_A != 0 and s_B >= 0
+    if not p.is_exact and 2.0**-64 < min(b, c, d) and max(b, c, d) < 2.0**64:
+        mu, w = _mu_omega(b, c, d, (A, -B if real else B))  # a real pair's half gap b sqrt(d B)/den is omega at -B
+        mu, w = mu if s_A else 0.0, w or 0.0
+        if real:
+            (x2, y2), big = p._p2, mu + math.copysign(w, mu)
+            small = x2 * (c - d) * y2 / big
+    else:
+        if not p.is_exact:
+            b, c, d, L, _ = _lift((Fraction(b), Fraction(c), Fraction(d)), True)
+            A, B = _ab(b, c, d, L)
+        e, N = L * (c - d), abs(d * B)  # d B >= 0 for a real pair, < 0 for a focus, but for a lifted float in the band of B = 0
+        k = max(0, 64 - N.bit_length() // 2)  # isqrt(N 4^k) has 64 bits or more: each value is rounded once
+        s, den = math.isqrt(N << 2 * k), 2 * e * e
+        try:
+            if not real:
+                mu, w = b * A / den if s_A else 0.0, b * s / (den << k)
+            else:  # A = 0 forces B < 0, so g is zero only for a case table that a test stubs
+                g = (A << k) + (s if A > 0 else -s)
+                big, small = b * g / (den << k), (2 * b * c * d * (e - b * d) << k) / (L * L * g) if g else 0.0
+        except OverflowError:
+            raise _range_error("(b, c, delta)", (p.b, p.c, p.delta)) from None
+    if not real:
+        return complex(mu, -w), complex(mu, w)
+    return (complex(big), complex(small)) if big < small else (complex(small), complex(big))
 
 
 # the paper's cases: (portrait, P1 kind, P2 kind); P2 lies in the open quadrant from case 3 on
@@ -426,12 +444,7 @@ def finite_singular_points(p: Params) -> list[SingularPoint]:
         SingularPoint("P0", "affine", (0, 0), "saddle", (complex(bf), complex(-df * bf))),
         SingularPoint("P1", "affine", (1, 0), p1_kind, (lam1, 0j if case == 2 else lam2)),
     ]
-    if p2_kind:
-        loc = p._p2
-        # the Jacobian at the float images of the parameters and of P2
-        eig = _sorted_eig(_jacobian_at(bf, cf, df, _to_float(loc[0]), _to_float(loc[1])))
-        pts.append(SingularPoint("P2", "affine", loc, p2_kind, eig))
-    return pts
+    return pts + [SingularPoint("P2", "affine", p._p2, p2_kind, _p2_pair(p))] if p2_kind else pts
 
 
 def classify_case(p: Params) -> CaseLabel:

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .compactify import family_infinite_points
-from .local import DulacReport, _mu_omega, dulac_check, hopf_analysis
+from .local import DulacReport, dulac_check, hopf_analysis
 from .model import (
     AnalysisError,
     CaseLabel,
@@ -136,8 +136,8 @@ def build_portrait(p: Params) -> PortraitReport:
     if disc.B < 0 and p.c > p.delta:
         try:
             hd = hopf_analysis(p.c, p.delta)
-            mu, omega = _mu_omega(*p._float)
-            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, mu, omega, hd.ell1)
+            lam = pts[-1].eigenvalues[1]  # P2's, with Im >= 0: B < 0 puts P2 in the quadrant
+            hopf = HopfSummary(float(hd.b0), hd.dmu_db_at_b0, lam.real, lam.imag or None, hd.ell1)
         except AnalysisError as err:
             warnings.append(f"hopf-analysis-unavailable: {err}")
 

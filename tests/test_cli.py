@@ -46,6 +46,52 @@ def test_repeated_calls_in_one_process_print_the_same(capsys):
     assert run(capsys, *args) == first
 
 
+class _Stream:
+    """A text stream that logs each ``write`` call, with its name, into a shared list."""
+
+    def __init__(self, name: str, log: list) -> None:
+        self.name, self.log = name, log
+
+    def write(self, text: str) -> int:
+        self.log.append((self.name, text))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv, warns",
+    [
+        ("classify --b 0.5 --c 1 --delta 0.25", False),
+        ("classify --exact --b 3/10 --c 1 --delta 1/4", False),
+        ("classify --exact --b 3/5 --c 1 --delta 1/4", False),  # with a boundary: line
+        ("hopf --c 1 --delta 0.25", False),
+        ("hopf --c 1e60 --delta 1", True),
+    ],
+)
+def test_each_command_writes_its_answer_once(monkeypatch, capsys, argv, warns):
+    # one print: the block, then its newline; hopf's warning follows on stderr
+    code, out, err = run(capsys, *argv.split())
+    log: list = []
+    monkeypatch.setattr(sys, "stdout", _Stream("out", log))
+    monkeypatch.setattr(sys, "stderr", _Stream("err", log))
+    assert main(argv.split()) == code == 0
+    want = [("out", out[:-1]), ("out", "\n")] + [("err", err[:-1]), ("err", "\n")] * warns
+    assert log == want and err.startswith("warning:") == warns
+
+
+def test_lazy_names_keep_a_stub_and_bind_a_deleted_name_again(monkeypatch, capsys):
+    import kportrait.cli as cli
+    import kportrait.local as local
+
+    monkeypatch.setattr(cli, "hopf_analysis", lambda c, d: local.hopf_analysis(c, d)._replace(ell1=-1.0))
+    monkeypatch.delattr(cli, "lyapunov_procedural", raising=False)
+    code, out, _ = run(capsys, "hopf", "--c", "1", "--delta", "0.25")
+    assert code == 0 and "ell1 = -1.0\n" in out
+    assert cli.lyapunov_procedural is local.lyapunov_procedural
+
+
 def test_classify_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "classify", "--b", "-1", "--c", "1", "--delta", "1")
     assert code == 2
@@ -233,18 +279,19 @@ BYTE_GOLDEN = {
             "json": "475e67bd7b4d27ce1b9eec6d67e8539c233ceb6f6463e89dc0c0fd0be607a720",
         },
     ),
+    # the B and C json digests moved when P2's eigenvalues began to come from A and B
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
             "svg": "5fd39a83c24ddda2c40c239cd88d527fa33b9a628d898b54c68ab5d47fd75028",
-            "json": "02bbdcb2d5467696952b8db3decb731817d88ded947d711b64c39e34b69606e7",
+            "json": "a7c4c1ac729db73c0e5d76f5e34607acc772c1a17f6d012509617bd61bcbc1b7",
         },
     ),
     "portrait-C": (
         ["portrait", "--b", "0.9", "--c", "1.2", "--delta", "0.3"],
         {
             "svg": "58bfbaee64ca42b9752d016c0b6abca1f58238c51bb5e60f964232321256a7c5",
-            "json": "9cd79332f1e75f3fa014347504d8ec03db1994b59ab00a0edcf19264a7b22a8b",
+            "json": "ed1546d62244ffa66bf0231c5e3e9b674753182b5d57a8346bde39e03a680a5b",
         },
     ),
     **{

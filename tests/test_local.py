@@ -208,8 +208,9 @@ def test_procedural_ell1_out_of_float_range_is_an_analysis_error(c, delta):
 
 
 def test_exact_input_gives_what_float_images_give(monkeypatch):
-    # hopf_analysis, the from-scratch ell1 and the P2 eigenvalues take the float image of a
-    # rational as int / int; with float() in its place every result and error is the same
+    # hopf_analysis and the from-scratch ell1 take the float image of a rational as int / int,
+    # and the P2 eigenvalues come from the integers of the lift; with float() in place of the
+    # image every result and error is the same
     import kportrait.local
     import kportrait.model
 
@@ -626,6 +627,6 @@ def test_procedural_ell1_does_not_use_the_closed_forms(monkeypatch):
         raise AssertionError("the cross-check must not use the closed forms")
 
     monkeypatch.setattr(local_mod, "hopf_analysis", forbidden)
-    monkeypatch.setattr(local_mod, "_ab", forbidden)
+    monkeypatch.setattr(local_mod, "_mu_omega", forbidden)
     monkeypatch.setattr(model_mod, "_ab", forbidden)
     assert abs(lyapunov_procedural(1.0, 0.25) - ELL1_SPOT) <= 1e-8

@@ -5,7 +5,7 @@ import itertools
 import pickle
 import random
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from numbers import Rational
 
@@ -16,6 +16,7 @@ from kportrait import (
     AnalysisError,
     CaseLabel,
     Params,
+    build_portrait,
     classify_case,
     discriminants,
     dulac_check,
@@ -27,7 +28,7 @@ from kportrait import (
     vector_field,
 )
 from kportrait.local import _mu_omega
-from kportrait.model import _sorted_eig, _to_float
+from kportrait.model import _to_float
 
 
 def random_params(rng, lo=0.05, hi=5.0):
@@ -135,42 +136,115 @@ def test_jacobian_is_nested_tuples_exact_for_rational_input():
 
 def test_closed_form_eigenvalues_match_numpy_at_p2():
     # the integrator's stop modes read only the signs of the real parts, so
-    # those and the realness must agree exactly, the values to 1e-12
+    # those and the realness must agree exactly, the values to 1e-12; numpy judges
+    # P2's pair on the Jacobian of the exact twin at the exact P2, each entry rounded once
     rng = random.Random(71)
-    mats = []
-    while len(mats) < 500:
+    params = []
+    while len(params) < 500:
         b, c, d = 10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1.5, 0.5)
-        p = Params(b, c, d)
         if c > d and b * d < c - d:
-            mats.append(jacobian(p, interior_point(p)))
-    # exact points on A = 0 (case 7, trace 0), cast to float
+            params.append(Params(b, c, d))
+    # exact points on A = 0 (case 7, trace 0)
     for c, d in [(F(1), F(1, 4)), (F(2), F(1, 3)), (F(5, 2), F(7, 10)), (F(9), F(1, 20))]:
-        p = Params((c - d) / (c + d), c, d)
-        assert classify_case(p).case == 7
-        (p2,) = [q.location for q in finite_singular_points(p) if q.name == "P2"]
-        mats.append(tuple(tuple(float(v) for v in row) for row in jacobian(p, p2)))
-    # far out: (a-d)^2 overflows unscaled, and the smaller root is lost to
-    # cancellation unless it is taken as det over the larger
-    p = Params(1.5485431864783346e174, 1.1229562123685506e24, 1.3945112294371462e-253)
-    mats.append(jacobian(p, interior_point(p)))
-    for m in mats:
-        got = _sorted_eig(m)
-        want = sorted((complex(z) for z in np.linalg.eigvals(np.array(m))), key=lambda z: (z.real, z.imag))
-        norm = np.linalg.norm(np.array(m), np.inf)
+        params.append(Params((c - d) / (c + d), c, d))
+        assert classify_case(params[-1]).case == 7
+    # far out: a11 = b - y2 + ... cancels at the float P2, so the pair is read off A and B
+    params.append(Params(1.5485431864783346e174, 1.1229562123685506e24, 1.3945112294371462e-253))
+    for p in params:
+        (got,) = [q.eigenvalues for q in finite_singular_points(p) if q.name == "P2"]
+        twin = Params(F(p.b), F(p.c), F(p.delta))
+        m = np.array([[float(v) for v in row] for row in jacobian(twin, twin._p2)])
+        want = sorted((complex(z) for z in np.linalg.eigvals(m)), key=lambda z: (z.real, z.imag))
+        norm = np.linalg.norm(m, np.inf)
         for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-12 * norm, (m, got, want)
-            assert (g.real > 0) - (g.real < 0) == (w.real > 0) - (w.real < 0), (m, got, want)
-            assert (g.imag == 0) == (w.imag == 0), (m, got, want)
+            assert abs(g - w) <= 1e-12 * norm, (p, got, want)
+            assert (g.real > 0) - (g.real < 0) == (w.real > 0) - (w.real < 0), (p, got, want)
+            assert (g.imag == 0) == (w.imag == 0), (p, got, want)
 
 
-def test_p2_eigenvalues_are_those_of_the_float_twins_jacobian():
-    # finite_singular_points takes the Jacobian on the float image, not on a second Params it builds
-    for vals in rational_triples(60) + [tuple(map(float, t)) for t in rational_triples(60)]:
+def test_p2_eigenvalues_are_mu_omega_of_the_float_image():
+    # where B < 0 off the A band, P2's pair is mu -+ i omega of _mu_omega on the float image to the bit,
+    # and the Hopf summary of a portrait reads its mu and omega off P2's eigenvalue
+    rng, checked = random.Random(17), 0
+    draws = [(10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1.5, 0.5)) for _ in range(300)]
+    for vals in [tuple(map(float, t)) for t in rational_triples(60)] + draws:
         p = Params(*vals)
-        for q in finite_singular_points(p):
-            if q.name == "P2":
-                m = jacobian(Params(*p._float), tuple(float(v) for v in q.location))
-                assert q.eigenvalues == _sorted_eig(m), vals
+        if p._case[1][1:3] in ((1, -1), (-1, -1)):
+            (q,) = [q for q in finite_singular_points(p) if q.name == "P2"]
+            mu, omega = _mu_omega(*p._float)
+            assert q.eigenvalues == (complex(mu, -omega), complex(mu, omega)), vals
+            checked += 1
+    assert checked >= 100, checked
+    rep = build_portrait(Params(0.5, 1.0, 0.25))  # README B
+    (q,) = [q for q in rep.finite_points if q.name == "P2"]
+    assert (rep.hopf.mu, rep.hopf.omega) == (q.eigenvalues[1].real, q.eigenvalues[1].imag)
+    assert rep.hopf.mu == 0.013888888888888888
+
+
+def _p2_pair_oracle(b, c, d):
+    """P2's eigenvalues of the rational triple, sorted by (real, imag), from Fraction and decimal
+    alone: trace and determinant of the field's Jacobian at P2, the root to 60 digits, and the
+    smaller root of a real pair as det over the larger, each rounded once to a double."""
+    b, c, d = F(b), F(c), F(d)
+    x, y = b * d / (c - d), b * c * (c - d - b * d) / (c - d) ** 2
+    (a11, a12), (a21, a22) = (-3 * x * x + 2 * (1 - b) * x - y + b, -x), ((c - d) * y, (c - d) * x - d * b)
+    half, det = (a11 + a22) / 2, a11 * a22 - a12 * a21
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(q: F) -> Decimal:
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        root = dec(abs(half * half - det)).sqrt()
+        if half * half < det:
+            return complex(float(half), -float(root)), complex(float(half), float(root))
+        big = dec(half) + root.copy_sign(dec(half))
+        return tuple(complex(v) for v in sorted((float(big), float(dec(det) / big))))
+
+
+def test_p2_spectrum_matches_an_exact_oracle():
+    # each eigenvalue to 1e-12 of its modulus, realness and the sign of each real part as the kind says
+    rng = random.Random(2026)
+    triples = [(f"1e{e}", tuple(10 ** rng.uniform(-e, e) for _ in range(3))) for e in (3, 100) for _ in range(1500)]
+    triples += [("exact", tuple(F(rng.randint(1, 10**9), rng.randint(1, 10**9)) for _ in range(3))) for _ in range(1500)]
+    for _ in range(100):  # the exact A = 0 surface b = (c - delta)/(c + delta)
+        c, d = sorted((F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(2)), reverse=True)
+        triples.append(("A-zero", ((c - d) / (c + d), c, d) if c > d else (F(3, 5), F(1), F(1, 4))))
+    signs = {"unstable-node": 1, "stable-node": -1, "unstable-focus": 1, "stable-focus": -1, "weak-stable-focus": 0}
+    checked = dict.fromkeys(("1e3", "1e100", "exact", "A-zero"), 0)
+    for draw, t in triples:
+        b, c, d = map(F, t)
+        S = d * (b + 1) + c * (b - 1)
+        B, scale = d * S * S - 4 * c * (c - d) ** 2 * (c - d * (b + 1)), d * S * S + 4 * c * (c - d) ** 2 * abs(c - d * (b + 1))
+        p = Params(*t)
+        try:
+            points = finite_singular_points(p)
+        except AnalysisError:  # a float triple whose classification leaves the range of doubles
+            assert not p.is_exact and "_label" not in vars(p), t
+            continue
+        if len(points) < 3 or not p.is_exact and abs(B) < F(1, 10**6) * scale:
+            continue
+        q = points[2]
+        want = _p2_pair_oracle(*t)
+        for g, w in zip(q.eigenvalues, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (t, q.eigenvalues, want)
+            assert (g.real > 0) - (g.real < 0) == signs[q.kind], (t, q)
+        assert all(g.imag == 0 for g in q.eigenvalues) == q.kind.endswith("node"), (t, q)
+        checked[draw] += 1
+    assert min(checked.values()) >= 90, checked
+    pinned = {
+        (F(3, 5), F(1), F(1, 4)): (0.0, 0.0),
+        (F(3, 5), F(8, 5), F(2, 5)): (0.0, 0.0),
+        (F(10**200), F(10**200), F(1, 2)): (complex(-2.5e199, -4.330127018922193e199), complex(-2.5e199, 4.330127018922193e199)),
+        (F(3, 10), F(10**100), F(1, 4)): (complex(2.625e-102, -0.15), complex(2.625e-102, 0.15)),
+        (1.5485431864783346e174, 1.1229562123685506e24, 1.3945112294371462e-253): (-2.9778707030094776e71, -1.1229562123685506e24),
+    }
+    for t, want in pinned.items():
+        (got,) = [q.eigenvalues for q in finite_singular_points(Params(*t)) if q.name == "P2"]
+        if want == (0.0, 0.0):
+            assert [z.real for z in got] == [0.0, 0.0] and all(z.imag for z in got), (t, got)
+        else:
+            assert got == want, (t, got)
 
 
 def test_jacobian_matches_finite_differences():
@@ -773,8 +847,9 @@ def test_analysis_results_and_errors_match_the_recorded_digest():
     # when hopf_analysis's range errors began to name the Hopf point (b0, c, delta), and
     # when float classification began to refuse an underflowed scale and hopf_analysis to
     # name an overflow or underflow of B(b0) as a range error: the triples with such a scale
-    # and those hopf records alone moved
-    assert _analysis_digest(2400) == "72602944df51b1b363b0a59950c640a6099300ee8c8f4cc4f38caca3a07f1933"
+    # and those hopf records alone moved; re-recorded when P2's eigenvalues began to come from
+    # A and B: the points records alone moved, and with the Jacobian's pair put back they give the old digest
+    assert _analysis_digest(2400) == "2553d21d80b8d5f6cd606b634352e4214761c947697d9c9ff78837a15e5912f2"
 
 
 def _record_twins():
