@@ -5,7 +5,8 @@ The Hopf pipeline for the interior point of the predator-prey family
 forms, first Lyapunov coefficient), the Dulac-style non-existence test with
 multiplier 1/x, and the four cycle-uniqueness conditions.  Each result is a
 plain value, a named tuple of numbers, strings and tuples: it compares and
-hashes by its fields and pickles.
+hashes by its fields and pickles.  Each Hopf route holds c and delta to the
+:class:`Params` rule once, on entry; the code behind it takes them as checked.
 
 The first Lyapunov coefficient is computed twice, by independent routes:
 ``hopf_analysis`` evaluates closed forms, ``lyapunov_procedural`` rebuilds
@@ -58,6 +59,15 @@ class HopfData(NamedTuple):
     q_vec: tuple[complex, complex]
 
 
+def _check_pair(c: Number, delta: Number) -> bool:
+    """Hold c and delta to the :class:`Params` rule; True for floats with 0 < delta < c < inf, which pass it."""
+    if type(c) is float and type(delta) is float and 0.0 < delta < c < math.inf:
+        return True
+    _check_parameter("c", c)
+    _check_parameter("delta", delta)
+    return False
+
+
 def hopf_analysis(c: Number, delta: Number) -> HopfData:
     """Closed-form Hopf data at the critical parameter b0 = (c-d)/(c+d).
 
@@ -72,17 +82,16 @@ def hopf_analysis(c: Number, delta: Number) -> HopfData:
     negative for every admissible pair, so the bifurcation is always
     supercritical.
     """
-    _check_parameter("c", c)
-    _check_parameter("delta", delta)
-    exact = _is_exact(c, delta)
+    floats = _check_pair(c, delta)  # then c > delta, and each is its own float image
+    exact = not floats and _is_exact(c, delta)
     if exact:
         cn, dn = int(c.numerator) * int(delta.denominator), int(delta.numerator) * int(c.denominator)
     # exact c > delta is decided on the cross-multiplied integers
-    if not (cn > dn if exact else c > delta):
+    if not (floats or (cn > dn if exact else c > delta)):
         raise AnalysisError("hopf analysis requires c > delta")
     b0: Number = Fraction(cn - dn, cn + dn) if exact else (c - delta) / (c + delta)
     try:
-        b0f, cf, df = _to_float(b0), _to_float(c), _to_float(delta)
+        b0f, cf, df = (b0, c, delta) if floats else (_to_float(b0), _to_float(c), _to_float(delta))
         # B(b0) = -4c^2(c-d)^3/(c+d) < 0 for every c > d, so w is None or not finite only
         # where B(b0) overflows to nan or underflows to 0; None divides by zero below
         w = _mu_omega(b0f, cf, df)[1] or 0.0
@@ -132,11 +141,9 @@ def _kuznetsov_data(c: Number, delta: Number) -> dict:
     lays them out, the eigenproblem (q and p), and g20 = <p, B(q, q)>, g11 = <p, B(q, qbar)> and
     g21 = <p, C(q, q, qbar)> of F(z) = J z + B(z, z)/2 + C(z, z, z)/6, <u, v> = conj(u) . v.
     The forms keep the terms of the nonzero coefficients in the order of the full sums and equal
-    their values; only the sign of a zero component can differ, and it never reaches ell1."""
-    _check_parameter("c", c)
-    _check_parameter("delta", delta)
+    their values; only the sign of a zero component can differ, and it never reaches ell1.  c, delta come checked."""
     try:
-        cf, df = _to_float(c), _to_float(delta)
+        cf, df = (c, delta) if type(c) is float and type(delta) is float else (_to_float(c), _to_float(delta))
         if not cf > df:
             raise AnalysisError("the from-scratch ell1 requires c > delta")
         # |b0|, x2, y2 <= 1, so every Taylor coefficient below is bounded by c
@@ -193,6 +200,7 @@ def lyapunov_procedural(c: Number, delta: Number) -> float:
     <p, q> = 1, and assembles ell1 = Re(i g20 g11 + w g21) / (2 w^2).  An
     input whose arithmetic leaves the range of doubles is an AnalysisError.
     """
+    _check_pair(c, delta)
     return _kuznetsov_data(c, delta)["ell1"]
 
 
@@ -213,15 +221,14 @@ def dulac_check(p: Params) -> DulacReport:
     """The verdict follows the S2 sign of ``classify_case``: exact for rational
     parameters, banded in floats, so a margin within the band of 0 is never
     read as applicable."""
-    (*_, margin), (*_, s_s2) = p._case
+    (_, _, _, margin), (_, _, _, s_s2) = p._case
     try:
-        # int / int is correctly rounded, so exact input gives float() of the rational margin
-        margin = margin / p._lifted[3] ** 2
+        # int / int is correctly rounded, so exact input (over L^2) gives float() of the rational margin
+        margin = margin if type(margin) is float else float(margin / p._lifted[3] ** 2)
     except OverflowError:
         raise _range_error("(b, c, delta)", (p.b, p.c, p.delta)) from None
     applicable = s_s2 < 0
-    conclusion = "no-periodic-orbits" if applicable else "inconclusive"
-    return DulacReport(applicable=applicable, margin=float(margin), conclusion=conclusion)
+    return DulacReport(applicable, margin, "no-periodic-orbits" if applicable else "inconclusive")
 
 
 class UniquenessReport(NamedTuple):
@@ -258,5 +265,4 @@ def uniqueness_check(p: Params) -> UniquenessReport:
 
     # (iv): d/dx [x f'(x)/(g(x)-lam)] has numerator -2(c-d)x^2 + 4 d b (b-1) x,
     # negative for all x > 0 exactly when b <= 1 (no positive root).
-    conditions = (c > d, L > b, x_star < a, c > d and b <= L)
-    return UniquenessReport(g_slope=g, a=a, lam=lam, x_star=x_star, conditions_hold=conditions)
+    return UniquenessReport(g, a, lam, x_star, (c > d, L > b, x_star < a, c > d and b <= L))

@@ -10,8 +10,9 @@ quadrant.  Rational parameters (int / Fraction) are analysed exactly, on
 integer numerators over one common denominator; others in double precision
 with a relative epsilon band, which keeps measure-zero boundary surfaces from
 being misread as open-region cases.  Each :class:`Params` keeps what depends on
-the parameters alone.  P2's eigenvalues come from A and B (:func:`_p2_pair`), those
-of P0 and P1 are diagonal, so the analysis needs only the standard library.
+the parameters alone, and takes its label from a table keyed by its four case signs.
+P2's eigenvalues come from A and B (:func:`_p2_pair`), those of P0 and P1 are
+diagonal, so the analysis needs only the standard library.
 
 This bottom layer, which every path loads, also declares the errors that the
 CLI maps to exit 1: :class:`AnalysisError`, and the ``IllConditionedError``,
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 Number = Union[int, float, Fraction]
+_EXACT_TYPES = frozenset((int, Fraction))
 
 # Relative width of the zero band used for boundary detection in float mode.
 ZERO_BAND = 1e-12
@@ -77,11 +79,13 @@ class NoReturnError(RuntimeError):
 
 def _is_exact(*vals: Number) -> bool:
     # a float is never rational; int and Fraction are read by type, as the ABC check is slow on every type
-    return float not in (types := {*map(type, vals)}) and (types <= {int, Fraction} or all(isinstance(v, Rational) for v in vals))
+    return float not in map(type, vals) and (_EXACT_TYPES.issuperset(map(type, vals)) or all(isinstance(v, Rational) for v in vals))
 
 
 def _check_parameter(name: str, v: Number) -> None:
     """The rule every parameter obeys: finite and strictly positive."""
+    if type(v) is float and 0.0 < v < math.inf:
+        return
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
     # a Fraction's denominator is positive, so its numerator carries the sign
@@ -171,12 +175,12 @@ class _Record:
 class Params(_Record):
     """The positive triple (b, c, delta) driving the whole analysis.
 
-    ``is_exact`` (every parameter rational) and the lift are set on construction; the
-    case values and signs, the case label, the float image and P2 on first use, and so
-    are the integrator's stop tables and its P1 separatrix turn, with the limits of that
-    turn (``numerics``).  Each is computed once, the turn again only under other limits,
-    without a lock, and all live in the instance ``__dict__``: equality and hash see
-    the three fields alone, and a pickle carries the caches along.
+    ``is_exact`` (every parameter rational) and the lift are set on construction; the case values
+    and signs, the case label (looked up by the signs), the float image and P2 on first use, and
+    so are the integrator's stop tables and its P1 separatrix turn, with the limits of that turn
+    (``numerics``).  Each is computed once, the turn again only under other limits, without a
+    lock, and all live in the instance ``__dict__``: equality and hash see the three fields
+    alone, and a pickle carries the caches along.
     """
 
     b: Number
@@ -184,11 +188,11 @@ class Params(_Record):
     delta: Number
 
     def __init__(self, b: Number, c: Number, delta: Number) -> None:
-        vals = (b, c, delta)
-        for name, v in zip(self._fields, vals):
-            _check_parameter(name, v)
-        exact = _is_exact(*vals)
-        self.__dict__.update(b=b, c=c, delta=delta, is_exact=exact, _lifted=_lift(vals, exact))
+        _check_parameter("b", b)
+        _check_parameter("c", c)
+        _check_parameter("delta", delta)
+        exact = _is_exact(b, c, delta)
+        self.__dict__.update(b=b, c=c, delta=delta, is_exact=exact, _lifted=_lift((b, c, delta), exact))
 
     @_cached
     def _case(self) -> tuple[tuple[Number, Number, Number, Number], tuple[int, int, int, int]]:
@@ -219,17 +223,18 @@ class Params(_Record):
         # double (0.0 included) has underflowed and its band reads any value as zero
         if not all(map(math.isfinite, vals + scales)) or min(scales) < sys.float_info.min:
             raise AnalysisError(f"float arithmetic leaves the range of doubles for {self}; classify it exactly (--exact)")
-
-        def sign(v, s) -> int:
-            return 0 if abs(float(v)) <= ZERO_BAND * float(s) else (1 if v > 0 else -1)
-
-        (q1, A, B, s2), (t1, tA, tB, t2) = vals, scales
-        return vals, (sign(q1, t1), sign(A, tA), sign(B, tB), sign(s2, t2))
+        (q1, A, B, s2), (t1, tA, tB, t2), z = vals, scales, ZERO_BAND
+        if type(t1) is not float:  # a subclass of float, or another real type, is banded on its doubles
+            (q1, A, B, s2), (t1, tA, tB, t2) = map(float, vals), map(float, scales)
+        return vals, ((q1 > z * t1) - (q1 < -z * t1), (A > z * tA) - (A < -z * tA), (B > z * tB) - (B < -z * tB),
+                      (s2 > z * t2) - (s2 < -z * t2))
 
     @_cached
     def _label(self) -> CaseLabel:
-        """The :func:`classify_case` label, decided on the signs of ``_case``."""
-        _, (s_q1, s_A, s_B, s_s2) = self._case
+        """The :func:`classify_case` label: the ``_LABELS`` entry of the signs of ``_case``, decided on a miss."""
+        if (label := _LABELS.get(signs := self._case[1])) is not None:
+            return label
+        s_q1, s_A, s_B, s_s2 = signs
         if s_q1 > 0:
             case, region, boundary = 1, "I", ()
         elif s_q1 == 0:
@@ -242,7 +247,7 @@ class Params(_Record):
             boundary = ("B-zero",) if s_B == 0 else ()
         portrait = _CASES[case][0]
         status = "conjectured" if portrait == "C" and s_s2 >= 0 else "proven"
-        return CaseLabel(case, region, portrait, status, boundary)
+        return _LABELS.setdefault(signs, CaseLabel(case, region, portrait, status, boundary))
 
     @_cached
     def _float(self) -> tuple[float, float, float]:
@@ -388,9 +393,9 @@ def _p2_pair(p: Params) -> tuple[complex, complex]:
     """P2's eigenvalues from A and B, sorted by (real, imag): for a focus mu -+ i omega of :func:`_mu_omega` (mu = 0
     on A = 0), else big = mu + sign(A) b sqrt(d B)/den and det/big, det = x2 (c-d) y2 > 0.  Exact input, and float
     input beyond 2^-64 .. 2^64 where a float product could leave the normal doubles, is taken on its lift's integers."""
-    (_, A, B, _), (_, s_A, s_B, _), (b, c, d, L, _) = *p._case, p._lifted
+    ((_, A, B, _), (_, s_A, s_B, _)), (b, c, d, L, _) = p._case, p._lifted
     real = s_A != 0 and s_B >= 0
-    if not p.is_exact and 2.0**-64 < min(b, c, d) and max(b, c, d) < 2.0**64:
+    if not p.is_exact and 2.0**-64 < b < 2.0**64 and 2.0**-64 < c < 2.0**64 and 2.0**-64 < d < 2.0**64:
         mu, w = _mu_omega(b, c, d, (A, -B if real else B))  # a real pair's half gap b sqrt(d B)/den is omega at -B
         mu, w = mu if s_A else 0.0, w or 0.0
         if real:
@@ -426,6 +431,8 @@ _CASES = {
     6: ("C", "saddle", "stable-focus"),
     7: ("C", "saddle", "weak-stable-focus"),
 }
+# the one CaseLabel of each sign tuple of Params._case, filled on first use: 81 keys at most
+_LABELS: dict[tuple[int, int, int, int], CaseLabel] = {}
 
 
 def finite_singular_points(p: Params) -> list[SingularPoint]:
@@ -456,6 +463,7 @@ def classify_case(p: Params) -> CaseLabel:
     Boundary tags fire exactly when the separating quantity is zero (exact mode)
     or within the epsilon band (float mode): ``case2-boundary`` for
     b*delta = c - delta, ``A-zero`` for A = 0 off it, and ``B-zero`` for B = 0
-    off both.  Each :class:`Params` derives its label once and returns it on every call.
+    off both.  The label of each of the 81 sign tuples is decided once, into the table
+    ``_LABELS``, and each :class:`Params` reads its own once and returns it on every call.
     """
     return p._label

@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,65 @@ def test_hopf_output(capsys):
     assert code == 0
     assert "b0 = 0.6" in out
     assert "ell1 = -0.12909944487358058" in out
+
+
+def _rule_message(name, v):
+    """The text of the parameter rule's ValueError, spelled out here rather than read from the code."""
+    return f"{name} must be {'finite' if isinstance(v, float) and not math.isfinite(v) else 'positive'}, got {v!r}"
+
+
+@pytest.mark.parametrize(
+    "v",
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0, -1, Fraction(0), Fraction(-1, 3), 5e-324],
+    ids=repr,
+)
+def test_each_route_holds_a_value_to_the_parameter_rule_with_one_message(capsys, v):
+    # every entry point checks its parameters; a float that passes a shortcut there must pass
+    # the full rule, and an invalid value fails it with the same text in the library and the CLI
+    from kportrait import Params, hopf_analysis, lyapunov_procedural
+
+    valid = v == 5e-324
+
+    def outcome(call):
+        try:
+            call()
+        except ValueError as err:  # AnalysisError, a subclass, is a verdict on a valid value
+            if type(err) is ValueError:
+                return str(err)
+        return None
+
+    calls = [
+        ("b", lambda: Params(v, 1.0, 0.25)),
+        ("c", lambda: Params(1.0, v, 0.25)),
+        ("delta", lambda: Params(1.0, 1.0, v)),
+        ("c", lambda: Params(1, v, 1)),
+        ("c", lambda: hopf_analysis(v, 0.25)),
+        ("delta", lambda: hopf_analysis(1.0, v)),
+        ("c", lambda: lyapunov_procedural(v, 0.25)),
+        ("delta", lambda: lyapunov_procedural(1.0, v)),
+    ]
+    for name, call in calls:
+        assert outcome(call) == (None if valid else _rule_message(name, v)), name
+    # classify reads a float in floats and a rational with --exact, hopf reads floats; a value
+    # that starts with "-" goes as --name=value, which argparse reads as a value
+    exact = not isinstance(v, float)
+    text = str(v) if exact else repr(v)
+
+    def argv(command, args):
+        return [command, *(t for k, a in args.items() for t in ([f"--{k}={a}"] if a[0] == "-" else [f"--{k}", a]))]
+
+    for name in ("b", "c", "delta"):
+        checks = [(argv("classify", {"b": "0.5", "c": "1", "delta": "0.25", name: text}) + ["--exact"] * exact,
+                   Fraction(text) if exact else v)]
+        if name != "b":
+            checks.append((argv("hopf", {"c": "1", "delta": "0.25", name: repr(float(v))}), float(v)))
+        for args, parsed in checks:
+            code, _, err = run(capsys, *args)
+            if valid:
+                assert code != 2, args
+            else:
+                assert code == 2 and "usage:" in err, args
+                assert err.endswith(f"error: {_rule_message(name, parsed)}\n"), (args, err)
 
 
 def test_hopf_analysis_failure_is_exit_1(capsys):
