@@ -18,7 +18,7 @@ _EXPORTS = {
     "compactify": ("family_infinite_points",),
     "model": (
         "AnalysisError", "CaseLabel", "Discriminants", "Params", "SectorData", "SingularPoint",
-        "classify_case", "discriminants", "finite_singular_points", "jacobian", "vector_field",
+        "classify_case", "discriminants", "finite_singular_points",
     ),
     "local": (
         "DulacReport", "HopfData", "IllConditionedError", "UniquenessReport",

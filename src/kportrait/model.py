@@ -39,8 +39,6 @@ __all__ = [
     "SectorData",
     "SingularPoint",
     "CaseLabel",
-    "vector_field",
-    "jacobian",
     "discriminants",
     "finite_singular_points",
     "classify_case",
@@ -62,7 +60,7 @@ class IllConditionedError(RuntimeError):
 
 
 class IntegrationFailure(RuntimeError):
-    """Step-size underflow or sample-budget exhaustion; carries the partial orbit."""
+    """Step-size underflow of an orbit; carries the partial orbit."""
 
     def __init__(self, message: str, orbit: "Orbit"):
         super().__init__(message)
@@ -327,28 +325,6 @@ class CaseLabel(_Record):
 
     def __init__(self, case: int, region: str, portrait: str, status: str, boundary: tuple[str, ...] = ()) -> None:
         self.__dict__.update(case=case, region=region, portrait=portrait, status=status, boundary=boundary)
-
-
-def vector_field(p: Params, pt) -> tuple[Number, Number]:
-    """Evaluate the family field at the point ``pt``; exact when inputs are rational."""
-    x, y = pt
-    dx = x * (-x * x + (1 - p.b) * x - y + p.b)
-    dy = y * ((p.c - p.delta) * x - p.delta * p.b)
-    return dx, dy
-
-
-def jacobian(p: Params, pt) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
-    """Partial-derivative matrix of the field at the point ``pt`` as nested row tuples.
-
-    Entries stay exact when both parameters and coordinates are rational and
-    are floats otherwise.
-    """
-    x, y = pt
-    b, c, d = p.b, p.c, p.delta
-    (j11, j12), (j21, j22) = j = (-3 * x * x + 2 * (1 - b) * x - y + b, -x), ((c - d) * y, (c - d) * x - d * b)
-    if _is_exact(b, c, d, x, y):
-        return j
-    return (float(j11), float(j12)), (float(j21), float(j22))
 
 
 def discriminants(p: Params) -> Discriminants:

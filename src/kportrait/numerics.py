@@ -6,9 +6,11 @@ chart (u, v) = (ln x, ln y) its field is (F, G) (Hofbauer and Sigmund,
 on the field divided by w = 1 + x^2 + y: the clock ds = w dt is a weighted
 Poincare-Lyapunov compactification (weights 1 and 2 on x and y; Dumortier,
 Llibre and Artes, *Qualitative Theory of Planar Differential Systems*, ch. 5),
-so the field is bounded on the whole quadrant and one chart reaches infinity.
-True time rides along as dt/ds = 1/w, so time budgets, sample times and
-periods keep their units.  Steps are embedded Dormand-Prince 5(4) with FSAL;
+so the field is bounded on the whole quadrant and one chart reaches infinity,
+and the slow passages of slow-fast cycles cost a few hundred steps.  True time
+rides along as dt/ds = 1/w, so sample times and periods keep their units, and
+an orbit's one limit is ``_MAX_STEPS`` accepted steps, which needs no time
+scale per parameter set.  Steps are embedded Dormand-Prince 5(4) with FSAL;
 the error scale of ln x and ln y is relative, and near the interior
 equilibrium P2 it shrinks with the distance from P2, where the return map's
 displacement is a small share of that distance.
@@ -75,10 +77,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 _CONVERGE_DIST2 = 1e-14  # squared distance to an equilibrium that ends an orbit
 _ESCAPE = math.log(1e9)  # ln x or ln y past this counts as reaching infinity
-_MAX_SAMPLES = 2_000_000
 _LOG_FLOOR = math.log(sys.float_info.min)  # ln x or ln y below which x or y is no normal double
 _SEED_OFFSET = 1e-6  # distance of separatrix seeds from their equilibrium
-_LOOP_MAX_STEP = 0.5  # step cap on the clock s that keeps a sampled cycle loop dense
 _EVENT_TOL = 1e-12  # relative width of the event-time bracket
 # P2's rate per turn 2 pi Re/Im below which 1 - multiplier (2 rate near b0) is not resolved at _REL_TOL:
 # (1 - multiplier)/(2 rate) was 0.978 at rate 1.07e-5 for (c, delta) = (1, 1/4) and 0.974 at 7.6e-6 for (2, 1/2)
@@ -89,7 +89,7 @@ _HOPF_BAND = 1e-3
 _SETTLED = 1e-3  # successive crossings this close end a walk: the disc projection draws them within a pixel
 _ABS_TOL = 1e-10  # absolute part of the error scale of ln x and ln y in a step
 _REL_TOL = 1e-7  # relative part of that scale, of max(|ln z|, 1) or of the log-chart distance from P2 if smaller
-_MAX_TIME = 400.0  # default time budget of an orbit, and the budget that a walk's turns share
+_MAX_STEPS = 10_000  # accepted steps that end an orbit on max-steps, and a walk once its samples pass them
 _DISC_CHORD = 0.05  # longest chord of the Poincare disc that a step is sized for, so drawn orbits stay smooth
 
 
@@ -98,7 +98,7 @@ class Orbit(NamedTuple):
 
     A sample is "affine", the point (x, y), unless x or y is too small for a
     normal double, which the deep passages of slow-fast orbits reach; there it
-    is "log", the point (ln x, ln y).  Terminal is one of max-time,
+    is "log", the point (ln x, ln y).  Terminal is one of max-steps,
     converged-to-point, escaped, hit-section.  ``detail`` names the limit point
     when known: the equilibrium an orbit converged to, "O1" or "infinity" for
     an escape.
@@ -218,37 +218,35 @@ def _bracket_root(fn, lo, f_lo, hi, f_hi, payload, tol):
     return hi, payload
 
 
-def _locate(rhs, event, u, v, t, h, k1, step):
-    """The sub-step of an accepted step ``step`` = :func:`_dp_step` (``rhs``, ``u``, ``v``, ``h``,
-    ``k1``) at which ``event`` (u, v, t), > 0 at the step start and <= 0 at its end, reaches 0,
-    as its length and its :func:`_dp_step` result: the end of one controlled sub-step from the
-    step start, so the state carries one local truncation error rather than an interpolation
-    error, and lies on or past the event."""
+def _locate(rhs, sgn, section, u, v, t, h, k1, step):
+    """The :func:`_dp_step` result of the sub-step of an accepted step ``step`` = :func:`_dp_step`
+    (``rhs``, ``u``, ``v``, ``h``, ``k1``) at time ``t`` that ends on the line y = ``section``, which
+    the step crosses upward (``sgn`` 1) or downward (``sgn`` -1): the end of one controlled sub-step
+    from the step start, so the state carries one local truncation error rather than an
+    interpolation error, and lies on or past the line."""
+
+    def gap(ve):
+        return sgn * (section - math.exp(ve))
 
     def probe(s):
         got = _dp_step(rhs, u, v, s, k1)
-        return event(got[0], got[1], t + got[2]), got
+        return gap(got[1]), got
 
-    end = event(step[0], step[1], t + step[2])
-    return _bracket_root(probe, 0.0, event(u, v, t), h, end, step, _EVENT_TOL * max(1.0, abs(t)))
+    return _bracket_root(probe, 0.0, gap(v), h, gap(step[1]), step, _EVENT_TOL * max(1.0, abs(t)))[1]
 
 
-def integrate(
-    p: Params, start, direction: str = "forward", *, section: Optional[float] = None, max_step=math.inf, max_time=_MAX_TIME
-) -> Orbit:
-    """Adaptive trajectory of the family field from ``start``, with time budget ``max_time``
-    and step cap ``max_step`` on the clock s, both strictly positive; the step is uncapped
-    by default.
+def integrate(p: Params, start, direction: str = "forward", *, section: Optional[float] = None) -> Orbit:
+    """Adaptive trajectory of the family field from ``start``, a finite point of the closed
+    positive quadrant.
 
-    ``start`` must be a finite point of the closed positive quadrant.  The orbit runs in
-    (ln x, ln y) on the clock ds = (1 + x^2 + y) dt, so one chart holds the whole open
-    quadrant and infinity; a start on an axis keeps that coordinate at exactly 0, and
-    runs as the flow of the other one along the axis.  The stop tests and the section
-    compare in x and y.  It terminates on max-time (true time), convergence to an
-    equilibrium, escape to infinity (ln x or ln y past ln 1e9, at O1 when y < x/2), or
-    the located first crossing of the line y = ``section``, upward forward and downward
-    backward (hit-section).  An IntegrationFailure names the direction and start of the
-    orbit, then what failed.
+    The orbit runs in (ln x, ln y) on the clock ds = (1 + x^2 + y) dt, so one chart holds
+    the whole open quadrant and infinity; a start on an axis keeps that coordinate at exactly
+    0, and runs as the flow of the other one along the axis.  The stop tests and the section
+    compare in x and y.  It terminates on convergence to an equilibrium, escape to
+    infinity (ln x or ln y past ln 1e9, at O1 when y < x/2), the located first crossing
+    of the line y = ``section``, upward forward and downward backward (hit-section), or
+    after ``_MAX_STEPS`` accepted steps (max-steps).  An IntegrationFailure, on step-size
+    underflow, names the direction and start of the orbit.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -256,9 +254,6 @@ def integrate(
     # the comparisons also reject nan
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
         raise ValueError(f"start {start} is not a finite point of the closed positive quadrant")
-    for name, val in (("max_step", max_step), ("max_time", max_time)):
-        if not val > 0:
-            raise ValueError(f"{name} must be strictly positive")
     sgn = 1.0 if direction == "forward" else -1.0
     b, c, d = p._float
     rhs = _rhs(b, c, d, sgn)
@@ -291,20 +286,14 @@ def integrate(
         if u > _ESCAPE or v > _ESCAPE:
             terminal, detail = "escaped", "O1" if y < 0.5 * x else "infinity"
             break
-        if t >= max_time:
-            terminal, detail = "max-time", ""
+        if len(samples) > _MAX_STEPS:
+            terminal, detail = "max-steps", ""
             break
-        if len(samples) > _MAX_SAMPLES:
-            raise IntegrationFailure(
-                f"{direction} orbit from {samples[0][2]}: sample budget exhausted", Orbit(samples, "failed", "sample-budget")
-            )
         # near P2 the flow is nearly linear and a turn's displacement is a small share of the distance r
         # from P2, so the error scale shrinks with r; an axis coordinate, at -inf, has an infinite scale
         r = max(abs(u - ou), abs(v - ov))
         su = _ABS_TOL + _REL_TOL * min(r, max(abs(u), 1.0))
         sv = _ABS_TOL + _REL_TOL * min(r, max(abs(v), 1.0))
-        if h > max_step:
-            h = max_step
 
         while True:
             try:
@@ -316,18 +305,17 @@ def integrate(
             if err <= 1.0:
                 break
             h *= max(0.1, min(0.9, 0.9 * err**-0.2)) if err < math.inf else 0.1  # nan also takes 0.1
-            if h < 1e-14 * max(1.0, t):
+            # the floor is on the clock s, not relative to t, which a slow passage runs past 1e13
+            if h < 1e-14:
                 raise IntegrationFailure(
                     f"{direction} orbit from {samples[0][2]}: step size underflow", Orbit(samples, "failed", "step-underflow")
                 )
         growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-        if t + step[2] > max_time:
-            h, step = _locate(rhs, lambda _u, _v, te: max_time - te, u, v, t, h, k1, step)
         un, vn, dt, _, _, k7 = step
         xn, yn = math.exp(un), math.exp(vn)
 
         if section is not None and sgn * y < sgn * section <= sgn * yn:
-            _, (ue, ve, dte, _, _, _) = _locate(rhs, lambda _u, ve, _t: sgn * (section - math.exp(ve)), u, v, t, h, k1, step)
+            ue, ve, dte, _, _, _ = _locate(rhs, sgn, section, u, v, t, h, k1, step)
             samples.append((t + dte, "affine", (math.exp(ue), math.exp(ve))))
             terminal, detail = "hit-section", ""
             break
@@ -371,21 +359,17 @@ def return_map(p: Params, x: float) -> tuple[float, float]:
     return float(xn), float(t)
 
 
-def _turn(p: Params, start, y2: float, what: str, direction: str = "forward", max_step=math.inf, max_time=_MAX_TIME) -> Orbit:
+def _turn(p: Params, start, y2: float, what: str, direction: str = "forward") -> Orbit:
     """The orbit from ``start`` in ``direction`` to its next located crossing of
-    y = ``y2``, under the limits of :func:`integrate`; NoReturnError "``what``
-    (terminal detail)" on any other terminal.
+    y = ``y2``; NoReturnError "``what`` (terminal detail)" on any other terminal.
 
     The forward turn from the P1 separatrix seed, which both ``detect_limit_cycle``
-    and the separatrix walk of ``build_portrait`` take, is kept with its limits in
-    the instance ``__dict__`` of ``p``, and served again only under the same limits."""
-    p1_turn = direction == "forward" and start == _p1_separatrix_start(p)
-    kept = vars(p).get("_p1_turn", ()) if p1_turn else ()
-    if kept[:2] != (max_step, max_time):
-        kept = max_step, max_time, integrate(p, start, direction, section=y2, max_step=max_step, max_time=max_time)
-        if p1_turn:
-            vars(p)["_p1_turn"] = kept
-    orbit = kept[2]
+    and the separatrix walk of ``build_portrait`` take, is kept in the instance
+    ``__dict__`` of ``p``."""
+    if direction == "forward" and start == _p1_separatrix_start(p):
+        orbit = vars(p).get("_p1_turn") or vars(p).setdefault("_p1_turn", integrate(p, start, section=y2))
+    else:
+        orbit = integrate(p, start, direction, section=y2)
     if orbit.terminal != "hit-section":
         raise NoReturnError(f"{what} ({' '.join(filter(None, (orbit.terminal, orbit.detail)))})", orbit)
     return orbit
@@ -396,9 +380,9 @@ def _walk(p: Params, start, direction: str = "forward") -> tuple[Orbit, list[flo
     of its crossings of the section ray, upward forward and downward backward.
 
     A start on the section ray is the first crossing.  The walk ends at a
-    terminal, at ``_MAX_TIME`` summed over its turns, or once the crossings
-    of two successive turns lie within ``_SETTLED``, so a returning orbit keeps
-    at least two turns.  A settled walk ends on ``hit-section``.
+    terminal, once its samples pass ``_MAX_STEPS``, or once the crossings of
+    two successive turns lie within ``_SETTLED``, so a returning orbit keeps
+    at least two turns.  A walk that ends between turns ends on ``hit-section``.
     """
     x2, y2 = interior_point(p)
     samples: list[tuple[float, str, tuple[float, float]]] = []
@@ -407,7 +391,7 @@ def _walk(p: Params, start, direction: str = "forward") -> tuple[Orbit, list[flo
     t0 = 0.0
     while True:
         try:
-            orbit = _turn(p, start, y2, "", direction, max_time=_MAX_TIME - t0)
+            orbit = _turn(p, start, y2, "", direction)
         except NoReturnError as err:
             orbit = err.orbit
         # a later turn starts at the crossing that ended the one before, whose own y is its first
@@ -417,7 +401,7 @@ def _walk(p: Params, start, direction: str = "forward") -> tuple[Orbit, list[flo
             return Orbit(samples, orbit.terminal, orbit.detail), xs
         t0, _, start = samples[-1]
         xs.append(start[0])
-        if len(xs) > settles_after and abs(xs[-1] - xs[-2]) <= _SETTLED or t0 >= _MAX_TIME:
+        if len(xs) > settles_after and abs(xs[-1] - xs[-2]) <= _SETTLED or len(samples) > _MAX_STEPS:
             return Orbit(samples, orbit.terminal), xs
 
 
@@ -517,11 +501,12 @@ def detect_limit_cycle(p: Params) -> CycleResult:
 
 
 def cycle_loop(p: Params, cycle: CycleResult) -> list[tuple[float, float]]:
-    """One period of the detected cycle, sampled densely as affine (x, y) points."""
+    """One period of the detected cycle as affine (x, y) points, each step's chord on the
+    Poincare disc kept near at most ``_DISC_CHORD``, like every drawn orbit."""
     if not cycle.found or cycle.section_x is None:
         raise ValueError("no cycle to sample")
     _, y2 = interior_point(p)
-    return _turn(p, (cycle.section_x, y2), y2, "cycle sampling failed to close the loop", max_step=_LOOP_MAX_STEP).affine_points()
+    return _turn(p, (cycle.section_x, y2), y2, "cycle sampling failed to close the loop").affine_points()
 
 
 class GridSpec(NamedTuple):

@@ -162,10 +162,11 @@ def build_portrait(p: Params) -> PortraitReport:
             # cycle and in cases 4, 6 and 7, which the Dulac function y^(gamma-1)/x clears of cycles
             steps = [v - u for u, v in zip(xs, xs[1:])]
             if sgn > 0 and label.case in (3, 5):
-                # a crossing within _SETTLED of the found cycle is on it, whichever side the rounding puts it
+                # a crossing within _SETTLED of the found cycle is on it, whichever way the rounding turned the last step
                 gap = None if cycle is None or cycle.section_x is None else cycle.section_x - xs[-1]
-                toward = gap is None or gap * steps[-1] > 0 or abs(gap) <= _SETTLED
-                if toward and (min(steps) > 0 or max(steps) < 0):
+                on_cycle = gap is not None and abs(gap) <= _SETTLED
+                toward = gap is None or gap * steps[-1] > 0
+                if on_cycle or toward and (min(steps) > 0 or max(steps) < 0):
                     return "cycle"
             elif max(steps) < 0 and ("P2", "always") in [(name, mode) for name, _, _, mode in _stops(p, sgn)]:
                 return "P2"

@@ -1,6 +1,7 @@
 """Sparse polynomial fields and the Poincare chart maps: the test reference
 for the charts U1, U2 and U3 and for the Taylor coefficients of the Hopf
-cross-check.
+cross-check, with the family's field and Jacobian at a point, which the
+package itself does not evaluate.
 
 Polynomials are sparse maps from exponent pairs (i, j) to nonzero
 coefficients; arithmetic follows the input number types, so rational inputs
@@ -129,3 +130,25 @@ def family_system(p: Params) -> PolySystem:
     p_terms: Terms = {(1, 0): b, (2, 0): 1 - b, (3, 0): -1, (1, 1): -1}
     q_terms: Terms = {(1, 1): c - d, (0, 1): -d * b}
     return PolySystem(p_terms, q_terms)
+
+
+def vector_field(p: Params, pt) -> tuple[Number, Number]:
+    """Evaluate the family field at the point ``pt``; exact when inputs are rational."""
+    x, y = pt
+    dx = x * (-x * x + (1 - p.b) * x - y + p.b)
+    dy = y * ((p.c - p.delta) * x - p.delta * p.b)
+    return dx, dy
+
+
+def jacobian(p: Params, pt) -> tuple[tuple[Number, Number], tuple[Number, Number]]:
+    """Partial-derivative matrix of the field at the point ``pt`` as nested row tuples.
+
+    Entries stay exact when both parameters and coordinates are rational and
+    are floats otherwise.
+    """
+    x, y = pt
+    b, c, d = p.b, p.c, p.delta
+    (j11, j12), (j21, j22) = j = (-3 * x * x + 2 * (1 - b) * x - y + b, -x), ((c - d) * y, (c - d) * x - d * b)
+    if _is_exact(b, c, d, x, y):
+        return j
+    return (float(j11), float(j12)), (float(j21), float(j22))

@@ -339,12 +339,14 @@ BYTE_GOLDEN = {
             "json": "475e67bd7b4d27ce1b9eec6d67e8539c233ceb6f6463e89dc0c0fd0be607a720",
         },
     ),
-    # the B and C json digests moved when P2's eigenvalues began to come from A and B
+    # the B and C json digests moved when P2's eigenvalues began to come from A and B; B's moved
+    # again when orbits lost their time budget: the inner representative walks on until it
+    # settles, and the cycle loop is sampled under the disc-chord rule, 44 points for 88
     "portrait-B": (
         ["portrait", "--b", "0.5", "--c", "1", "--delta", "0.25"],
         {
-            "svg": "5fd39a83c24ddda2c40c239cd88d527fa33b9a628d898b54c68ab5d47fd75028",
-            "json": "a7c4c1ac729db73c0e5d76f5e34607acc772c1a17f6d012509617bd61bcbc1b7",
+            "svg": "00e7cf4374be8c4801a5ed85e52cf3c72ebc3908c35fea90d880cea0de48a0db",
+            "json": "4cf7c11a3753c5d14fb1a55c3a84430e7c81b59a27022d472dcb5cedd3ce85c6",
         },
     ),
     "portrait-C": (
@@ -751,7 +753,7 @@ def test_the_list_records_keep_the_dataclass_behaviour():
     # the records that hold lists print, pickle and refuse assignment, but do not hash
     p = kportrait.Params(2.0, 1.0, 1.0)
     report = kportrait.build_portrait(p)
-    orbit = kportrait.integrate(p, (0.5, 0.5), max_time=1.0)
+    orbit = kportrait.integrate(p, (0.5, 0.5))
     for r in (orbit, report.representatives[0], report):
         fields = ", ".join(f"{name}={getattr(r, name)!r}" for name in r._fields)
         assert repr(r) == f"{type(r).__name__}({fields})"
@@ -782,7 +784,7 @@ def test_lazy_exports_resolve_to_their_home_objects():
     # O1 and O2 are SingularPoints, so compactify defines no record of its own
     assert "InfinitePoint" not in kportrait.__all__ and not hasattr(kportrait.compactify, "InfinitePoint")
     assert not [v for v in vars(kportrait.compactify).values() if isinstance(v, type) and v.__module__ == "kportrait.compactify"]
-    assert len(kportrait.__all__) == 41
+    assert len(kportrait.__all__) == 39
     for name in ("PolySystem", "ChartDomainError", "chart_transition", "family_system"):
         assert name not in kportrait.__all__ and not hasattr(kportrait.compactify, name), name
     # the from-scratch Hopf route keeps its coefficient tuples in a private dict

@@ -31,9 +31,9 @@ import pytest
 import sympy as sp
 
 import kportrait.numerics as numerics
-from kportrait import Params, SectorData, family_infinite_points, vector_field
+from kportrait import Params, SectorData, family_infinite_points
 from kportrait.local import _taylor_at
-from poincare_engine import ChartDomainError, PolySystem, chart_transition, family_system
+from poincare_engine import ChartDomainError, PolySystem, chart_transition, family_system, vector_field
 
 B, C, D = sp.symbols("b c delta", positive=True)
 X, Y, U, V, W1 = sp.symbols("x y u v w1")

@@ -23,12 +23,11 @@ from kportrait import (
     finite_singular_points,
     hopf_analysis,
     interior_point,
-    jacobian,
     uniqueness_check,
-    vector_field,
 )
 from kportrait.local import _mu_omega
 from kportrait.model import _to_float
+from poincare_engine import jacobian, vector_field
 
 
 def random_params(rng, lo=0.05, hi=5.0):
@@ -687,7 +686,7 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
             dulac_check(p)
             interior_point(p)
             for direction in ("forward", "backward"):
-                numerics.integrate(p, (0.3, 0.3), direction, max_time=1.0)
+                numerics.integrate(p, (0.3, 0.3), direction, section=0.4)
         for key in ("_case", "_float"):
             # by identity: a Params compares equal to one built from its float image
             assert [q is p for q in calls[key]] == [True], key
@@ -700,7 +699,7 @@ def test_case_signs_are_computed_once_per_params(monkeypatch):
         assert classify_case(back) == classify_case(p)
         assert finite_singular_points(back) == finite_singular_points(p)
         assert dulac_check(back)[:2] == dulac_check(p)[:2]
-        assert numerics.integrate(back, (0.3, 0.3), max_time=1.0) == numerics.integrate(p, (0.3, 0.3), max_time=1.0)
+        assert numerics.integrate(back, (0.3, 0.3), section=0.4) == numerics.integrate(p, (0.3, 0.3), section=0.4)
         for key in calls:
             calls[key].clear()
 

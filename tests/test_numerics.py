@@ -26,10 +26,9 @@ from kportrait import (
     return_map,
     scan_to_csv,
     separatrix_section_crossing,
-    vector_field,
 )
-from kportrait.numerics import _SETTLED, _p1_separatrix_start, _project, _stops, _turn, _walk
-from polyline_oracle import polyline_hausdorff
+from kportrait.numerics import _DISC_CHORD, _MAX_STEPS, _SETTLED, _p1_separatrix_start, _project, _stops, _turn, _walk
+from poincare_engine import vector_field
 
 P_CASE1 = Params(2.0, 1.0, 1.0)
 P_CYCLE = Params(0.5, 1.0, 0.25)
@@ -37,11 +36,11 @@ P_DULAC = Params(2.0, 1.0, 0.2)
 
 
 def test_config_validation():
-    # the step cap and the time budget of integrate are strictly positive, and keyword-only
+    # the section is keyword-only, and the one orbit limit is the module's step budget:
+    # integrate takes no time budget and no step cap
     for name in ("max_step", "max_time"):
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match=f"^{name} must be strictly positive$"):
-                integrate(P_CASE1, (0.5, 0.5), **{name: bad})
+        with pytest.raises(TypeError):
+            integrate(P_CASE1, (0.5, 0.5), **{name: 1.0})
     with pytest.raises(TypeError):
         integrate(P_CASE1, (0.5, 0.5), "forward", 0.6)
 
@@ -69,26 +68,38 @@ def test_converges_to_global_attractor_case1(monkeypatch):
 def test_saddle_stops_orbit_only_on_axis_approach():
     # P1 is a saddle here; an interior orbit squeezed along its stable
     # manifold comes within 1e-7 of it and must leave along the unstable one
-    orbit = integrate(P_CYCLE, (1.5, 1e-12), "forward", max_time=40.0)
+    orbit = integrate(P_CYCLE, (1.5, 1e-12), "forward")
     near = [
         np.hypot(x - 1.0, y)
         for _, chart, (x, y) in orbit.samples
         if chart == "affine" and y > 0.0
     ]
     assert min(near) <= 1e-7
-    assert orbit.terminal == "max-time"
+    # it then winds onto the cycle until the step budget ends it
+    assert orbit.terminal == "max-steps" and len(orbit.samples) == _MAX_STEPS + 1
     # on the invariant x-axis an orbit stops at a saddle only when moving toward it
     orbit = integrate(P_CYCLE, (1e-9, 0.0), "forward")
     assert (orbit.terminal, orbit.detail) == ("converged-to-point", "P1")
 
 
+def test_slow_case1_orbits_reach_p1_within_the_step_budget():
+    # at small b the flow near P0 is slow, at the rates b and -delta b along the axes: here the
+    # eight diagonal seeds r = 0.15 (4/0.15)^(k/7) all converge to P1, in 91 to 115 steps each
+    p = Params(0.01455, 0.4006, 0.5084)
+    assert classify_case(p).case == 1
+    for k in range(8):
+        s = 0.15 * (4.0 / 0.15) ** (k / 7) / math.sqrt(2.0)
+        orbit = integrate(p, (s, s))
+        assert (orbit.terminal, orbit.detail) == ("converged-to-point", "P1") and len(orbit.samples) < 200, k
+
+
 def test_orbit_times_increase_and_steps_bounded():
-    orbit = integrate(P_CYCLE, (0.9, 0.6), "forward", max_time=40.0, max_step=0.3)
+    # steps are bounded by their chord on the Poincare disc, where the portrait draws them
+    orbit = integrate(P_CYCLE, (0.9, 0.6), "forward")
     times = [s[0] for s in orbit.samples]
     assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
-    for (t0, c0, _), (t1, c1, _) in zip(orbit.samples, orbit.samples[1:]):
-        if c0 == c1:
-            assert t1 - t0 <= 0.3 + 1e-12
+    disc = [_project(*q) for q in orbit.affine_points()]
+    assert max(math.dist(a, b) for a, b in zip(disc, disc[1:])) <= 2.0 * _DISC_CHORD
 
 
 def test_axes_are_invariant():
@@ -96,10 +107,10 @@ def test_axes_are_invariant():
     for _ in range(30):
         p = Params(*(float(v) for v in rng.uniform(0.1, 4.0, 3)))
         x0 = float(rng.uniform(0.01, 5.0))
-        orbit = integrate(p, (x0, 0.0), "forward", max_time=25.0)
+        orbit = integrate(p, (x0, 0.0), "forward")
         assert max(abs(s[2][1]) for s in orbit.samples if s[1] == "affine") <= 1e-9
         y0 = float(rng.uniform(0.01, 5.0))
-        orbit = integrate(p, (0.0, y0), "forward", max_time=25.0)
+        orbit = integrate(p, (0.0, y0), "forward")
         assert max(abs(s[2][0]) for s in orbit.samples if s[1] == "affine") <= 1e-9
 
 
@@ -108,7 +119,7 @@ def test_quadrant_is_invariant():
     for _ in range(20):
         p = Params(*(float(v) for v in rng.uniform(0.1, 3.0, 3)))
         start = (float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 3.0)))
-        orbit = integrate(p, start, "forward", max_time=60.0)
+        orbit = integrate(p, start, "forward")
         for _, chart, (x, y) in orbit.samples:
             if chart == "affine":
                 assert x > -1e-9 and y > -1e-9
@@ -262,15 +273,18 @@ def test_cycle_two_sided_convergence():
     res = detect_limit_cycle(P_CYCLE)
     x2, y2 = interior_point(P_CYCLE)
 
-    def settled_loop(start):
-        o1 = integrate(P_CYCLE, start, "forward", max_time=450.0)
-        assert o1.terminal == "max-time"
-        o2 = integrate(P_CYCLE, o1.affine_points()[-1], "forward", max_time=60.0, max_step=0.04)
-        return o2.affine_points()
+    def settled_crossing(start):
+        # a whole step budget, a few hundred periods, then on to the next upward crossing of the section line
+        o1 = integrate(P_CYCLE, start, "forward")
+        assert o1.terminal == "max-steps"
+        o2 = integrate(P_CYCLE, o1.affine_points()[-1], "forward", section=y2)
+        assert o2.terminal == "hit-section"
+        return o2.samples[-1][2][0]
 
-    inner = settled_loop((x2 + 0.5 * (res.section_x - x2), y2))
-    outer = settled_loop((0.95, y2))
-    assert polyline_hausdorff(inner, outer) <= 1e-4
+    inner = settled_crossing((x2 + 0.5 * (res.section_x - x2), y2))
+    outer = settled_crossing((0.95, y2))
+    # an orbit is fixed by one point: both settle onto the found cycle, from either side
+    assert inner == pytest.approx(res.section_x, abs=1e-8) and outer == pytest.approx(res.section_x, abs=1e-8)
 
 
 def test_tolerance_robustness_of_cycle(monkeypatch):
@@ -313,35 +327,42 @@ def test_near_hopf_multiplier_follows_the_normal_form_or_says_near_hopf(c, delta
 
 
 def test_cycle_search_failures_quote_their_cause():
-    # the first 12 case-3/5 triples of b in 10^U(-3, 0.5), c in 10^U(-1, 1) and delta in 10^U(-1.5, 0.5),
-    # drawn with seed 3: slow cycles that the 400 time budget misses, for three different reasons
+    # the step budget finds the slow cycles of the first 12 case-3/5 triples of b in 10^U(-3, 0.5),
+    # c in 10^U(-1, 1) and delta in 10^U(-1.5, 0.5), drawn with seed 3, and of (0.3, 1e6, 0.25),
+    # whose inner orbit dips toward the y-axis for 4e7 time units
     rng = random.Random(3)
-    triples = []
-    while len(triples) < 12:
+    triples = [Params(0.3, 1e6, 0.25)]
+    while len(triples) < 13:
         p = Params(10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1.5, 0.5))
         if classify_case(p).case in (3, 5):
             triples.append(p)
-    details = [res.detail for res in map(detect_limit_cycle, triples) if not res.found]
-    terminals = ("(max-time)", "(converged-to-point ", "(escaped ")
-    for detail in details:
-        assert detail.startswith(("inner orbit ", "no outer contraction bracket: ")), detail
-        assert "expands" in detail or any(t in detail for t in terminals), detail
-        assert "absorbed" not in detail, detail
-    assert "inner orbit did not recross the section (max-time)" in details
-    assert "no outer contraction bracket: outer orbit did not recross the section (max-time)" in details
-    assert any(d.startswith("no outer contraction bracket: section map expands at x = ") for d in details)
-    # near-hopf speaks only near b0: here b0 = (1e6 - 1/4)/(1e6 + 1/4) is about 1, far above b = 0.3,
-    # although x2 = 7.5e-8 slows P2 to a rate per turn of 1.1e-6; the inner orbit's dip toward the
-    # y-axis outlasts the time budget
-    res = detect_limit_cycle(Params(0.3, 1e6, 0.25))
-    assert res.detail == "inner orbit did not recross the section (max-time)"
+    assert all(res.found for res in map(detect_limit_cycle, triples))
+    # near b = 1e-5 a passage outlasts the step budget: a miss names the orbit that did not
+    # return and its terminal, or where the section map expands; near b = 1.5e-6 the P1
+    # separatrix's true time passes 7e13 within 200 steps, and its steps still do not underflow
+    misses = (
+        (1e-5, 1.2, 0.3),
+        (1e-5, 10.0, 5.0),
+        (1.8378589666371364e-05, 10.488010197424767, 0.010121016800070727),
+        (1.5357860642359684e-06, 11.896121115984442, 0.0739312176315767),
+    )
+    assert [detect_limit_cycle(Params(*t)).detail for t in misses] == [
+        "inner orbit did not recross the section (max-steps)",
+        "no outer contraction bracket: outer orbit did not recross the section (max-steps)",
+        "no outer contraction bracket: section map expands at x = 0.216",
+        "no outer contraction bracket: outer orbit did not recross the section (max-steps)",
+    ]
 
 
 def test_cycle_loop_closes():
+    # one turn from the section crossing back to it, sampled like every drawn orbit: 44 points
+    # whose chords on the Poincare disc stay within the disc-chord rule
     res = detect_limit_cycle(P_CYCLE)
     loop = cycle_loop(P_CYCLE, res)
-    assert len(loop) > 50
+    assert len(loop) > 40
     assert math.dist(loop[0], loop[-1]) <= 1e-6
+    disc = [_project(*q) for q in loop]
+    assert max(math.dist(a, b) for a, b in zip(disc, disc[1:])) <= 2.0 * _DISC_CHORD
 
 
 def test_walk_reads_the_section_map_turn_by_turn(monkeypatch):
@@ -361,29 +382,35 @@ def test_walk_reads_the_section_map_turn_by_turn(monkeypatch):
     # a start on the cycle itself still makes two turns
     _, xs = _walk(P_CYCLE, (detect_limit_cycle(P_CYCLE).section_x, y2))
     assert len(xs) == 3
-    # the turns share one time budget
-    monkeypatch.setattr(numerics, "_MAX_TIME", 50.0)
+    # the walk ends once its samples pass the step budget: here after two turns of 49 and 45 steps
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 60)
     orbit, xs = _walk(P_CYCLE, (0.9, y2))
-    assert orbit.terminal == "max-time" and len(xs) == 2
-    assert orbit.samples[-1][0] == pytest.approx(50.0, rel=1e-12)
+    assert orbit.terminal == "hit-section" and len(xs) == 3 and len(orbit.samples) == 93
+    assert abs(xs[-1] - xs[-2]) > _SETTLED
 
 
-def test_no_return_message_joins_only_the_parts_it_has():
-    # the turn of return_map, under other time budgets
+def test_no_return_message_joins_only_the_parts_it_has(monkeypatch):
+    # the turn of return_map, under a smaller step budget
+    import kportrait.numerics as numerics
+
     _, y2 = interior_point(P_CYCLE)
-    with pytest.raises(NoReturnError) as err:
-        _turn(P_CYCLE, (0.9, y2), y2, "orbit did not recross the section", max_time=1.0)
-    assert str(err.value) == "orbit did not recross the section (max-time)"
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "_MAX_STEPS", 10)
+        with pytest.raises(NoReturnError) as err:
+            _turn(P_CYCLE, (0.9, y2), y2, "orbit did not recross the section")
+    assert str(err.value) == "orbit did not recross the section (max-steps)"
+    assert len(err.value.orbit.samples) == 11
     # a slow stable node: the orbit reaches P2 before it turns
     p = Params(0.1, 0.1, 0.09)
     x2, y2 = interior_point(p)
     with pytest.raises(NoReturnError) as err:
-        _turn(p, (x2 + 0.05, y2), y2, "orbit did not recross the section", max_time=1e4)
+        _turn(p, (x2 + 0.05, y2), y2, "orbit did not recross the section")
     assert str(err.value) == "orbit did not recross the section (converged-to-point P2)"
 
 
-def test_the_kept_p1_turn_is_served_only_under_its_limits(monkeypatch):
-    # the cycle search keeps the P1 separatrix turn on the Params; a shorter budget integrates its own
+def test_the_kept_p1_turn_is_served_to_every_caller(monkeypatch):
+    # the cycle search keeps the P1 separatrix turn on the Params, and every later turn from the
+    # P1 seed, a walk's first one included, is that orbit: only the seed's backward turn is new
     import kportrait.numerics as numerics
 
     p = Params(0.5, 1.0, 0.25)
@@ -391,15 +418,19 @@ def test_the_kept_p1_turn_is_served_only_under_its_limits(monkeypatch):
     start, (_, y2) = _p1_separatrix_start(p), interior_point(p)
     kept = _turn(p, start, y2, "")
     assert kept.terminal == "hit-section" and _turn(p, start, y2, "") is kept
-    with pytest.raises(NoReturnError) as err:
-        _turn(p, start, y2, "", max_time=1.0)
-    assert err.value.orbit.terminal == "max-time" and err.value.orbit.samples[-1][0] == pytest.approx(1.0, rel=1e-12)
-    # so does the first turn of a walk under a shorter budget
-    monkeypatch.setattr(numerics, "_MAX_TIME", 1.0)
+    starts = []
+    real = numerics.integrate
+
+    def recorded(p, start, *args, **kwargs):
+        starts.append((start, *args))
+        return real(p, start, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", recorded)
     orbit, xs = _walk(p, start)
-    assert (orbit.terminal, xs) == ("max-time", []) and orbit.samples[-1][0] == pytest.approx(1.0, rel=1e-12)
-    monkeypatch.undo()
-    assert _turn(p, start, y2, "").samples == kept.samples
+    assert orbit.samples[: len(kept.samples)] == kept.samples and starts and start not in [s[0] for s in starts]
+    with pytest.raises(NoReturnError):
+        _turn(p, start, y2, "", "backward")
+    assert starts[-1] == (start, "backward")
 
 
 def test_weak_focus_attracts_forward():
@@ -657,7 +688,7 @@ def test_scan_starts_no_more_workers_than_cells(monkeypatch):
 
 def test_custom_stop_event():
     # a section line of the caller's choosing, reached from below
-    orbit = integrate(P_CYCLE, (0.9, 0.3), "forward", max_time=60.0, section=0.6)
+    orbit = integrate(P_CYCLE, (0.9, 0.3), "forward", section=0.6)
     assert orbit.terminal == "hit-section"
     _, chart, (_, y) = orbit.samples[-1]
     assert chart == "affine" and abs(y - 0.6) <= 1e-8
@@ -729,10 +760,13 @@ def test_section_events_lie_one_controlled_step_from_the_previous_sample(monkeyp
 
 def test_step_error_overflow_rejects_the_step():
     # 1e-9 from P2 the field is about 5e-10, so the first trial step is 2e7 long on the clock s
-    # and its stages overflow e^u; the step is rejected and shrunk, not raised on, and the orbit
-    # follows the one integrated under a small step cap
+    # and its stages overflow e^u; the step is rejected and shrunk, not raised on, and the orbit's
+    # first return follows the linear focus: x2 + 1e-9 e^(2 pi Re/Im), one period 2 pi/Im later.
+    # The absolute part of the error scale, 1e-10 in ln x, is a tenth of this offset, so the
+    # return lands 4% off (3e-5 from 1e-7, 5e-6 from 1e-5)
     x2, y2 = interior_point(P_CYCLE)
-    ends = [integrate(P_CYCLE, (x2 + 1e-9, y2), max_time=5.0, **cap).samples[-1] for cap in ({}, {"max_step": 0.05})]
-    assert [t for t, _, _ in ends] == pytest.approx([5.0, 5.0], rel=1e-12)
-    (_, _, free), (_, _, capped) = ends
-    assert math.dist(free, capped) <= 1e-2 * math.dist(capped, (x2, y2))
+    lam = finite_singular_points(P_CYCLE)[-1].eigenvalues[1]
+    orbit = integrate(P_CYCLE, (x2 + 1e-9, y2), section=y2)
+    t, _, (x, _) = orbit.samples[-1]
+    assert orbit.terminal == "hit-section" and t == pytest.approx(2.0 * math.pi / lam.imag, rel=1e-2)
+    assert x - x2 == pytest.approx(1e-9 * math.exp(2.0 * math.pi * lam.real / lam.imag), rel=5e-2)

@@ -228,15 +228,15 @@ def test_the_p1_separatrix_turn_is_integrated_once(monkeypatch):
     p = Params(0.5, 1.0, 0.25)  # README B
     seed = numerics._p1_separatrix_start(p)
     want = report_to_dict(build_portrait(p))
-    # 48 calls: the cycle search, the separatrix's forward walk and both walks of the outer
+    # 50 calls: the cycle search, the separatrix's forward walk and both walks of the outer
     # and the inner representative, one call per turn
-    assert len(starts) == 48 and starts.count(seed) == 1
+    assert len(starts) == 50 and starts.count(seed) == 1
     # the kept turn pickles with the other caches of p, and a second pass integrates it no more
     back = pickle.loads(pickle.dumps(p))
     assert back == p and vars(back).keys() == vars(p).keys()
     starts.clear()
     assert report_to_dict(build_portrait(back)) == want and numerics.separatrix_section_crossing(back)
-    assert len(starts) == 47 and seed not in starts
+    assert len(starts) == 49 and seed not in starts
 
 
 @pytest.mark.parametrize(
@@ -350,17 +350,18 @@ _CLASSES = {
     "B": {("O1", "cycle"), ("P2", "cycle")},
     "B-inner": {("P2", "cycle")},
     "C": {("O1", "P2")},
-    "none": set(),
 }
 
 
 @pytest.mark.parametrize(
     "triple, classes",
-    zip(_CLASS_TRIPLES, "A B C C A C B A A B-inner A A B-inner none B C C A B-inner C none A".split()),
+    zip(_CLASS_TRIPLES, "A B C C A C B A A B A A B-inner B-inner B C C A B-inner C B-inner A".split()),
 )
 def test_one_orbit_per_region_shows_every_class_of_the_eight_orbit_ladders(triple, classes):
     # the resolved (alpha, omega) classes are those that eight seeds on a geometric ladder
-    # along the section ray, or on a diagonal ladder without P2, showed when they were drawn
+    # along the section ray, or on a diagonal ladder without P2, showed when they were drawn;
+    # the cycles of the 14th and 21st, slow case-5 triples, lie beyond the outer seed, so both
+    # representatives show the inner class
     rep = build_portrait(Params(*triple))
     got = {(tr.alpha_limit, tr.omega_limit) for tr in rep.representatives}
     assert {pair for pair in got if "unresolved" not in pair} == _CLASSES[classes]
@@ -370,13 +371,13 @@ def test_one_orbit_per_region_shows_every_class_of_the_eight_orbit_ladders(tripl
 def test_a_settled_walk_draws_its_last_two_crossings_within_a_pixel(start_x, direction):
     # README B: a walk stops once two successive crossings are too close to tell apart on the
     # 640 px disc, onto the cycle forward and into P2 backward
-    from kportrait.numerics import _MAX_TIME, _walk, interior_point
+    from kportrait.numerics import _MAX_STEPS, _walk, interior_point
     from kportrait.portrait import _MARGIN, _SIZE
 
     p = Params(0.5, 1.0, 0.25)
     _, y2 = interior_point(p)
     orbit, xs = _walk(p, (start_x, y2), direction)
-    assert orbit.terminal == "hit-section" and orbit.samples[-1][0] < _MAX_TIME
+    assert orbit.terminal == "hit-section" and len(orbit.samples) <= _MAX_STEPS
     (u0, v0), (u1, v1) = (_project(x, y2) for x in xs[-2:])
     assert (_SIZE - 2.0 * _MARGIN) * math.hypot(u1 - u0, v1 - v0) < 1.0, xs[-2:]
 
@@ -518,7 +519,7 @@ def test_exact_input_beyond_float_arithmetic_still_gets_its_portrait(c):
     assert {"hopf-analysis-unavailable", "cycle-detection-failed", "integration-failure"} <= heads
     # each integration failure names the direction and start of its orbit, then what failed
     failures = [w for w in rep.warnings if w.startswith("integration-failure:")]
-    named = r"integration-failure: (forward|backward) orbit from \([^,]+, [^,]+\): (step size underflow|sample budget exhausted)"
+    named = r"integration-failure: (forward|backward) orbit from \([^,]+, [^,]+\): step size underflow"
     assert failures and all(re.fullmatch(named, w) for w in failures), failures
     # so does the cycle search: its outer seed, the P1 separatrix, is the orbit that fails
     cycle_failures = [w for w in rep.warnings if w.startswith("cycle-detection-failed:")]
